@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -169,12 +168,6 @@ def _selected_primes(args) -> list:
     return list(SUPPORTED_PRIMES)
 
 
-def _map_rows(fn, primes):
-    """Row computations may run concurrently; assembly stays ordered."""
-    with ThreadPoolExecutor(max_workers=min(4, len(primes))) as pool:
-        return list(pool.map(fn, primes))
-
-
 # ---------------------------------------------------------------------------
 # table commands
 
@@ -196,7 +189,7 @@ def cmd_table1(args) -> int:
             "order_histogram": {str(k): v for k, v in rep.order_histogram.items()},
         }
 
-    rows = _map_rows(row, _selected_primes(args))
+    rows = [row(p) for p in _selected_primes(args)]
     mismatches = []
     if args.self_check:
         for r in rows:
@@ -231,7 +224,7 @@ def cmd_table2(args) -> int:
         cells["choi_negativity"] = _cell(RECORDED_CHOI_NEGATIVITY[p], PROV_RECORDED)
         return {"p": p, "params": list(g.astuple()), "cells": cells}
 
-    rows = _map_rows(row, _selected_primes(args))
+    rows = [row(p) for p in _selected_primes(args)]
     mismatches = []
     if args.self_check:
         tol_pct = args.tol if args.tol is not None else 0.005
@@ -272,7 +265,7 @@ def cmd_table3(args) -> int:
             "upper_pct": _cell(100 * b.upper, b.upper_provenance),
         }}
 
-    rows = _map_rows(row, _selected_primes(args))
+    rows = [row(p) for p in _selected_primes(args)]
     mismatches = []
     if args.self_check:
         tol = args.tol if args.tol is not None else 0.05
@@ -359,21 +352,31 @@ def cmd_negativity(args) -> int:
     return _sc_exit(args, mismatches)
 
 
+def _evidence(r) -> dict:
+    """How a threshold was computed; LP cells add pivots and the margin of
+    the witness that separates the target just below the threshold."""
+    if r.method != "lp":
+        return {"method": r.method}
+    return {"method": r.method, "lp_pivots": r.pivots,
+            "certificate_margin": r.margin}
+
+
 def cmd_threshold(args) -> int:
     started = time.perf_counter()
     check_dim(args.p)
     g = args.params if args.params else ROBUST_GATE_PARAMS[args.p]
     psi = gate_state(args.p, g)
-    out = {
-        "depol_state_pct": 100 * threshold_depol_state(args.p, psi).epsilon_star,
-        "pd_gate_pct": 100 * threshold_pd_gate(args.p, psi).epsilon_star,
+    results = {
+        "depol_state_pct": threshold_depol_state(args.p, psi),
+        "pd_gate_pct": threshold_pd_gate(args.p, psi),
     }
-    prov = {"depol_state_pct": PROV_COMPUTED, "pd_gate_pct": PROV_COMPUTED}
     if args.p in (2, 3):
         u = gate_exponents(args.p, g).matrix()
-        out["depol_gate_pct"] = 100 * threshold_depol_gate(args.p, u).epsilon_star
-        prov["depol_gate_pct"] = PROV_COMPUTED
-    elif g == ROBUST_GATE_PARAMS[args.p]:
+        results["depol_gate_pct"] = threshold_depol_gate(args.p, u)
+    out = {name: 100 * r.epsilon_star for name, r in results.items()}
+    prov = dict.fromkeys(results, PROV_COMPUTED)
+    evidence = {name: _evidence(r) for name, r in results.items()}
+    if args.p not in (2, 3) and g == ROBUST_GATE_PARAMS[args.p]:
         out["depol_gate_pct"] = 100 * RECORDED_DEPOL_GATE[args.p]
         prov["depol_gate_pct"] = PROV_RECORDED
     mismatches = []
@@ -386,6 +389,7 @@ def cmd_threshold(args) -> int:
     rep = _report("threshold", {"p": args.p, "params": list(g.astuple())},
                   out, started)
     rep["provenance"] = prov
+    rep["evidence"] = evidence
     rep["self_check"] = _sc_status(args, mismatches)
     _emit(rep, args.format)
     return _sc_exit(args, mismatches)

@@ -31,7 +31,6 @@ from .errors import (
 from .hierarchy import (
     DiagGateExact,
     GateParams,
-    conjugation_phase_factor,
     gate_exponents,
     root_order,
 )
@@ -43,7 +42,6 @@ from .weylheis import (
     displacement,
     mub_projectors,
     mub_vectors,
-    omega,
     pauli_z,
 )
 

@@ -11,8 +11,11 @@ yields a separating Hermitian witness, which plays the role of the
 (unknown) facet description of the Clifford polytope.
 
 Thresholds along the depolarising/phase-damping noise paths follow either
-from the closed forms tied to facet geometry or from bisection with the LP
-as the membership test; the two routes are kept independent on purpose.
+from the closed forms tied to facet geometry or from one LP that adds the
+noise rate eps as a column and minimises it in a phase 2 of the same
+simplex (``lp_threshold``).  Its weights show the target inside at eps*
+and its phase-2 dual a witness separating it just below; the closed-form
+and LP routes are kept independent on purpose.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .geometry import (
     _as_density,
 )
 from .hierarchy import GateParams, gate_exponents
-from .kernel import hermitian_eig
 from .weylheis import (
     CliffordLabel,
     check_dim,
@@ -56,9 +58,10 @@ PROV_CONFIG = "config-derived"
 
 # Values carried over from the source tables rather than recomputed here.
 # Depolarising gate thresholds at p in {5, 7} need LP runs beyond the desk
-# budget (p=7 outright; p=5 only in the extended suite), and the Choi-state
-# negativities depend on a facet family that is only partially known, so
-# they are metadata.  All fractions of 1, not percent.
+# budget (p=7 outright; p=5, one LP of some 20 s, only in the extended
+# suite), and the Choi-state negativities depend on a facet family that is
+# only partially known, so they are metadata.  All fractions of 1, not
+# percent.
 RECORDED_DEPOL_GATE = {2: 0.4532, 3: 0.7863, 5: 0.9524, 7: 0.9763}
 RECORDED_PD_GATE = {2: 0.1465, 3: 0.3673, 5: 0.6400, 7: 0.7327}
 RECORDED_NEGATIVITY = {2: 0.1036, 3: 0.1363, 5: 0.1600, 7: 0.1202}
@@ -171,31 +174,21 @@ class LPOutcome:
     iterations: int
 
 
-def _phase1_simplex(a: np.ndarray, b: np.ndarray, lp_tol: float):
-    """Minimise the artificial total for A w = b, w >= 0.
+def _pivot_loop(cols, rhs, cost, basis, binv, xb, banned, n, forced):
+    """Revised-simplex pivots minimising ``cost`` from the given basis.
 
-    Revised simplex with an explicitly maintained basis inverse,
-    refactorised periodically to keep roundoff in check.  Pricing is
-    Dantzig, falling back to Bland's rule after a long degenerate run
-    (anti-cycling).  Artificial columns are retired once they leave the
-    basis.  Returns (objective, w, y, iters) with y the simplex
-    multipliers in the original row signs.
+    Refactorises the basis inverse every 100 pivots to keep roundoff in
+    check.  Pricing is Dantzig, falling back to Bland's rule after a long
+    degenerate run (anti-cycling).  With ``forced`` (phase 2) an
+    artificial still basic is treated as zero and leaves at ratio 0
+    whenever the entering column touches its row, whatever the sign.
+    Updates ``basis`` in place; returns (binv, xb, iters).
     """
-    m, n = a.shape
-    sign = np.where(b < 0.0, -1.0, 1.0)
-    cols = np.hstack([a * sign[:, None], np.eye(m)])
-    rhs = b * sign
-    cost = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = np.arange(n, n + m)
-    binv = np.eye(m)
-    xb = rhs.copy()
-    banned = np.zeros(n + m, dtype=bool)
-
+    m = len(basis)
     piv_tol = 1e-9
     stall = 0
     bland = False
-    max_iter = 10000 + 60 * m
-    for it in range(max_iter):
+    for it in range(10000 + 60 * m):
         if it % 100 == 99:
             binv = np.linalg.inv(cols[:, basis])
             xb = np.maximum(binv @ rhs, 0.0)
@@ -214,17 +207,20 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray, lp_tol: float):
                 break
         d = binv @ cols[:, j]
         dmax = float(np.max(np.abs(d))) if d.size else 0.0
-        pos = d > 1e-9 * max(1.0, dmax)
-        if not pos.any():
-            raise NumericalInstability("unbounded pivot column in phase 1")
+        d_tol = 1e-9 * max(1.0, dmax)
+        pos = d > d_tol
         ratios = np.full(m, np.inf)
         ratios[pos] = xb[pos] / d[pos]
+        if forced:
+            ratios[(basis >= n) & (np.abs(d) > d_tol)] = 0.0
         best = float(ratios.min())
+        if best == np.inf:
+            raise NumericalInstability("unbounded pivot column in the simplex")
         ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))
-        r = int(ties[np.argmax(d[ties])])  # largest pivot for stability
+        r = int(ties[np.argmax(np.abs(d[ties]))])  # largest pivot for stability
         if basis[r] >= n:
             banned[basis[r]] = True
-        step = xb[r] / d[r]
+        step = ratios[r]
         xb = np.maximum(xb - step * d, 0.0)
         xb[r] = step
         pivot_row = binv[r] / d[r]
@@ -238,28 +234,70 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray, lp_tol: float):
         else:
             stall = 0
     else:
-        raise NumericalInstability("phase-1 simplex did not terminate")
-
-    binv = np.linalg.inv(cols[:, basis])
-    xb = np.maximum(binv @ rhs, 0.0)
-    objective = float(cost[basis] @ xb)
-    w = np.zeros(n + m)
-    w[basis] = xb
-    y = (cost[basis] @ binv) * sign
-    return objective, np.maximum(w[:n], 0.0), y, it + 1
+        raise NumericalInstability(
+            f"phase-{2 if forced else 1} simplex did not terminate")
+    return binv, xb, it + 1
 
 
-def lp_membership(spec: PolytopeSpec, target: np.ndarray,
-                  lp_tol: float = LP_TOL, verify: bool = True) -> LPOutcome:
-    """Decide whether ``target`` lies in the hull of ``spec.vertices``."""
+def _simplex(a: np.ndarray, b: np.ndarray, lp_tol: float,
+             cost: np.ndarray | None = None):
+    """Phase 1 for A w = b, w >= 0; then, given ``cost``, phase 2.
+
+    Phase 1 minimises the artificial total from the all-artificial basis,
+    retiring artificial columns once they leave it.  Phase 2 runs only if
+    phase 1 reaches ``lp_tol`` (else NumericalInstability): it minimises
+    ``cost . w`` from the phase-1 basis with every artificial barred from
+    entering.  Returns (objective, w, y, iters) for the last phase run,
+    with y its simplex multipliers in the original row signs and iters
+    the pivots of both phases.
+    """
+    m, n = a.shape
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    cols = np.hstack([a * sign[:, None], np.eye(m)])
+    rhs = b * sign
+    phase_cost = np.concatenate([np.zeros(n), np.ones(m)])
+    basis = np.arange(n, n + m)
+    banned = np.zeros(n + m, dtype=bool)
+    binv, xb, iters = _pivot_loop(cols, rhs, phase_cost, basis, np.eye(m),
+                                  rhs.copy(), banned, n, forced=False)
+
+    def refactor(c):
+        binv = np.linalg.inv(cols[:, basis])
+        xb = np.maximum(binv @ rhs, 0.0)
+        w = np.zeros(n + m)
+        w[basis] = xb
+        y = (c[basis] @ binv) * sign
+        return binv, xb, float(c[basis] @ xb), np.maximum(w[:n], 0.0), y
+
+    binv, xb, objective, w, y = refactor(phase_cost)
+    if cost is None:
+        return objective, w, y, iters
+    if objective > lp_tol:
+        raise NumericalInstability("no feasible point to start phase 2 from")
+    phase_cost = np.concatenate([cost, np.zeros(m)])
+    banned[n:] = True
+    binv, xb, more = _pivot_loop(cols, rhs, phase_cost, basis, binv, xb,
+                                 banned, n, forced=True)
+    _, _, objective, w, y = refactor(phase_cost)
+    return objective, w, y, iters + more
+
+
+def _check_target(spec: PolytopeSpec, target: np.ndarray) -> np.ndarray:
     target = np.asarray(target, dtype=complex)
     if target.shape != (spec.dim, spec.dim):
         raise ValueError("target dimension does not match the polytope")
     if abs(np.trace(target).real - 1.0) > 1e-8:
         raise ValueError("target must have unit trace")
+    return target
+
+
+def lp_membership(spec: PolytopeSpec, target: np.ndarray,
+                  lp_tol: float = LP_TOL, verify: bool = True) -> LPOutcome:
+    """Decide whether ``target`` lies in the hull of ``spec.vertices``."""
+    target = _check_target(spec, target)
     a = spec.system()
     b = np.concatenate([herm_to_vec(target), [1.0]])
-    objective, w, y, iters = _phase1_simplex(a, b, lp_tol)
+    objective, w, y, iters = _simplex(a, b, lp_tol)
 
     if objective <= lp_tol:
         out = LPOutcome(True, w, None, objective, iters)
@@ -272,11 +310,7 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray,
     # Farkas witness: y . col_i <= 0 for every vertex column while
     # y . b = objective > 0.  With y = (u, y0) this gives the Hermitian
     # separator below, normalised to unit spectral radius.
-    g = vec_to_herm(y[:-1])
-    wit = -(g + y[-1] * np.eye(spec.dim))
-    eigs, _ = hermitian_eig(wit)
-    scale = float(np.max(np.abs(eigs)))
-    wit = wit / scale
+    wit, scale = _witness(spec, y)
     out = LPOutcome(False, None, wit, objective, iters)
     if verify:
         # Targets barely outside the hull cannot separate by the full
@@ -285,6 +319,14 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray,
         floor = min(lp_tol, 0.5 * objective / scale)
         verify_certificate(spec, target, wit, lp_tol, floor=floor)
     return out
+
+
+def _witness(spec: PolytopeSpec, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Hermitian -(G + y0 I) from multipliers y = (vec G, y0), scaled to
+    unit spectral radius; returns it with the scale divided out."""
+    wit = -(vec_to_herm(y[:-1]) + y[-1] * np.eye(spec.dim))
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(wit))))
+    return wit / scale, scale
 
 
 def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
@@ -301,26 +343,63 @@ def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
     return -t_val
 
 
+# Distance below eps* at which an LP threshold's witness must separate.
+THRESHOLD_DELTA = 1e-7
+
+
 @dataclass(frozen=True)
 class ThresholdResult:
     epsilon_star: float
-    bracket: float
-    method: str       # "closed-form" or "bisection"
+    bracket: float      # evidence of being outside at epsilon_star - bracket
+    method: str         # "closed-form" or "lp"
+    weights: np.ndarray | None = None   # LP: convex weights at epsilon_star
+    witness: np.ndarray | None = None   # LP: separator at epsilon_star - bracket
+    margin: float | None = None         # LP: the witness's separation margin
+    pivots: int = 0                     # LP: simplex pivots, both phases
 
 
-def _bisect_membership(is_member, lo: float, hi: float, iters: int = 30) -> ThresholdResult:
-    """Assumes not member at lo, member at hi; membership monotone."""
-    if is_member(lo):
-        return ThresholdResult(lo, 0.0, "bisection")
-    if not is_member(hi):
-        raise NumericalInstability("no membership at the upper bracket end")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if is_member(mid):
-            hi = mid
-        else:
-            lo = mid
-    return ThresholdResult(0.5 * (lo + hi), hi - lo, "bisection")
+def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
+                 hi: float) -> ThresholdResult:
+    """Least eps putting (1 - eps) start + eps end in the hull, by one LP.
+
+    Minimises eps over w >= 0, eps >= 0 subject to
+
+        sum_i w_i vec(V_i) + eps vec(start - end) = vec(start),  sum_i w_i = 1.
+
+    The weights at eps* must reproduce the target there from all vertices.
+    The phase-2 multipliers y = (vec G, y0) give W = -(G + y0 I) with
+    Tr[W V_i] >= 0 on every vertex and Tr[W target(eps)] = eps - eps*;
+    scaled to unit spectral radius, W must pass ``verify_certificate`` at
+    eps* - THRESHOLD_DELTA.  A start already inside returns exactly 0.0
+    with no witness; eps* > hi raises NumericalInstability.
+    """
+    start = _check_target(spec, start)
+    end = _check_target(spec, end)
+    a = np.hstack([spec.system(), np.append(herm_to_vec(start - end), 0.0)[:, None]])
+    b = np.append(herm_to_vec(start), 1.0)
+    cost = np.zeros(spec.n_vertices + 1)
+    cost[-1] = 1.0
+    _, x, y, pivots = _simplex(a, b, LP_TOL, cost)
+    eps_star, w = float(x[-1]), x[:-1]
+    if eps_star > hi:
+        raise NumericalInstability(
+            f"threshold {eps_star:.9g} lies beyond the path end {hi:.9g}")
+    if eps_star <= LP_TOL:
+        eps_star = 0.0
+
+    def target(eps):
+        return (1.0 - eps) * start + eps * end
+
+    resid = np.einsum("n,nij->ij", w, spec.vertices) - target(eps_star)
+    if np.max(np.abs(resid)) > 10 * LP_TOL:
+        raise NumericalInstability("threshold weights fail to reproduce the target")
+    if eps_star == 0.0:
+        return ThresholdResult(0.0, 0.0, "lp", weights=w, pivots=pivots)
+    delta = min(THRESHOLD_DELTA, eps_star)
+    wit, scale = _witness(spec, y)
+    margin = verify_certificate(spec, target(eps_star - delta), wit,
+                                floor=min(LP_TOL, 0.5 * delta / scale))
+    return ThresholdResult(eps_star, delta, "lp", w, wit, margin, pivots)
 
 
 def threshold_depol_state(p: int, state: np.ndarray, method: str = "closed",
@@ -328,59 +407,46 @@ def threshold_depol_state(p: int, state: np.ndarray, method: str = "closed",
     """Least depolarising rate putting the state inside STAB.
 
     Closed form: eps* = N / (N + 1/p^2), from linearity of the facet
-    expectations and Tr A(u) = 1/p.  Bisection route uses the LP.
+    expectations and Tr A(u) = 1/p.  The "lp" route solves one LP.
     """
     check_dim(p)
     if method == "closed":
         n = negativity(p, state).value
         return ThresholdResult(n / (n + 1.0 / p ** 2), 0.0, "closed-form")
-    if method != "bisect":
-        raise ValueError("method must be 'closed' or 'bisect'")
-    spec = spec or stab_polytope(p)
+    if method != "lp":
+        raise ValueError("method must be 'closed' or 'lp'")
     rho = _as_density(p, state)
-
-    def member(eps):
-        return lp_membership(spec, depolarized_state(p, rho, eps)).feasible
-
-    return _bisect_membership(member, 0.0, 1.0)
+    return lp_threshold(spec or stab_polytope(p), depolarized_state(p, rho, 0.0),
+                        depolarized_state(p, rho, 1.0), 1.0)
 
 
 def threshold_pd_gate(p: int, state: np.ndarray, method: str = "closed",
                       spec: PolytopeSpec | None = None) -> ThresholdResult:
     """Phase-damping threshold of a diagonal gate via its superposition image.
 
-    Closed form eps*_PD = (p-1)/p * eps*_D(psi).  The bisection route
-    tracks the phase-damped state against the p^2-vertex equatorial
-    polytope on [0, (p-1)/p], where the path ends at I/p.
+    Closed form eps*_PD = (p-1)/p * eps*_D(psi).  The "lp" route tracks
+    the phase-damped state against the p^2-vertex equatorial polytope on
+    [0, (p-1)/p], where the path reaches I/p.
     """
     check_dim(p)
     if method == "closed":
         base = threshold_depol_state(p, state, "closed")
         return ThresholdResult((p - 1) / p * base.epsilon_star, 0.0, "closed-form")
-    if method != "bisect":
-        raise ValueError("method must be 'closed' or 'bisect'")
-    spec = spec or equatorial_polytope(p)
+    if method != "lp":
+        raise ValueError("method must be 'closed' or 'lp'")
     psi = np.asarray(state, dtype=complex)
-
-    def member(eps):
-        return lp_membership(spec, phase_damped_state(p, psi, eps)).feasible
-
-    return _bisect_membership(member, 0.0, (p - 1) / p)
+    return lp_threshold(spec or equatorial_polytope(p), phase_damped_state(p, psi, 0.0),
+                        phase_damped_state(p, psi, 1.0), (p - 1) / p)
 
 
 def threshold_depol_gate(p: int, u: np.ndarray,
-                         spec: PolytopeSpec | None = None,
-                         iters: int = 30) -> ThresholdResult:
+                         spec: PolytopeSpec | None = None) -> ThresholdResult:
     """Least depolarising rate putting the gate's Choi state inside CLIFF."""
     check_dim(p)
     if p >= 7:
         raise RuntimeBudgetExceeded("p=7 Clifford-polytope LP is out of budget")
-    spec = spec or cliff_polytope(p)
-
-    def member(eps):
-        return lp_membership(spec, depolarized_choi(p, u, eps)).feasible
-
-    return _bisect_membership(member, 0.0, 1.0, iters=iters)
+    return lp_threshold(spec or cliff_polytope(p), depolarized_choi(p, u, 0.0),
+                        depolarized_choi(p, u, 1.0), 1.0)
 
 
 def dilution(p: int, eps: float) -> float:

@@ -1,6 +1,5 @@
 """Small exact/numeric kernel: modular arithmetic, dense complex-matrix
-helpers, a cyclic Jacobi eigensolver for Hermitian input, and comparison of
-matrices up to a global phase.
+helpers, and comparison of matrices up to a global phase.
 
 Everything here is dimension-agnostic; the quantum-specific constructions
 live in the higher modules.
@@ -12,17 +11,10 @@ import math
 
 import numpy as np
 
-from .errors import (
-    NotHermitian,
-    NotInvertible,
-    NumericalInstability,
-    ShapeMismatch,
-)
+from .errors import NotInvertible, ShapeMismatch
 
 PHASE_TOL = 1e-9
-HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
-JACOBI_OFF_SCALE = 1e-13
 
 
 def mod_inv(a: int, m: int) -> int:
@@ -64,74 +56,9 @@ def assert_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def assert_hermitian(h: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    h = assert_square(h)
-    if np.max(np.abs(h - h.conj().T)) > tol:
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    return h
-
-
 def is_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     u = assert_square(u)
     return bool(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= tol)
-
-
-def hermitian_eig(h: np.ndarray, tol: float = HERMITIAN_TOL,
-                  max_sweeps: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
-
-    Each rotation diagonalises one 2x2 principal block exactly; sweeps stop
-    once the off-diagonal Frobenius norm drops below ``JACOBI_OFF_SCALE``
-    times the norm of the input.  Returns ``(w, v)`` with eigenvalues ``w``
-    ascending and eigenvector columns ``v`` orthonormal.
-    """
-    h = assert_hermitian(h, tol)
-    n = h.shape[0]
-    a = h.astype(complex).copy()
-    v = np.eye(n, dtype=complex)
-    norm = np.linalg.norm(h)
-    if norm == 0.0:
-        return np.zeros(n), v
-    target = JACOBI_OFF_SCALE * norm
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= target:
-            break
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                apq = a[i, j]
-                if abs(apq) == 0.0:
-                    continue
-                delta = 0.5 * (a[i, i].real - a[j, j].real)
-                r = math.hypot(delta, abs(apq))
-                if r == 0.0:
-                    continue
-                # Columns of g are the exact eigenvectors of the 2x2 block
-                # [[a_ii, a_pq], [conj(a_pq), a_jj]].  For delta > 0 the
-                # difference r - delta cancels badly; the algebraic rewrite
-                # |apq|^2 / (r + delta) is exact in that regime.
-                if delta > 0.0:
-                    s = (abs(apq) ** 2) / (r + delta)
-                else:
-                    s = r - delta
-                x1 = np.array([apq, s], dtype=complex)
-                x2 = np.array([-s, np.conj(apq)], dtype=complex)
-                n1 = np.linalg.norm(x1)
-                if n1 == 0.0:
-                    continue
-                g = np.column_stack([x1 / n1, x2 / n1])
-                a[:, [i, j]] = a[:, [i, j]] @ g
-                a[[i, j], :] = g.conj().T @ a[[i, j], :]
-                v[:, [i, j]] = v[:, [i, j]] @ g
-                a[i, j] = 0.0
-                a[j, i] = 0.0
-                a[i, i] = a[i, i].real
-                a[j, j] = a[j, j].real
-    else:
-        raise NumericalInstability("Jacobi sweeps failed to converge")
-    w = np.diag(a).real
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
 
 
 def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray,

@@ -191,9 +191,9 @@ def test_criterion_05_phase_damping_thresholds(verdict):
                 f"29.3% rather than the exact (2-sqrt(2))/4")
     for p in (2, 3):
         st = gate_state(p, ROBUST_GATE_PARAMS[p])
-        lp = 100 * threshold_pd_gate(p, st, method="bisect").epsilon_star
+        lp = 100 * threshold_pd_gate(p, st, method="lp").epsilon_star
         if abs(lp - closed[p]) > 0.05:
-            bad.append(f"p={p}: LP bisection {lp:.4f}% vs closed {closed[p]:.4f}%")
+            bad.append(f"p={p}: LP {lp:.4f}% vs closed {closed[p]:.4f}%")
     ok = not bad
     detail = ("; ".join(bad) if bad else
               "dephasing thresholds 14.65/36.73/64.00/73.27% with LP agreement")
@@ -216,7 +216,7 @@ def test_criterion_06_depolarising_gate_thresholds(verdict):
     extended = ""
     if os.environ.get("QUDITGATES_EXTENDED"):
         u5 = gate_matrix(5, ROBUST_GATE_PARAMS[5])
-        pct5 = 100 * threshold_depol_gate(5, u5, iters=18).epsilon_star
+        pct5 = 100 * threshold_depol_gate(5, u5).epsilon_star
         extended = f", extended p=5 run {pct5:.2f}%"
         if abs(pct5 - 95.24) > 0.1:
             bad.append(f"p=5 extended: {pct5:.4f}% vs 95.24%")

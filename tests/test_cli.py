@@ -39,6 +39,17 @@ def test_dilute_example(capsys):
     assert abs(payload["outputs"]["eps_prime"] - 0.3165) < 5e-4
 
 
+def test_threshold_reports_lp_evidence(capsys):
+    rc, payload = run_json(capsys, "threshold", "--p", "3")
+    assert rc == 0
+    ev = payload["evidence"]
+    assert ev["depol_state_pct"] == {"method": "closed-form"}
+    lp = ev["depol_gate_pct"]
+    assert lp["method"] == "lp" and lp["lp_pivots"] > 0
+    assert lp["certificate_margin"] > 0.0
+    assert abs(payload["outputs"]["depol_gate_pct"] - 78.6327) < 1e-4
+
+
 def test_dilute_invert(capsys):
     rc, payload = run_json(capsys, "dilute", "--p", "3", "--eps", "0.3165",
                            "--invert")

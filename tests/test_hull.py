@@ -3,15 +3,21 @@ import os
 import numpy as np
 import pytest
 
-from quditgates.errors import MissingConfig, RuntimeBudgetExceeded
+from quditgates.errors import (
+    MissingConfig,
+    NumericalInstability,
+    RuntimeBudgetExceeded,
+)
 from quditgates.geometry import (
     choi_of_unitary,
+    depolarized_choi,
     depolarized_state,
     gate_state,
     negativity,
 )
 from quditgates.hierarchy import GateParams, gate_exponents
 from quditgates.hull import (
+    LP_TOL,
     ROBUST_GATE_PARAMS,
     cliff_polytope,
     dilution,
@@ -20,6 +26,7 @@ from quditgates.hull import (
     herm_to_vec,
     load_distill_config,
     lp_membership,
+    lp_threshold,
     optimize_equatorial,
     stab_polytope,
     threshold_depol_gate,
@@ -139,8 +146,8 @@ def test_state_threshold_closed_vs_lp_probes(p):
 def test_state_threshold_bisection_route():
     psi = gate_state(2, GateParams(0, 1, 0))
     closed = threshold_depol_state(2, psi, "closed")
-    bis = threshold_depol_state(2, psi, "bisect")
-    assert closed.method == "closed-form" and bis.method == "bisection"
+    bis = threshold_depol_state(2, psi, "lp")
+    assert closed.method == "closed-form" and bis.method == "lp"
     assert bis.bracket <= 1e-6
     assert abs(closed.epsilon_star - bis.epsilon_star) < 1e-5
 
@@ -157,7 +164,7 @@ def test_pd_gate_closed_form(p, want_pct):
 def test_pd_gate_lp_cross_check(p):
     psi = gate_state(p, ROBUST_GATE_PARAMS[p])
     closed = threshold_pd_gate(p, psi, "closed").epsilon_star
-    lp = threshold_pd_gate(p, psi, "bisect").epsilon_star
+    lp = threshold_pd_gate(p, psi, "lp").epsilon_star
     assert abs(closed - lp) < 1e-4
 
 
@@ -175,13 +182,73 @@ def test_depol_gate_clifford_is_inside():
     spec = cliff_polytope(2)
     r = threshold_depol_gate(2, np.eye(2), spec=spec)
     assert r.epsilon_star == 0.0
+    assert r.method == "lp" and r.witness is None and r.margin is None
+    resid = np.einsum("n,nij->ij", r.weights, spec.vertices) - choi_of_unitary(np.eye(2))
+    assert np.max(np.abs(resid)) <= 10 * LP_TOL
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_lp_threshold_two_sided_evidence(p):
+    """Weights put the target inside at eps*; the witness separates it,
+    against every vertex, at eps* - bracket."""
+    spec = cliff_polytope(p)
+    u = gate_exponents(p, ROBUST_GATE_PARAMS[p]).matrix()
+    r = threshold_depol_gate(p, u, spec=spec)
+    assert r.method == "lp" and r.pivots > 0
+    assert 0.0 < r.bracket <= 1e-6
+    w = r.weights
+    assert w.shape == (spec.n_vertices,) and w.min() >= 0.0
+    resid = (np.einsum("n,nij->ij", w, spec.vertices)
+             - depolarized_choi(p, u, r.epsilon_star))
+    assert np.max(np.abs(resid)) <= 10 * LP_TOL
+    wit = r.witness
+    assert np.max(np.abs(wit - wit.conj().T)) < 1e-12
+    assert abs(np.max(np.abs(np.linalg.eigvalsh(wit))) - 1.0) < 1e-12
+    below = depolarized_choi(p, u, r.epsilon_star - r.bracket)
+    margin = verify_certificate(spec, below, wit, floor=0.0)
+    assert margin == pytest.approx(r.margin) and margin > 0.0
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_stab_lp_route_matches_closed_form(p):
+    psi = gate_state(p, ROBUST_GATE_PARAMS[p])
+    closed = threshold_depol_state(p, psi, "closed").epsilon_star
+    lp = threshold_depol_state(p, psi, "lp")
+    assert lp.method == "lp" and lp.margin > 0.0
+    assert abs(lp.epsilon_star - closed) < 1e-6
+
+
+def test_lp_threshold_beyond_path_end_raises():
+    u = gate_exponents(2, ROBUST_GATE_PARAMS[2]).matrix()
+    with pytest.raises(NumericalInstability):
+        lp_threshold(cliff_polytope(2), choi_of_unitary(u), np.eye(4) / 4, 0.3)
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_lp_threshold_matches_highs(p):
+    """Independent oracle: the same LP solved by scipy's HiGHS."""
+    optimize = pytest.importorskip("scipy.optimize")
+    spec = cliff_polytope(p)
+    u = gate_exponents(p, ROBUST_GATE_PARAMS[p]).matrix()
+    start, end = choi_of_unitary(u), np.eye(p * p) / p ** 2
+    a = np.column_stack([
+        np.stack([np.append(herm_to_vec(v), 1.0) for v in spec.vertices], axis=1),
+        np.append(herm_to_vec(start - end), 0.0),
+    ])
+    b = np.append(herm_to_vec(start), 1.0)
+    c = np.zeros(a.shape[1])
+    c[-1] = 1.0
+    res = optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    assert res.status == 0
+    ours = threshold_depol_gate(p, u, spec=spec).epsilon_star
+    assert abs(ours - res.fun) < 1e-7
 
 
 @pytest.mark.skipif(not os.environ.get("QUDITGATES_EXTENDED"),
                     reason="extended p=5 run (minutes); set QUDITGATES_EXTENDED=1")
 def test_depol_gate_threshold_p5_extended():
     u5 = gate_exponents(5, ROBUST_GATE_PARAMS[5]).matrix()
-    r5 = threshold_depol_gate(5, u5, iters=18)
+    r5 = threshold_depol_gate(5, u5)
     assert abs(100 * r5.epsilon_star - 95.24) < 0.1
 
 

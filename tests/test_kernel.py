@@ -1,22 +1,16 @@
 import numpy as np
 import pytest
 
-from quditgates.errors import NotHermitian, NotInvertible, ShapeMismatch
+from quditgates.errors import NotInvertible, ShapeMismatch
 from quditgates.kernel import (
     dagger,
     equal_up_to_global_phase,
-    hermitian_eig,
     is_diagonal,
     is_unitary,
     kron,
     matmul,
     mod_inv,
 )
-
-
-def random_hermitian(rng, d):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    return (g + g.conj().T) / 2
 
 
 def test_mod_inv_small_cases():
@@ -53,35 +47,6 @@ def test_is_diagonal_and_unitary():
     assert not is_diagonal(np.array([[1.0, 1e-6], [0.0, 1.0]]))
     assert is_unitary(np.eye(3))
     assert not is_unitary(np.diag([1.0, 0.5]))
-
-
-@pytest.mark.parametrize("d", [2, 3, 5, 7, 9, 16])
-def test_hermitian_eig_against_numpy(d):
-    """Jacobi eigensolver must agree with the LAPACK oracle."""
-    rng = np.random.default_rng(100 + d)
-    for _ in range(8):
-        h = random_hermitian(rng, d)
-        w, v = hermitian_eig(h)
-        w_ref = np.linalg.eigvalsh(h)
-        assert np.max(np.abs(w - w_ref)) < 1e-9
-        # eigenvector residuals and orthonormality
-        assert np.max(np.abs(h @ v - v * w)) < 1e-9
-        assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-10
-
-
-def test_hermitian_eig_degenerate_spectrum():
-    rng = np.random.default_rng(7)
-    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    q, _ = np.linalg.qr(g)
-    h = q @ np.diag([1.0, 1.0, 1.0, 2.0]) @ q.conj().T
-    w, v = hermitian_eig(h)
-    assert np.allclose(sorted(w), [1, 1, 1, 2], atol=1e-10)
-    assert np.max(np.abs(h @ v - v * w)) < 1e-9
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_equal_up_to_global_phase():
