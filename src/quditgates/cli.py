@@ -43,12 +43,11 @@ from .hull import (
     RECORDED_NEGATIVITY,
     RECORDED_PD_GATE,
     RECORDED_UQC_LOWER,
-    RECORDED_UQC_UPPER,
     ROBUST_GATE_PARAMS,
+    depol_gate_cell,
     dilution,
     dilution_inv,
     load_distill_config,
-    threshold_depol_gate,
     threshold_depol_state,
     threshold_pd_gate,
     uqc_bounds,
@@ -172,6 +171,29 @@ def _selected_primes(args) -> list:
 # table commands
 
 
+def _self_check(args, payload: dict, checks) -> int:
+    """Set ``payload["self_check"]``, emit the payload, and return the exit code.
+
+    With ``--self-check`` each (label, computed, recorded, tol) check
+    that differs by more than ``tol`` is a mismatch (``tol`` None asks
+    for equality); mismatches go to stderr and make the exit code 3.
+    """
+    mismatches = []
+    if args.self_check:
+        for label, got, want, tol in checks:
+            if tol is None:
+                if got != want:
+                    mismatches.append(f"{label}: computed {got} vs recorded {want} (exact)")
+            elif abs(got - want) > tol:
+                mismatches.append(f"{label}: computed {got:.6g} vs recorded "
+                                  f"{want:.6g} (tol {tol:g})")
+    payload["self_check"] = (mismatches or "ok") if args.self_check else "off"
+    _emit(payload, args.format)
+    for m in mismatches:
+        sys.stderr.write(m + "\n")
+    return 3 if mismatches else 0
+
+
 def cmd_table1(args) -> int:
     started = time.perf_counter()
 
@@ -190,18 +212,17 @@ def cmd_table1(args) -> int:
         }
 
     rows = [row(p) for p in _selected_primes(args)]
-    mismatches = []
-    if args.self_check:
-        for r in rows:
-            hist, gens = EXPECTED_TABLE1[r["p"]]
-            got = {int(k): v for k, v in r["order_histogram"].items()}
-            if got != hist or r["cells"]["min_generators"]["value"] != gens:
-                mismatches.append(f"table1 p={r['p']}: {got} vs {hist}")
+    checks = []
+    for r in rows:
+        p = r["p"]
+        hist, gens = EXPECTED_TABLE1[p]
+        checks.append((f"table1 p={p} order_histogram",
+                       {int(k): v for k, v in r["order_histogram"].items()}, hist, None))
+        checks.append((f"table1 p={p} min_generators",
+                       r["cells"]["min_generators"]["value"], gens, None))
     payload = {"table": "group-structure", "rows": rows,
-               "self_check": _sc_status(args, mismatches),
                "wall_time_s": round(time.perf_counter() - started, 6)}
-    _emit(payload, args.format)
-    return _sc_exit(args, mismatches)
+    return _self_check(args, payload, checks)
 
 
 def cmd_table2(args) -> int:
@@ -210,42 +231,31 @@ def cmd_table2(args) -> int:
     def row(p):
         g = ROBUST_GATE_PARAMS[p]
         psi = gate_state(p, g)
-        neg = negativity(p, psi).value
-        pd = threshold_pd_gate(p, psi, "closed").epsilon_star
-        cells = {}
-        if p in (2, 3):
-            u = gate_exponents(p, g).matrix()
-            depol = threshold_depol_gate(p, u).epsilon_star
-            cells["depol_gate_pct"] = _cell(100 * depol)
-        else:
-            cells["depol_gate_pct"] = _cell(100 * RECORDED_DEPOL_GATE[p], PROV_RECORDED)
-        cells["pd_gate_pct"] = _cell(100 * pd)
-        cells["negativity"] = _cell(neg)
-        cells["choi_negativity"] = _cell(RECORDED_CHOI_NEGATIVITY[p], PROV_RECORDED)
+        depol, depol_prov, _ = depol_gate_cell(p)
+        cells = {
+            "depol_gate_pct": _cell(100 * depol, depol_prov),
+            "pd_gate_pct": _cell(100 * threshold_pd_gate(p, psi, "closed").epsilon_star),
+            "negativity": _cell(negativity(p, psi).value),
+            "choi_negativity": _cell(RECORDED_CHOI_NEGATIVITY[p], PROV_RECORDED),
+        }
         return {"p": p, "params": list(g.astuple()), "cells": cells}
 
     rows = [row(p) for p in _selected_primes(args)]
-    mismatches = []
-    if args.self_check:
-        tol_pct = args.tol if args.tol is not None else 0.005
-        tol_neg = args.tol if args.tol is not None else 5e-5
-        for r in rows:
-            p = r["p"]
-            checks = [("pd_gate_pct", 100 * RECORDED_PD_GATE[p], tol_pct),
-                      ("negativity", RECORDED_NEGATIVITY[p], tol_neg)]
-            if r["cells"]["depol_gate_pct"]["provenance"] == PROV_COMPUTED:
-                checks.append(("depol_gate_pct", 100 * RECORDED_DEPOL_GATE[p], 0.05))
-            for name, want, tol in checks:
-                got = r["cells"][name]["value"]
-                if abs(got - want) > tol:
-                    mismatches.append(
-                        f"table2 p={p} {name}: computed {got:.6g} vs recorded "
-                        f"{want:.6g} (tol {tol:g})")
+    tol_pct = args.tol if args.tol is not None else 0.005
+    tol_neg = args.tol if args.tol is not None else 5e-5
+    checks = []
+    for r in rows:
+        p, cells = r["p"], r["cells"]
+        checks.append((f"table2 p={p} pd_gate_pct", cells["pd_gate_pct"]["value"],
+                       100 * RECORDED_PD_GATE[p], tol_pct))
+        checks.append((f"table2 p={p} negativity", cells["negativity"]["value"],
+                       RECORDED_NEGATIVITY[p], tol_neg))
+        if cells["depol_gate_pct"]["provenance"] == PROV_COMPUTED:
+            checks.append((f"table2 p={p} depol_gate_pct", cells["depol_gate_pct"]["value"],
+                           100 * RECORDED_DEPOL_GATE[p], 0.05))
     payload = {"table": "robustness-negativity", "rows": rows,
-               "self_check": _sc_status(args, mismatches),
                "wall_time_s": round(time.perf_counter() - started, 6)}
-    _emit(payload, args.format)
-    return _sc_exit(args, mismatches)
+    return _self_check(args, payload, checks)
 
 
 def cmd_table3(args) -> int:
@@ -253,49 +263,24 @@ def cmd_table3(args) -> int:
     config = load_distill_config(args.config)
 
     def row(p):
-        if p in (2, 3):
-            g = ROBUST_GATE_PARAMS[p]
-            u = gate_exponents(p, g).matrix()
-            depol = threshold_depol_gate(p, u).epsilon_star
-            b = uqc_bounds(p, config, depol_gate_result=depol)
-        else:
-            b = uqc_bounds(p, config)
+        b = uqc_bounds(p, config)
         return {"p": p, "cells": {
             "lower_pct": _cell(100 * b.lower, b.lower_provenance),
             "upper_pct": _cell(100 * b.upper, b.upper_provenance),
         }}
 
     rows = [row(p) for p in _selected_primes(args)]
-    mismatches = []
-    if args.self_check:
-        tol = args.tol if args.tol is not None else 0.05
-        for r in rows:
-            p = r["p"]
-            for name, want in (("lower_pct", RECORDED_UQC_LOWER[p]),
-                               ("upper_pct", RECORDED_UQC_UPPER[p])):
-                got = r["cells"][name]["value"]
-                if abs(got - 100 * want) > tol:
-                    mismatches.append(
-                        f"table3 p={p} {name}: {got:.6g} vs {100 * want:.6g}")
+    tol = args.tol if args.tol is not None else 0.05
+    checks = []
+    for r in rows:
+        p = r["p"]
+        for name, want in (("lower_pct", RECORDED_UQC_LOWER[p]),
+                           ("upper_pct", RECORDED_DEPOL_GATE[p])):
+            checks.append((f"table3 p={p} {name}", r["cells"][name]["value"],
+                           100 * want, tol))
     payload = {"table": "uqc-bounds", "rows": rows,
-               "self_check": _sc_status(args, mismatches),
                "wall_time_s": round(time.perf_counter() - started, 6)}
-    _emit(payload, args.format)
-    return _sc_exit(args, mismatches)
-
-
-def _sc_status(args, mismatches):
-    if not args.self_check:
-        return "off"
-    return "ok" if not mismatches else mismatches
-
-
-def _sc_exit(args, mismatches) -> int:
-    if args.self_check and mismatches:
-        for m in mismatches:
-            sys.stderr.write(m + "\n")
-        return 3
-    return 0
+    return _self_check(args, payload, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -339,17 +324,14 @@ def cmd_negativity(args) -> int:
     res = negativity(args.p, gate_state(args.p, g))
     out = {"negativity": res.value, "facet": list(res.facet),
            "min_facet_value": res.minimum, "inside_stab": res.inside}
-    mismatches = []
-    if args.self_check and g == ROBUST_GATE_PARAMS[args.p]:
+    checks = []
+    if g == ROBUST_GATE_PARAMS[args.p]:
         tol = args.tol if args.tol is not None else 5e-5
-        want = RECORDED_NEGATIVITY[args.p]
-        if abs(res.value - want) > tol:
-            mismatches.append(f"negativity p={args.p}: {res.value:.6g} vs {want}")
+        checks.append((f"negativity p={args.p}", res.value,
+                       RECORDED_NEGATIVITY[args.p], tol))
     rep = _report("negativity", {"p": args.p, "params": list(g.astuple())},
                   out, started)
-    rep["self_check"] = _sc_status(args, mismatches)
-    _emit(rep, args.format)
-    return _sc_exit(args, mismatches)
+    return _self_check(args, rep, checks)
 
 
 def _evidence(r) -> dict:
@@ -370,29 +352,25 @@ def cmd_threshold(args) -> int:
         "depol_state_pct": threshold_depol_state(args.p, psi),
         "pd_gate_pct": threshold_pd_gate(args.p, psi),
     }
-    if args.p in (2, 3):
-        u = gate_exponents(args.p, g).matrix()
-        results["depol_gate_pct"] = threshold_depol_gate(args.p, u)
     out = {name: 100 * r.epsilon_star for name, r in results.items()}
     prov = dict.fromkeys(results, PROV_COMPUTED)
     evidence = {name: _evidence(r) for name, r in results.items()}
-    if args.p not in (2, 3) and g == ROBUST_GATE_PARAMS[args.p]:
-        out["depol_gate_pct"] = 100 * RECORDED_DEPOL_GATE[args.p]
-        prov["depol_gate_pct"] = PROV_RECORDED
-    mismatches = []
-    if args.self_check and g == ROBUST_GATE_PARAMS[args.p]:
+    cell = depol_gate_cell(args.p, g)
+    if cell is not None:
+        depol, prov["depol_gate_pct"], r = cell
+        out["depol_gate_pct"] = 100 * depol
+        if r is not None:
+            evidence["depol_gate_pct"] = _evidence(r)
+    checks = []
+    if g == ROBUST_GATE_PARAMS[args.p]:
         tol = args.tol if args.tol is not None else 0.005
-        want = 100 * RECORDED_PD_GATE[args.p]
-        if abs(out["pd_gate_pct"] - want) > tol:
-            mismatches.append(
-                f"threshold p={args.p} pd_gate_pct: {out['pd_gate_pct']:.6g} vs {want:.6g}")
+        checks.append((f"threshold p={args.p} pd_gate_pct", out["pd_gate_pct"],
+                       100 * RECORDED_PD_GATE[args.p], tol))
     rep = _report("threshold", {"p": args.p, "params": list(g.astuple())},
                   out, started)
     rep["provenance"] = prov
     rep["evidence"] = evidence
-    rep["self_check"] = _sc_status(args, mismatches)
-    _emit(rep, args.format)
-    return _sc_exit(args, mismatches)
+    return _self_check(args, rep, checks)
 
 
 def cmd_dilute(args) -> int:
@@ -482,41 +460,50 @@ def build_parser() -> _Parser:
                                  "group tables, polytope geometry, thresholds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, needs_p=True, p_required=False):
+    # Flags that only some subcommands read; each is registered only there.
+    flags = {
+        "--params": dict(type=_parse_params, default=None, metavar="z,g,e",
+                         help="gate parameters"),
+        "--tol": dict(type=float, default=None),
+        "--seed": dict(type=int, default=0),
+        "--config": dict(default=None, help="distillation config path"),
+        "--self-check": dict(dest="self_check", action="store_true"),
+    }
+
+    def add(name, fn, help_, *extra, p_required=False):
         sp = sub.add_parser(name, help=help_)
         sp.set_defaults(handler=fn)
-        if needs_p:
-            sp.add_argument("--p", type=int, required=p_required,
-                            help="qudit dimension (prime: 2, 3, 5, 7)")
-        sp.add_argument("--params", type=_parse_params, default=None,
-                        metavar="z,g,e", help="gate parameters")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--p", type=int, required=p_required,
+                        help="qudit dimension (prime: 2, 3, 5, 7)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--config", default=None, help="distillation config path")
-        sp.add_argument("--self-check", dest="self_check", action="store_true")
+        for flag in extra:
+            sp.add_argument(flag, **flags[flag])
         return sp
 
-    add("table1", cmd_table1, "group structure of the diagonal-gate family")
-    add("table2", cmd_table2, "robustness thresholds and negativities")
-    add("table3", cmd_table3, "universal-computation noise bounds")
-    add("gate", cmd_gate, "exact phase exponents of one gate", p_required=True)
+    add("table1", cmd_table1, "group structure of the diagonal-gate family",
+        "--self-check")
+    add("table2", cmd_table2, "robustness thresholds and negativities",
+        "--tol", "--self-check")
+    add("table3", cmd_table3, "universal-computation noise bounds",
+        "--tol", "--config", "--self-check")
+    add("gate", cmd_gate, "exact phase exponents of one gate", "--params",
+        p_required=True)
     vp = add("verify", cmd_verify, "identify a diagonal unitary from a matrix file",
-             p_required=True)
+             "--tol", p_required=True)
     vp.add_argument("matrix", help="matrix file, rows of a+bi entries")
     add("negativity", cmd_negativity, "stabilizer-polytope negativity",
-        p_required=True)
+        "--params", "--tol", "--self-check", p_required=True)
     add("threshold", cmd_threshold, "noise thresholds for one gate",
-        p_required=True)
+        "--params", "--tol", "--self-check", p_required=True)
     dp = add("dilute", cmd_dilute, "gate-noise to state-noise conversion",
-             p_required=True)
+             "--params", p_required=True)
     dp.add_argument("--eps", type=float, required=True)
     dp.add_argument("--invert", action="store_true",
                     help="convert state noise back to gate noise")
     dp.add_argument("--simulate", action="store_true",
                     help="also run the density-matrix circuit simulation")
     ip = add("inject", cmd_inject, "teleport the gate into a state",
-             p_required=True)
+             "--params", "--seed", p_required=True)
     ip.add_argument("--state", default=None, help="input state file (one line)")
     add("spectra", cmd_spectra, "edge-facet spectra classes", p_required=True)
     add("group", cmd_group, "group report for one dimension", p_required=True)

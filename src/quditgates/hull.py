@@ -29,7 +29,6 @@ from .errors import (
     MissingConfig,
     NumericalInstability,
     RuntimeBudgetExceeded,
-    UnsupportedDim,
 )
 from .geometry import (
     choi_of_unitary,
@@ -56,12 +55,13 @@ PROV_COMPUTED = "computed"
 PROV_RECORDED = "paper-recorded"
 PROV_CONFIG = "config-derived"
 
-# Values carried over from the source tables rather than recomputed here.
-# Depolarising gate thresholds at p in {5, 7} need LP runs beyond the desk
-# budget (p=7 outright; p=5, one LP of some 20 s, only in the extended
-# suite), and the Choi-state negativities depend on a facet family that is
-# only partially known, so they are metadata.  All fractions of 1, not
-# percent.
+# Values carried over from the source tables rather than recomputed here,
+# all fractions of 1, not percent.  ``depol_gate_cell`` returns the
+# recorded depolarising-gate threshold at the primes outside
+# DEPOL_GATE_LP_PRIMES; at those primes it is a reference for
+# ``--self-check``.  The same figure is the upper bound of Table 3.  The
+# Choi-state negativities depend on a facet family that is only partially
+# known, so they are metadata.
 RECORDED_DEPOL_GATE = {2: 0.4532, 3: 0.7863, 5: 0.9524, 7: 0.9763}
 # The p=2 dephasing entry is the paper's printed figure, (29.3%)/2; the
 # exact value is (2 - sqrt(2))/4 = 0.1464466.  It is kept as printed so
@@ -70,7 +70,6 @@ RECORDED_PD_GATE = {2: 0.1465, 3: 0.3673, 5: 0.6400, 7: 0.7327}
 RECORDED_NEGATIVITY = {2: 0.1036, 3: 0.1363, 5: 0.1600, 7: 0.1202}
 RECORDED_CHOI_NEGATIVITY = {2: 0.2071, 3: 0.4089, 5: 0.8000, 7: 0.8411}
 RECORDED_UQC_LOWER = {2: 0.4532, 3: 0.5815, 5: 0.8061, 7: 0.7224}
-RECORDED_UQC_UPPER = {2: 0.4532, 3: 0.7863, 5: 0.9524, 7: 0.9763}
 
 # Gate parameters whose superposition images sit farthest outside the
 # stabilizer polytope (the maximizers found by optimize_equatorial).
@@ -446,10 +445,31 @@ def threshold_depol_gate(p: int, u: np.ndarray,
                          spec: PolytopeSpec | None = None) -> ThresholdResult:
     """Least depolarising rate putting the gate's Choi state inside CLIFF."""
     check_dim(p)
-    if p >= 7:
-        raise RuntimeBudgetExceeded("p=7 Clifford-polytope LP is out of budget")
     return lp_threshold(spec or cliff_polytope(p), depolarized_choi(p, u, 0.0),
                         depolarized_choi(p, u, 1.0), 1.0)
+
+
+# Primes at which the depolarising-gate threshold is one LP over the full
+# Clifford polytope; at p=5 that LP takes some 20 s and at p=7
+# ``cliff_polytope`` is out of budget.
+DEPOL_GATE_LP_PRIMES = (2, 3)
+
+
+def depol_gate_cell(p: int, g: GateParams | None = None):
+    """Depolarising-gate threshold of gate ``g`` (default: the robust gate).
+
+    Returns (fraction, provenance, ThresholdResult | None): the LP result
+    at DEPOL_GATE_LP_PRIMES; at the other primes the recorded figure with
+    no result for the robust gate, and None for any other gate.
+    """
+    check_dim(p)
+    g = ROBUST_GATE_PARAMS[p] if g is None else g
+    if p in DEPOL_GATE_LP_PRIMES:
+        r = threshold_depol_gate(p, gate_exponents(p, g).matrix())
+        return r.epsilon_star, PROV_COMPUTED, r
+    if g == ROBUST_GATE_PARAMS[p]:
+        return RECORDED_DEPOL_GATE[p], PROV_RECORDED, None
+    return None
 
 
 def dilution(p: int, eps: float) -> float:
@@ -500,30 +520,23 @@ class UQCBounds:
     upper_provenance: str
 
 
-def uqc_bounds(p: int, config: dict | None = None,
-               depol_gate_result: float | None = None) -> UQCBounds:
+def uqc_bounds(p: int, config: dict | None = None) -> UQCBounds:
     """Lower/upper noise bounds for universal computation with the gate.
 
-    The lower bound converts the configured distillation threshold back
-    through the dilution map; the upper bound is the depolarising-gate
-    threshold (computed at p in {2, 3}, recorded at p in {5, 7}).  At p=2
-    the two coincide and both equal the computed gate threshold.
+    The upper bound is the robust gate's depolarising threshold, with the
+    value and provenance ``depol_gate_cell`` gives it.  The lower bound
+    converts the configured distillation threshold back through the
+    dilution map; at p=2 it equals the upper bound.
     """
     check_dim(p)
-    if depol_gate_result is None and p in (2, 3):
-        u = gate_exponents(p, ROBUST_GATE_PARAMS[p]).matrix()
-        depol_gate_result = threshold_depol_gate(p, u).epsilon_star
+    upper, upper_prov, _ = depol_gate_cell(p)
     if p == 2:
-        return UQCBounds(p, depol_gate_result, PROV_COMPUTED,
-                         depol_gate_result, PROV_COMPUTED)
+        return UQCBounds(p, upper, upper_prov, upper, upper_prov)
     if config is None:
         config = load_distill_config()
     if p not in config:
         raise MissingConfig(f"no distill_threshold.{p} entry in config")
-    lower = dilution_inv(p, config[p])
-    if p == 3:
-        return UQCBounds(p, lower, PROV_CONFIG, depol_gate_result, PROV_COMPUTED)
-    return UQCBounds(p, lower, PROV_CONFIG, RECORDED_UQC_UPPER[p], PROV_RECORDED)
+    return UQCBounds(p, dilution_inv(p, config[p]), PROV_CONFIG, upper, upper_prov)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Small exact/numeric kernel: modular arithmetic, dense complex-matrix
-helpers, and comparison of matrices up to a global phase.
+"""Small exact/numeric kernel: modular arithmetic, checks on dense complex
+matrices, and comparison of matrices up to a global phase.
 
 Everything here is dimension-agnostic; the quantum-specific constructions
 live in the higher modules.
@@ -23,25 +23,6 @@ def mod_inv(a: int, m: int) -> int:
     if math.gcd(a, m) != 1:
         raise NotInvertible(f"{a} has no inverse modulo {m}")
     return pow(a, -1, m)
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
 
 
 def is_diagonal(m: np.ndarray, tol: float = 1e-10) -> bool:

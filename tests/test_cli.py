@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
+from quditgates import cli
 from quditgates.cli import main, read_matrix
 from quditgates.hierarchy import GateParams, gate_matrix
 
@@ -169,6 +171,68 @@ def test_output_deterministic(capsys):
         payload.pop("wall_time_s", None)
         return payload
 
-    a = payload_without_timing(["threshold", "--p", "2", "--seed", "1"])
-    b = payload_without_timing(["threshold", "--p", "2", "--seed", "1"])
+    a = payload_without_timing(["threshold", "--p", "2"])
+    b = payload_without_timing(["threshold", "--p", "2"])
     assert a == b
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_depol_gate_cell_agrees_across_commands(capsys, p):
+    """Table 2, Table 3 and ``threshold`` show one depolarising-gate cell."""
+    _, t2 = run_json(capsys, "table2", "--p", str(p))
+    _, t3 = run_json(capsys, "table3", "--p", str(p))
+    _, th = run_json(capsys, "threshold", "--p", str(p))
+    cell = t2["rows"][0]["cells"]["depol_gate_pct"]
+    assert t3["rows"][0]["cells"]["upper_pct"] == cell
+    assert th["outputs"]["depol_gate_pct"] == cell["value"]
+    assert th["provenance"]["depol_gate_pct"] == cell["provenance"]
+    want = "computed" if p in (2, 3) else "paper-recorded"
+    assert cell["provenance"] == want
+    assert ("depol_gate_pct" in th["evidence"]) == (want == "computed")
+
+
+def test_threshold_other_gate_without_lp_has_no_depol_cell(capsys):
+    rc, payload = run_json(capsys, "threshold", "--p", "5", "--params", "1,1,0")
+    assert rc == 0
+    assert "depol_gate_pct" not in payload["outputs"]
+    assert "depol_gate_pct" not in payload["provenance"]
+    assert "depol_gate_pct" not in payload["evidence"]
+
+
+MISMATCH = re.compile(r"^\S+ p=\d[^:]*: computed \S+ vs recorded \S+ \(tol 1e-09\)$")
+
+
+@pytest.mark.parametrize("argv", [
+    ("table2", "--p", "3"),
+    ("table3",),
+    ("negativity", "--p", "3"),
+    ("threshold", "--p", "3"),
+])
+def test_self_check_tight_tol_reports_each_mismatch(capsys, argv):
+    rc = main([*argv, "--self-check", "--tol", "1e-9"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    reported = json.loads(captured.out)["self_check"]
+    lines = captured.err.splitlines()
+    assert lines == reported and lines
+    assert all(MISMATCH.match(line) for line in lines), lines
+
+
+def test_table1_self_check(capsys, monkeypatch):
+    rc, payload = run_json(capsys, "table1", "--self-check")
+    assert rc == 0 and payload["self_check"] == "ok"
+    monkeypatch.setitem(cli.EXPECTED_TABLE1, 3, ({1: 1, 3: 8, 9: 18}, 1))
+    rc = main(["table1", "--p", "3", "--self-check"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "table1 p=3 min_generators: computed 2.0 vs recorded 1 (exact)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("table2", "--params", "1,2,0"),
+    ("table1", "--config", "x"),
+    ("threshold", "--p", "2", "--seed", "1"),
+])
+def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
+    assert main(list(argv)) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err

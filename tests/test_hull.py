@@ -301,10 +301,11 @@ def test_load_distill_config_default_and_errors(tmp_path):
 
 def test_uqc_bounds_all_dimensions():
     cfg = load_distill_config()
-    b2 = uqc_bounds(2, cfg, depol_gate_result=0.453082)
-    assert b2.lower == b2.upper == 0.453082
+    b2 = uqc_bounds(2, cfg)
+    assert b2.lower == b2.upper
+    assert abs(b2.upper - 0.453082) < 1e-6
     assert b2.lower_provenance == "computed"
-    b3 = uqc_bounds(3, cfg, depol_gate_result=0.786327)
+    b3 = uqc_bounds(3, cfg)
     assert abs(100 * b3.lower - 58.15) < 0.05
     assert b3.lower_provenance == "config-derived"
     assert b3.upper_provenance == "computed"

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from quditgates.errors import NotInvertible, ShapeMismatch
+from quditgates.errors import NotInvertible
 from quditgates.kernel import (
-    dagger,
     equal_up_to_global_phase,
     is_diagonal,
     is_unitary,
-    kron,
-    matmul,
     mod_inv,
 )
 
@@ -27,19 +24,6 @@ def test_mod_inv_rejects_non_units():
         mod_inv(0, 5)
     with pytest.raises(NotInvertible):
         mod_inv(3, 9)
-
-
-def test_matmul_shape_check():
-    with pytest.raises(ShapeMismatch):
-        matmul(np.eye(2), np.eye(3))
-
-
-def test_dagger_and_kron():
-    a = np.array([[1, 2j], [0, 1]], dtype=complex)
-    assert np.array_equal(dagger(a), a.conj().T)
-    b = np.diag([1.0, -1.0])
-    assert kron(a, b).shape == (4, 4)
-    assert np.allclose(kron(a, b), np.kron(a, b))
 
 
 def test_is_diagonal_and_unitary():
