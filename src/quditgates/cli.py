@@ -101,7 +101,7 @@ def _fmt6(x) -> str:
 
 
 def _cell(value, provenance=PROV_COMPUTED) -> dict:
-    if not isinstance(value, str):
+    if not isinstance(value, (str, int)):
         value = float(value)
     return {"value": value, "provenance": provenance}
 

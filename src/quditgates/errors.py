@@ -59,3 +59,7 @@ class MissingConfig(QuditGatesError):
 
 class RuntimeBudgetExceeded(QuditGatesError):
     """Requested computation is outside the supported runtime budget."""
+
+
+class SymmetryViolation(QuditGatesError):
+    """Operators fail a symmetry that a reduced computation relies on."""

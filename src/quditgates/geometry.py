@@ -10,7 +10,10 @@ with the facet operators
 where A_edge is the average of A over the Z-basis index; both have trace
 1/p.  Because each facet picks one eigenvalue index per basis
 independently, the minimum over all p^(p+1) facets decomposes into
-per-basis minima, which is what ``negativity`` exploits.
+per-basis minima, which is what ``negativity`` exploits.  Pauli
+conjugation shifts the eigen-indices of each X-type basis, so edge scans
+diagonalise the p^(p-2) edges with u_0 = u_1 = 0, one per Pauli orbit of
+p^2 edges with equal spectra and eigenvector moduli, and weight each p^2.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
     NotEigenvector,
     NotTracePreserving,
     NotUnitary,
+    SymmetryViolation,
     UnsupportedDim,
 )
 from .hierarchy import (
@@ -42,6 +46,7 @@ from .weylheis import (
     displacement,
     mub_projectors,
     mub_vectors,
+    pauli_x,
     pauli_z,
 )
 
@@ -237,40 +242,52 @@ def negativity_exhaustive(p: int, state: np.ndarray) -> float:
 # edge-facet spectra
 
 
+def _pauli_index_shifts(p: int) -> tuple:
+    """(t_X, t_Z) with D Pi_j[k] D^dag = Pi_j[k + t_j] on each X-type basis j.
+
+    ``SymmetryViolation`` unless both exist and the Pauli action is free.
+    """
+    projs = mub_projectors(p)[1:]
+    rolls = np.stack([np.roll(projs, -s, axis=1) for s in range(p)], axis=1)
+    shifts = []
+    for d in (pauli_x(p), pauli_z(p)):
+        conj = d @ projs @ d.conj().T
+        match = np.max(np.abs(rolls - conj[:, None]), axis=(2, 3, 4)) < 1e-10
+        if not match.any(axis=1).all():
+            raise SymmetryViolation("Pauli conjugation is not an eigen-index shift")
+        shifts.append(tuple(int(s) for s in match.argmax(axis=1)))
+    tx, tz = shifts
+    if (tx[0] * tz[1] - tx[1] * tz[0]) % p == 0:
+        raise SymmetryViolation("Pauli action on edge labels is not free")
+    return tx, tz
+
+
+def _edge_orbit_representatives(p: int) -> np.ndarray:
+    """Stacked A_edge(0, 0, u_2, ..., u_(p-1)), one edge per Pauli orbit."""
+    _pauli_index_shifts(p)
+    projs = mub_projectors(p)[1:]  # X-type bases only
+    rem = np.arange(p ** (p - 2))
+    base = projs[0, 0] + projs[1, 0] - ((p - 1) / p) * np.eye(p)
+    acc = np.broadcast_to(base, (len(rem), p, p)).copy()
+    for j in range(2, p):
+        acc += projs[j, rem % p]
+        rem //= p
+    return acc / p
+
+
 def edge_spectra_classes(p: int, decimals: int = 9) -> dict:
     """Spectra of all p^p edge facets, clustered after rounding.
 
     Returns a dict mapping the rounded eigenvalue tuple (ascending) to its
-    multiplicity.  Exhaustive construction; intended for p <= 5.
+    multiplicity.  One edge per Pauli orbit, weighted p^2; for p <= 5.
     """
     if p > 5:
         raise UnsupportedDim("full spectral clustering is for p <= 5")
     classes: dict[tuple, int] = {}
-    for lam in _edge_eigenvalues(p):
+    for lam in np.linalg.eigvalsh(_edge_orbit_representatives(p)):
         key = tuple(np.round(lam, decimals))
-        classes[key] = classes.get(key, 0) + 1
+        classes[key] = classes.get(key, 0) + p * p
     return classes
-
-
-def _edge_batches(p: int, chunk: int = 16807):
-    """Yield (index array, stacked A_edge operators) over all p^p edges."""
-    projs = np.ascontiguousarray(mub_projectors(p)[1:])  # X-type bases only
-    total = p ** p
-    shift = -((p - 1) / p) * np.eye(p)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        acc = np.broadcast_to(shift, (len(idx), p, p)).astype(complex)
-        rem = idx.copy()
-        for j in range(p):
-            k = rem % p
-            rem = rem // p
-            acc = acc + projs[j, k]
-        yield idx, acc / p
-
-
-def _edge_eigenvalues(p: int):
-    for _, ops in _edge_batches(p):
-        yield from np.linalg.eigvalsh(ops)
 
 
 @dataclass(frozen=True)
@@ -290,23 +307,14 @@ def edge_scan(p: int, target: float | None = None, window: float = 1e-4,
     eigenvector with flat amplitude profile |v_i| = p**-0.5 (the signature
     of a diagonal-gate +1 superposition image).
     """
-    check_dim(p)
-    global_min = np.inf
-    in_window = 0
-    flat = 0
-    for _, ops in _edge_batches(p):
-        lam = np.linalg.eigvalsh(ops)
-        lam1 = lam[:, 0]
-        global_min = min(global_min, float(lam1.min()))
-        if target is not None:
-            mask = np.abs(lam1 - target) <= window
-            in_window += int(mask.sum())
-            if mask.any():
-                _, vecs = np.linalg.eigh(ops[mask])
-                lead = np.abs(vecs[:, :, 0])
-                flat += int(np.sum(np.max(np.abs(lead - p ** -0.5), axis=1) <= flat_tol))
-    return EdgeScanResult(min_eigenvalue=global_min, n_edges=p ** p,
-                          window_count=in_window, window_flat_count=flat)
+    ops = _edge_orbit_representatives(p)
+    lam1 = np.linalg.eigvalsh(ops)[:, 0]
+    mask = np.zeros(len(lam1), bool) if target is None else np.abs(lam1 - target) <= window
+    lead = np.abs(np.linalg.eigh(ops[mask])[1][:, :, 0])
+    flat = np.sum(np.max(np.abs(lead - p ** -0.5), axis=1) <= flat_tol)
+    return EdgeScanResult(min_eigenvalue=float(lam1.min()), n_edges=p ** p,
+                          window_count=p * p * int(mask.sum()),
+                          window_flat_count=p * p * int(flat))
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,10 @@ def test_criterion_07_edge_facet_spectra(verdict):
     flats = {p: scans[p].window_flat_count for p in scans}
     if flats[3] != 18 or flats[5] != 100:
         bad.append(f"distinguished edge counts {flats[3]}/{flats[5]} vs 18/100")
-    if flats[7] < 98:
-        bad.append(f"p=7 flat count {flats[7]} < 98")
+    if flats[7] != 98:
+        bad.append(f"p=7 flat count {flats[7]} vs 98")
+    if scans[7].window_count != 14504:
+        bad.append(f"p=7 window count {scans[7].window_count} vs 14504")
     ok = not bad
     detail = ("; ".join(bad) if bad else
               "qutrit classes 9+18 exact, p=5 quintuple x100, global minima "

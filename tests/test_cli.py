@@ -221,11 +221,12 @@ def test_self_check_tight_tol_reports_each_mismatch(capsys, argv):
 def test_table1_self_check(capsys, monkeypatch):
     rc, payload = run_json(capsys, "table1", "--self-check")
     assert rc == 0 and payload["self_check"] == "ok"
+    assert all(type(r["cells"]["min_generators"]["value"]) is int for r in payload["rows"])
     monkeypatch.setitem(cli.EXPECTED_TABLE1, 3, ({1: 1, 3: 8, 9: 18}, 1))
     rc = main(["table1", "--p", "3", "--self-check"])
     err = capsys.readouterr().err
     assert rc == 3
-    assert err == "table1 p=3 min_generators: computed 2.0 vs recorded 1 (exact)\n"
+    assert err == "table1 p=3 min_generators: computed 2 vs recorded 1 (exact)\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from quditgates.errors import BadLength, NotDiagonal, UnsupportedDim
+from quditgates import geometry
+from quditgates.errors import BadLength, NotDiagonal, SymmetryViolation, UnsupportedDim
 from quditgates.geometry import (
     KrausChannel,
     basis_expectations,
@@ -28,6 +29,7 @@ from quditgates.geometry import (
 )
 from quditgates.hierarchy import GateParams, gate_exponents, root_order
 from quditgates.hull import ROBUST_GATE_PARAMS
+from quditgates.weylheis import mub_projectors, pauli_x, pauli_z
 
 QUTRIT_SECOND_TYPE = sorted([
     (1 - 3 * np.sin(np.pi / 18) - np.sqrt(3) * np.cos(np.pi / 18)) / 9,
@@ -133,6 +135,109 @@ def test_edge_spectra_rejects_large_p():
     with pytest.raises(UnsupportedDim):
         edge_spectra_classes(7)
 
+
+
+# ---------------------------------------------------------------------------
+# exhaustive oracle for the Pauli-orbit edge scan
+
+
+def _all_edge_operators(p):
+    """Every A_edge(u), u in Z_p^p, built one label at a time."""
+    return np.array([edge_facet(p, u) for u in itertools.product(range(p), repeat=p)])
+
+
+def _exhaustive_scan(p, target, window=1e-4, flat_tol=1e-6):
+    lam, vecs = np.linalg.eigh(_all_edge_operators(p))
+    lam1 = lam[:, 0]
+    mask = np.abs(lam1 - target) <= window
+    lead = np.abs(vecs[mask, :, 0])
+    flat = int(np.sum(np.max(np.abs(lead - p ** -0.5), axis=1) <= flat_tol))
+    return float(lam1.min()), int(mask.sum()), flat
+
+
+EDGE_MINIMA = {2: -(np.sqrt(2) - 1) / 4, 3: -2 / 9, 5: -4 / 25}
+
+
+@pytest.mark.parametrize("p,target,window", [
+    (2, EDGE_MINIMA[2], 1e-4),
+    (3, EDGE_MINIMA[3], 1e-9),
+    (3, float(QUTRIT_SECOND_TYPE[0]), 1e-4),
+    (3, 0.0, 0.2),
+    (5, EDGE_MINIMA[5], 1e-4),
+    (5, -0.16, 1e-9),
+    (5, -0.15, 0.002),
+])
+def test_edge_scan_matches_exhaustive_oracle(p, target, window):
+    lo, count, flat = _exhaustive_scan(p, target, window)
+    scan = edge_scan(p, target=target, window=window)
+    assert scan.n_edges == p ** p
+    assert abs(scan.min_eigenvalue - lo) < 1e-12
+    assert count > 0
+    assert (scan.window_count, scan.window_flat_count) == (count, flat)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_edge_spectra_classes_match_exhaustive_oracle(p):
+    lam = np.linalg.eigvalsh(_all_edge_operators(p))
+    for decimals in (9, 6, 5):
+        want: dict = {}
+        for row in lam:
+            key = tuple(np.round(row, decimals))
+            want[key] = want.get(key, 0) + 1
+        assert edge_spectra_classes(p, decimals=decimals) == want
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_pauli_conjugation_shifts_edge_labels(p):
+    projs = mub_projectors(p)[1:]
+    tx, tz = geometry._pauli_index_shifts(p)
+    assert tx == tuple(range(p)) and tz == (p - 1,) * p
+    for d, t in ((pauli_x(p), tx), (pauli_z(p), tz)):
+        for j in range(p):
+            for k in range(p):
+                conj = d @ projs[j, k] @ d.conj().T
+                assert np.max(np.abs(conj - projs[j, (k + t[j]) % p])) < 1e-10
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_pauli_orbits_partition_edge_labels(p):
+    tx, tz = (np.array(t) for t in geometry._pauli_index_shifts(p))
+    tails = list(itertools.product(range(p), repeat=p - 2))
+    reps = np.zeros((len(tails), p), dtype=np.int64)
+    reps[:, 2:] = np.array(tails, dtype=np.int64).reshape(len(tails), p - 2)
+    moves = np.array([a * tx + b * tz for a in range(p) for b in range(p)])
+    orbits = (reps[:, None, :] + moves[None, :, :]) % p
+    codes = orbits @ (p ** np.arange(p, dtype=np.int64))
+    assert codes.shape == (p ** (p - 2), p * p)
+    assert all(len(set(row)) == p * p for row in codes.tolist())
+    assert np.array_equal(np.sort(codes, axis=None), np.arange(p ** p))
+
+
+def test_orbit_representatives_are_the_zero_zero_labels():
+    p = 5
+    ops = geometry._edge_orbit_representatives(p)
+    for i, tail in enumerate(itertools.product(range(p), repeat=p - 2)):
+        label = (0, 0) + tail[::-1]
+        assert np.max(np.abs(ops[i] - edge_facet(p, label))) < 1e-13
+
+
+def _swap_two_projectors(projs):
+    projs[3, [0, 1]] = projs[3, [1, 0]]
+
+
+def _repeat_a_basis(projs):
+    projs[1] = projs[2]
+
+
+@pytest.mark.parametrize("corrupt", (_swap_two_projectors, _repeat_a_basis))
+def test_corrupted_pauli_shift_raises(monkeypatch, corrupt):
+    projs = np.array(mub_projectors(5))
+    corrupt(projs)
+    monkeypatch.setattr(geometry, "mub_projectors", lambda p: projs)
+    with pytest.raises(SymmetryViolation):
+        edge_scan(5, target=-0.16)
+    with pytest.raises(SymmetryViolation):
+        edge_spectra_classes(5)
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_clifford_eigenphase_all_gates_small(p):
