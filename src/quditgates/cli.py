@@ -415,21 +415,19 @@ def cmd_inject(args) -> int:
 def cmd_spectra(args) -> int:
     started = time.perf_counter()
     check_dim(args.p)
-    if args.p <= 5:
+    out = {"n_edges": args.p ** args.p}
+    # At p >= 7 only the JSON lists the classes; the CSV keeps its four scan lines.
+    if args.p <= 5 or args.format == "json":
         classes = edge_spectra_classes(args.p, decimals=6)
-        out = {
-            "n_edges": args.p ** args.p,
-            "classes": [{"eigenvalues": list(k), "count": v}
-                        for k, v in sorted(classes.items())],
-        }
-    else:
+        out["classes"] = [{"eigenvalues": list(k), "count": v}
+                          for k, v in sorted(classes.items())]
+    if args.p > 5:
         scan = edge_scan(args.p, target=-RECORDED_NEGATIVITY[args.p], window=1e-4)
-        out = {
-            "n_edges": scan.n_edges,
+        out.update({
             "min_eigenvalue": scan.min_eigenvalue,
             "near_target_count": scan.window_count,
             "flat_eigenvector_count": scan.window_flat_count,
-        }
+        })
     rep = _report("spectra", {"p": args.p}, out, started)
     if args.format == "csv" and args.p <= 5:
         print("eigenvalues,count")

@@ -279,10 +279,8 @@ def edge_spectra_classes(p: int, decimals: int = 9) -> dict:
     """Spectra of all p^p edge facets, clustered after rounding.
 
     Returns a dict mapping the rounded eigenvalue tuple (ascending) to its
-    multiplicity.  One edge per Pauli orbit, weighted p^2; for p <= 5.
+    multiplicity.  One edge per Pauli orbit is diagonalised, weighted p^2.
     """
-    if p > 5:
-        raise UnsupportedDim("full spectral clustering is for p <= 5")
     classes: dict[tuple, int] = {}
     for lam in np.linalg.eigvalsh(_edge_orbit_representatives(p)):
         key = tuple(np.round(lam, decimals))

@@ -565,42 +565,52 @@ def _neg_batch(p: int, thetas: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, -(q.min(axis=2).sum(axis=1) - 1.0) / p)
 
 
-def _coordinate_descent(p: int, theta: np.ndarray, rounds: int = 4,
-                        grid: int = 48) -> tuple[np.ndarray, float]:
-    theta = theta.copy()
-    best = float(_neg_batch(p, theta[None, :])[0])
+def _batched_coordinate_descent(p: int, starts: np.ndarray, rounds: int = 4,
+                                grid: int = 48) -> tuple[np.ndarray, np.ndarray]:
+    """Polish every row of an (S, p-1) array of starts by coordinate descent.
+
+    Each coordinate is scanned on a grid of ``grid`` offsets, then refined by
+    40 golden-section steps and a mid-point check.  All starts move together,
+    one ``_neg_batch`` call per step, yet each row follows the arithmetic it
+    would follow alone; a row that did not improve in a round is frozen.
+    Returns the polished thetas and their negativities.
+    """
+    theta = np.array(starts, dtype=float)
+    best = _neg_batch(p, theta)
     offsets = np.linspace(-np.pi, np.pi, grid, endpoint=False)
+    gr = (np.sqrt(5.0) - 1.0) / 2.0
+    live = np.arange(len(theta))
     for _ in range(rounds):
-        improved = False
+        th, val = theta[live], best[live]
+        improved = np.zeros(len(live), dtype=bool)
         for j in range(p - 1):
-            trial = np.repeat(theta[None, :], grid, axis=0)
-            trial[:, j] = (theta[j] + offsets) % (2 * np.pi)
-            vals = _neg_batch(p, trial)
-            k = int(np.argmax(vals))
-            if vals[k] > best + 1e-14:
-                theta, best = trial[k], float(vals[k])
-                improved = True
+            trial = np.repeat(th[:, None, :], grid, axis=1)
+            trial[:, :, j] = (th[:, j, None] + offsets) % (2 * np.pi)
+            vals = _neg_batch(p, trial.reshape(-1, p - 1)).reshape(len(th), grid)
+            k, top = np.argmax(vals, axis=1), vals.max(axis=1)
+            up = top > val + 1e-14
+            th[up], val[up] = trial[up, k[up]], top[up]
+            improved |= up
             # golden-section refinement around the current best
-            lo, hi = theta[j] - 2 * np.pi / grid, theta[j] + 2 * np.pi / grid
-            gr = (np.sqrt(5.0) - 1.0) / 2.0
+            lo, hi = th[:, j] - 2 * np.pi / grid, th[:, j] + 2 * np.pi / grid
             x1, x2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
+            pair = np.repeat(th[:, None, :], 2, axis=1)
             for _ in range(40):
-                t1, t2 = theta.copy(), theta.copy()
-                t1[j], t2[j] = x1 % (2 * np.pi), x2 % (2 * np.pi)
-                v = _neg_batch(p, np.stack([t1, t2]))
-                if v[0] > v[1]:
-                    hi, x2 = x2, x1
-                    x1 = hi - gr * (hi - lo)
-                else:
-                    lo, x1 = x1, x2
-                    x2 = lo + gr * (hi - lo)
-            mid = theta.copy()
-            mid[j] = (0.5 * (lo + hi)) % (2 * np.pi)
-            v = float(_neg_batch(p, mid[None, :])[0])
-            if v > best:
-                theta, best = mid, v
-                improved = True
-        if not improved:
+                pair[:, 0, j], pair[:, 1, j] = x1 % (2 * np.pi), x2 % (2 * np.pi)
+                v = _neg_batch(p, pair.reshape(-1, p - 1)).reshape(len(th), 2)
+                left = v[:, 0] > v[:, 1]
+                lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
+                x1, x2 = (np.where(left, hi - gr * (hi - lo), x2),
+                          np.where(left, x1, lo + gr * (hi - lo)))
+            mid = th.copy()
+            mid[:, j] = (0.5 * (lo + hi)) % (2 * np.pi)
+            v = _neg_batch(p, mid)
+            up = v > val
+            th[up], val[up] = mid[up], v[up]
+            improved |= up
+        theta[live], best[live] = th, val
+        live = live[improved]
+        if not live.size:
             break
     return theta, best
 
@@ -609,13 +619,17 @@ def optimize_equatorial(p: int, seed: int = 0, restarts: int = 24,
                         lattice: bool = True) -> EquatorialOptimum:
     """Maximise negativity over equatorial states by local search.
 
-    Starts are drawn from seeded uniform angles plus (optionally) the full
-    root-of-unity lattice matching the diagonal-gate family; the best
-    start is polished by coordinate descent with golden-section steps.
+    Starts are ``restarts`` seeded uniform angles plus (optionally) the 8
+    best points of the root-of-unity lattice matching the diagonal-gate
+    family.  Every start is polished by coordinate descent with
+    golden-section steps, all of them together; the first start with the
+    largest polished negativity wins.
     """
     check_dim(p)
+    if restarts < 0 or not (restarts or lattice):
+        raise ValueError("restarts must be >= 0, and >= 1 when lattice is False")
     rng = np.random.default_rng(seed)
-    starts = [rng.uniform(0.0, 2 * np.pi, size=p - 1) for _ in range(restarts)]
+    starts = rng.uniform(0.0, 2 * np.pi, size=(restarts, p - 1))
     if lattice:
         from .hierarchy import root_order
         r = root_order(p)
@@ -624,12 +638,10 @@ def optimize_equatorial(p: int, seed: int = 0, restarts: int = 24,
         vals = np.concatenate([_neg_batch(p, chunk)
                                for chunk in np.array_split(lat, max(1, len(lat) // 20000 + 1))])
         order = np.argsort(vals)[::-1]
-        starts.extend(lat[i] for i in order[:8])
-    best_theta, best_val = None, -1.0
-    for theta in starts:
-        cand_theta, cand_val = _coordinate_descent(p, np.asarray(theta, dtype=float))
-        if cand_val > best_val:
-            best_theta, best_val = cand_theta, cand_val
+        starts = np.concatenate([starts, lat[order[:8]]])
+    thetas, vals = _batched_coordinate_descent(p, starts)
+    i = int(np.argmax(vals))
+    best_theta, best_val = thetas[i].copy(), float(vals[i])
     state = np.concatenate([[1.0], np.exp(1j * best_theta)]) / np.sqrt(p)
     facet = negativity(p, state).facet[1:]
     return EquatorialOptimum(theta=best_theta, negativity=best_val, facet=facet)

@@ -144,6 +144,21 @@ def test_spectra_qutrit(capsys):
     assert counts == [9, 18]
 
 
+def test_spectra_p7_lists_classes(capsys):
+    rc, payload = run_json(capsys, "spectra", "--p", "7")
+    assert rc == 0
+    out = payload["outputs"]
+    assert len(out["classes"]) == 244
+    assert sum(c["count"] for c in out["classes"]) == out["n_edges"] == 7 ** 7
+    assert out["classes"][0]["eigenvalues"][0] == round(out["min_eigenvalue"], 6)
+    assert (out["near_target_count"], out["flat_eigenvector_count"]) == (14504, 98)
+    # the CSV keeps the four scan lines and no class list
+    rc, text = run(capsys, "spectra", "--p", "7", "--format", "csv")
+    assert rc == 0
+    assert [line.split(",")[0] for line in text.splitlines()] == [
+        "flat_eigenvector_count", "min_eigenvalue", "n_edges", "near_target_count"]
+
+
 def test_group_json(capsys):
     rc, payload = run_json(capsys, "group", "--p", "2")
     assert rc == 0

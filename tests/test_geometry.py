@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quditgates import geometry
-from quditgates.errors import BadLength, NotDiagonal, SymmetryViolation, UnsupportedDim
+from quditgates.errors import BadLength, NotDiagonal, SymmetryViolation
 from quditgates.geometry import (
     KrausChannel,
     basis_expectations,
@@ -131,9 +131,13 @@ def test_edge_scan_p3_matches_classes():
     assert scan.window_flat_count == 18
 
 
-def test_edge_spectra_rejects_large_p():
-    with pytest.raises(UnsupportedDim):
-        edge_spectra_classes(7)
+def test_edge_spectra_p7_classes():
+    for decimals in (9, 6, 5):
+        classes = edge_spectra_classes(7, decimals=decimals)
+        assert len(classes) == 244
+        assert sum(classes.values()) == 7 ** 7
+        lowest = min(k[0] for k in classes)
+        assert abs(lowest + 6 / 49) <= 0.5 * 10.0 ** -decimals
 
 
 

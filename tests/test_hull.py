@@ -15,7 +15,8 @@ from quditgates.geometry import (
     gate_state,
     negativity,
 )
-from quditgates.hierarchy import GateParams, gate_exponents, gate_matrix
+from quditgates.hierarchy import GateParams, gate_exponents, gate_matrix, root_order
+from quditgates import hull
 from quditgates.hull import (
     LP_TOL,
     RECORDED_PD_GATE,
@@ -341,3 +342,94 @@ def test_optimizer_deterministic():
     b = optimize_equatorial(3, seed=5, restarts=6)
     assert np.array_equal(a.theta, b.theta)
     assert a.negativity == b.negativity
+
+
+def test_optimizer_rejects_empty_starts():
+    with pytest.raises(ValueError, match="restarts"):
+        optimize_equatorial(3, restarts=0, lattice=False)
+    with pytest.raises(ValueError, match="restarts"):
+        optimize_equatorial(3, restarts=-3)
+    # the lattice alone supplies the starts
+    opt = optimize_equatorial(2, restarts=0)
+    assert abs(opt.negativity - 0.10355339) < 1e-6
+
+
+# The serial optimiser that the batched descent replaced, kept as an oracle:
+# one start at a time, one golden-section step per _neg_batch call.
+
+def _serial_descent(p, theta, rounds=4, grid=48):
+    theta = theta.copy()
+    best = float(hull._neg_batch(p, theta[None, :])[0])
+    offsets = np.linspace(-np.pi, np.pi, grid, endpoint=False)
+    for _ in range(rounds):
+        improved = False
+        for j in range(p - 1):
+            trial = np.repeat(theta[None, :], grid, axis=0)
+            trial[:, j] = (theta[j] + offsets) % (2 * np.pi)
+            vals = hull._neg_batch(p, trial)
+            k = int(np.argmax(vals))
+            if vals[k] > best + 1e-14:
+                theta, best = trial[k], float(vals[k])
+                improved = True
+            lo, hi = theta[j] - 2 * np.pi / grid, theta[j] + 2 * np.pi / grid
+            gr = (np.sqrt(5.0) - 1.0) / 2.0
+            x1, x2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
+            for _ in range(40):
+                t1, t2 = theta.copy(), theta.copy()
+                t1[j], t2[j] = x1 % (2 * np.pi), x2 % (2 * np.pi)
+                v = hull._neg_batch(p, np.stack([t1, t2]))
+                if v[0] > v[1]:
+                    hi, x2 = x2, x1
+                    x1 = hi - gr * (hi - lo)
+                else:
+                    lo, x1 = x1, x2
+                    x2 = lo + gr * (hi - lo)
+            mid = theta.copy()
+            mid[j] = (0.5 * (lo + hi)) % (2 * np.pi)
+            v = float(hull._neg_batch(p, mid[None, :])[0])
+            if v > best:
+                theta, best = mid, v
+                improved = True
+        if not improved:
+            break
+    return theta, best
+
+
+def _serial_optimize(p, seed, restarts):
+    rng = np.random.default_rng(seed)
+    starts = [rng.uniform(0.0, 2 * np.pi, size=p - 1) for _ in range(restarts)]
+    r = root_order(p)
+    ks = np.indices((r,) * (p - 1)).reshape(p - 1, -1).T
+    lat = 2 * np.pi * ks / r
+    vals = np.concatenate([hull._neg_batch(p, chunk)
+                           for chunk in np.array_split(lat, max(1, len(lat) // 20000 + 1))])
+    order = np.argsort(vals)[::-1]
+    starts.extend(lat[i] for i in order[:8])
+    best_theta, best_val = None, -1.0
+    for theta in starts:
+        cand_theta, cand_val = _serial_descent(p, np.asarray(theta, dtype=float))
+        if cand_val > best_val:
+            best_theta, best_val = cand_theta, cand_val
+    state = np.concatenate([[1.0], np.exp(1j * best_theta)]) / np.sqrt(p)
+    return best_theta, best_val, negativity(p, state).facet[1:]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_batched_descent_matches_serial_per_start(p):
+    starts = np.random.default_rng(100 + p).uniform(0.0, 2 * np.pi, size=(10, p - 1))
+    thetas, vals = hull._batched_coordinate_descent(p, starts)
+    for start, theta, val in zip(starts, thetas, vals):
+        want_theta, want_val = _serial_descent(p, start)
+        assert np.array_equal(theta, want_theta)
+        assert val == want_val
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+@pytest.mark.parametrize("restarts", (24, 8))
+def test_optimizer_matches_serial_oracle(p, restarts):
+    for seed in (0, 1, 2):
+        opt = optimize_equatorial(p, seed=seed, restarts=restarts)
+        theta, val, facet = _serial_optimize(p, seed, restarts)
+        assert np.array_equal(opt.theta, theta)
+        assert opt.negativity == val
+        assert opt.facet == facet
