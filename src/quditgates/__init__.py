@@ -11,13 +11,11 @@ from .errors import (
     MissingConfig,
     NotDiagonal,
     NotEigenvector,
-    NotHermitian,
     NotInvertible,
     NotTracePreserving,
     NotUnitary,
     NumericalInstability,
     QuditGatesError,
-    RuntimeBudgetExceeded,
     ShapeMismatch,
     SymmetryViolation,
     UnsupportedDim,
@@ -93,7 +91,6 @@ from .hull import (
     ThresholdResult,
     UQCBounds,
     cliff_polytope,
-    depol_gate_cell,
     dilution,
     dilution_inv,
     equatorial_polytope,

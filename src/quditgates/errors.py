@@ -13,10 +13,6 @@ class NotInvertible(QuditGatesError):
     """Requested modular inverse does not exist."""
 
 
-class NotHermitian(QuditGatesError):
-    """Matrix is not Hermitian within tolerance."""
-
-
 class NotUnitary(QuditGatesError):
     """Matrix is not unitary within tolerance."""
 
@@ -55,10 +51,6 @@ class BadLength(QuditGatesError):
 
 class MissingConfig(QuditGatesError):
     """A required configuration key is absent."""
-
-
-class RuntimeBudgetExceeded(QuditGatesError):
-    """Requested computation is outside the supported runtime budget."""
 
 
 class SymmetryViolation(QuditGatesError):

@@ -19,6 +19,7 @@ p^2 edges with equal spectra and eigenvector moduli, and weight each p^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,17 +71,19 @@ def gate_state(p: int, g: GateParams) -> np.ndarray:
     return state_from_diagonal(gate_exponents(p, g))
 
 
-def maximally_entangled(p: int) -> np.ndarray:
-    phi = np.zeros(p * p, dtype=complex)
-    phi[::p + 1] = 1.0 / np.sqrt(p)
-    return phi
+def choi_ket(u: np.ndarray) -> np.ndarray:
+    """(I x U) |Phi> = vec(U^T) / sqrt p, for one matrix or a stack of them.
+
+    |Phi> = sum_j |jj> / sqrt p; U may be a unitary or a Kraus operator.
+    """
+    u = np.asarray(u, dtype=complex)
+    p = u.shape[-1]
+    return np.swapaxes(u, -1, -2).reshape(*u.shape[:-2], p * p) * (1.0 / np.sqrt(p))
 
 
 def choi_of_unitary(u: np.ndarray) -> np.ndarray:
     """Jamiolkowski state (I x U) |Phi><Phi| (I x U)^dag."""
-    u = np.asarray(u, dtype=complex)
-    p = u.shape[0]
-    v = np.kron(np.eye(p), u) @ maximally_entangled(p)
+    v = choi_ket(u)
     return np.outer(v, v.conj())
 
 
@@ -115,11 +118,9 @@ class KrausChannel:
 
 def choi_of_channel(channel: KrausChannel) -> np.ndarray:
     p = channel.dim
-    phi = maximally_entangled(p)
-    eye = np.eye(p)
     out = np.zeros((p * p, p * p), dtype=complex)
     for w, k in channel.terms:
-        v = np.kron(eye, k) @ phi
+        v = choi_ket(k)
         out += w * np.outer(v, v.conj())
     return out
 
@@ -262,11 +263,11 @@ def _pauli_index_shifts(p: int) -> tuple:
     return tx, tz
 
 
-def _edge_orbit_representatives(p: int) -> np.ndarray:
-    """Stacked A_edge(0, 0, u_2, ..., u_(p-1)), one edge per Pauli orbit."""
-    _pauli_index_shifts(p)
+def _edge_orbit_representatives(p: int, index: np.ndarray) -> np.ndarray:
+    """Stacked A_edge(0, 0, u_2, ..., u_(p-1)), one edge per Pauli orbit,
+    for the orbits numbered ``index`` = u_2 + u_3 p + ... + u_(p-1) p^(p-3)."""
     projs = mub_projectors(p)[1:]  # X-type bases only
-    rem = np.arange(p ** (p - 2))
+    rem = np.array(index)
     base = projs[0, 0] + projs[1, 0] - ((p - 1) / p) * np.eye(p)
     acc = np.broadcast_to(base, (len(rem), p, p)).copy()
     for j in range(2, p):
@@ -275,15 +276,28 @@ def _edge_orbit_representatives(p: int) -> np.ndarray:
     return acc / p
 
 
+@lru_cache(maxsize=1)
+def _edge_orbit_eigenvalues(p: int) -> np.ndarray:
+    """Ascending eigenvalues of each orbit representative, one row per edge.
+
+    Cached, so a command that wants both the scan and the spectral classes
+    diagonalises the representatives once; one entry, so the spectra of at
+    most one prime stay in memory (0.9 MB at p = 7).
+    """
+    lam = np.linalg.eigvalsh(_edge_orbit_representatives(p, np.arange(p ** (p - 2))))
+    lam.flags.writeable = False
+    return lam
+
+
 def edge_spectra_classes(p: int, decimals: int = 9) -> dict:
     """Spectra of all p^p edge facets, clustered after rounding.
 
     Returns a dict mapping the rounded eigenvalue tuple (ascending) to its
     multiplicity.  One edge per Pauli orbit is diagonalised, weighted p^2.
     """
+    _pauli_index_shifts(p)
     classes: dict[tuple, int] = {}
-    for lam in np.linalg.eigvalsh(_edge_orbit_representatives(p)):
-        key = tuple(np.round(lam, decimals))
+    for key in map(tuple, np.round(_edge_orbit_eigenvalues(p), decimals)):
         classes[key] = classes.get(key, 0) + p * p
     return classes
 
@@ -305,10 +319,11 @@ def edge_scan(p: int, target: float | None = None, window: float = 1e-4,
     eigenvector with flat amplitude profile |v_i| = p**-0.5 (the signature
     of a diagonal-gate +1 superposition image).
     """
-    ops = _edge_orbit_representatives(p)
-    lam1 = np.linalg.eigvalsh(ops)[:, 0]
+    _pauli_index_shifts(p)
+    lam1 = _edge_orbit_eigenvalues(p)[:, 0]
     mask = np.zeros(len(lam1), bool) if target is None else np.abs(lam1 - target) <= window
-    lead = np.abs(np.linalg.eigh(ops[mask])[1][:, :, 0])
+    ops = _edge_orbit_representatives(p, np.flatnonzero(mask))
+    lead = np.abs(np.linalg.eigh(ops)[1][:, :, 0])
     flat = np.sum(np.max(np.abs(lead - p ** -0.5), axis=1) <= flat_tol)
     return EdgeScanResult(min_eigenvalue=float(lam1.min()), n_edges=p ** p,
                           window_count=p * p * int(mask.sum()),

@@ -16,6 +16,11 @@ noise rate eps as a column and minimises it in a phase 2 of the same
 simplex (``lp_threshold``).  Its weights show the target inside at eps*
 and its phase-2 dual a witness separating it just below; the closed-form
 and LP routes are kept independent on purpose.
+
+The depolarising-gate threshold solves that LP over the orbits of maps
+that fix its path and permute the Clifford vertices, 66 orbits instead of
+16464 vertices at p = 7.  Vertices are stored as kets; weights and
+witnesses are checked against every one.
 """
 
 from __future__ import annotations
@@ -25,28 +30,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    MissingConfig,
-    NumericalInstability,
-    RuntimeBudgetExceeded,
-)
+from .errors import MissingConfig, NumericalInstability, SymmetryViolation
 from .geometry import (
-    choi_of_unitary,
+    choi_ket,
     depolarized_choi,
     depolarized_state,
-    gate_state,
     negativity,
     phase_damped_state,
     _as_density,
 )
-from .hierarchy import GateParams, gate_exponents
+from .hierarchy import GateParams, gate_matrix
 from .weylheis import (
     CliffordLabel,
     check_dim,
     clifford_labels,
     clifford_unitary,
     mub_vectors,
-    stabilizer_states,
+    pauli_x,
+    pauli_z,
+    symplectic_unitary,
 )
 
 LP_TOL = 1e-8
@@ -55,13 +57,11 @@ PROV_COMPUTED = "computed"
 PROV_RECORDED = "paper-recorded"
 PROV_CONFIG = "config-derived"
 
-# Values carried over from the source tables rather than recomputed here,
-# all fractions of 1, not percent.  ``depol_gate_cell`` returns the
-# recorded depolarising-gate threshold at the primes outside
-# DEPOL_GATE_LP_PRIMES; at those primes it is a reference for
-# ``--self-check``.  The same figure is the upper bound of Table 3.  The
-# Choi-state negativities depend on a facet family that is only partially
-# known, so they are metadata.
+# Values carried over from the source tables, all fractions of 1, not
+# percent.  Every depolarising-gate threshold is computed; the recorded
+# figures are the ``--self-check`` references of Table 2 and of the upper
+# bounds of Table 3.  The Choi-state negativities are recorded, not
+# computed, and reported as such.
 RECORDED_DEPOL_GATE = {2: 0.4532, 3: 0.7863, 5: 0.9524, 7: 0.9763}
 # The p=2 dephasing entry is the paper's printed figure, (29.3%)/2; the
 # exact value is (2 - sqrt(2))/4 = 0.1464466.  It is kept as printed so
@@ -82,15 +82,18 @@ ROBUST_GATE_PARAMS = {
 
 
 def herm_to_vec(h: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates: vec(A) . vec(B) = Tr[A B]."""
+    """Isometric real coordinates: vec(A) . vec(B) = Tr[A B].
+
+    Acts on the last two axes, so a stack of operators gives a stack of rows.
+    """
     h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    iu = np.triu_indices(d, k=1)
+    iu = np.triu_indices(h.shape[-1], k=1)
+    upper = h[..., iu[0], iu[1]]
     return np.concatenate([
-        np.diag(h).real,
-        np.sqrt(2.0) * h[iu].real,
-        np.sqrt(2.0) * h[iu].imag,
-    ])
+        np.diagonal(h, axis1=-2, axis2=-1).real,
+        np.sqrt(2.0) * upper.real,
+        np.sqrt(2.0) * upper.imag,
+    ], axis=-1)
 
 
 def vec_to_herm(v: np.ndarray) -> np.ndarray:
@@ -109,62 +112,73 @@ def vec_to_herm(v: np.ndarray) -> np.ndarray:
 
 
 class PolytopeSpec:
-    """Vertex-described polytope of unit-trace Hermitian operators."""
+    """Hull of the pure states |v_i><v_i| given by unit kets v_i, shape (n, d).
 
-    def __init__(self, name: str, p: int, vertices: np.ndarray):
-        vertices = np.asarray(vertices, dtype=complex)
-        traces = np.einsum("nii->n", vertices).real
-        if np.max(np.abs(traces - 1.0)) > 1e-10:
-            raise ValueError("polytope vertices must have unit trace")
+    Only the kets are stored; dense vertices are derived when read.
+    """
+
+    def __init__(self, name: str, p: int, kets: np.ndarray):
+        kets = np.asarray(kets, dtype=complex)
+        if np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0)) > 1e-10:
+            raise ValueError("polytope vertices must be unit kets")
         self.name = name
         self.p = p
-        self.vertices = vertices
-        self.dim = vertices.shape[1]
+        self.kets = kets
+        self.dim = kets.shape[1]
         self._system = None
 
     @property
     def n_vertices(self) -> int:
-        return self.vertices.shape[0]
+        return self.kets.shape[0]
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """Dense (n, d, d) stack of the projectors |v_i><v_i|."""
+        return _projectors(self.kets)
+
+    def mixture(self, w: np.ndarray) -> np.ndarray:
+        """sum_i w_i |v_i><v_i|."""
+        return (self.kets.T * w) @ self.kets.conj()
 
     def system(self) -> np.ndarray:
         """Columns [vec(V_i); 1], cached for reuse across LP calls."""
         if self._system is None:
-            cols = np.stack([herm_to_vec(v) for v in self.vertices], axis=1)
-            self._system = np.vstack([cols, np.ones((1, self.n_vertices))])
+            # 1024 projectors at a time: at p = 7 all of them take 632 MB.
+            cols = np.concatenate([herm_to_vec(_projectors(self.kets[lo:lo + 1024]))
+                                   for lo in range(0, self.n_vertices, 1024)])
+            self._system = np.vstack([cols.T, np.ones((1, self.n_vertices))])
         return self._system
+
+
+def _projectors(kets: np.ndarray) -> np.ndarray:
+    """|v><v| for each row v, with the entries np.outer(v, v.conj()) gives."""
+    return kets[:, :, None] * kets[:, None, :].conj()
 
 
 def stab_polytope(p: int) -> PolytopeSpec:
     """Hull of the p(p+1) single-qudit stabilizer states."""
-    return PolytopeSpec("STAB", p, stabilizer_states(p))
+    return PolytopeSpec("STAB", p, mub_vectors(p).reshape(-1, p))
 
 
 def equatorial_polytope(p: int) -> PolytopeSpec:
     """Hull of the p^2 diagonal-Clifford superposition states."""
     check_dim(p)
     plus = np.full(p, p ** -0.5, dtype=complex)
-    verts = []
-    for gamma in range(p):
-        for z in range(p):
-            c = clifford_unitary(CliffordLabel(p, ((1, 0), (gamma, 1)), (0, z)))
-            v = c @ plus
-            verts.append(np.outer(v, v.conj()))
-    return PolytopeSpec("EQ", p, np.array(verts))
+    kets = [clifford_unitary(CliffordLabel(p, ((1, 0), (gamma, 1)), (0, z))) @ plus
+            for gamma in range(p) for z in range(p)]
+    return PolytopeSpec("EQ", p, np.array(kets))
 
 
 def cliff_polytope(p: int) -> PolytopeSpec:
     """Hull of the Choi states of all p^3 (p^2 - 1) Clifford gates.
 
-    p = 7 would need 16464 vertices against 2401 real coordinates, beyond
-    the runtime budget of this artifact; raises RuntimeBudgetExceeded.
+    At p = 7 that is 16464 kets of length 49, 13 MB; the dense vertices
+    would take 632 MB and the LP system 316 MB, so the depolarising-gate
+    threshold reads neither (see ``threshold_depol_gate``).
     """
     check_dim(p)
-    if p >= 7:
-        raise RuntimeBudgetExceeded(
-            "Clifford polytope at p=7 (16464 vertices x 2401 coordinates) "
-            "is out of the runtime budget; the recorded threshold is used")
-    verts = [choi_of_unitary(clifford_unitary(lab)) for lab in clifford_labels(p)]
-    return PolytopeSpec("CLIFF", p, np.array(verts))
+    us = np.array([clifford_unitary(lab) for lab in clifford_labels(p)])
+    return PolytopeSpec("CLIFF", p, choi_ket(us))
 
 
 @dataclass(frozen=True)
@@ -304,7 +318,7 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray,
     if objective <= lp_tol:
         out = LPOutcome(True, w, None, objective, iters)
         if verify:
-            resid = np.einsum("n,nij->ij", w, spec.vertices) - target
+            resid = spec.mixture(w) - target
             if np.max(np.abs(resid)) > 10 * lp_tol:
                 raise NumericalInstability("feasible weights fail to reproduce the target")
         return out
@@ -336,7 +350,7 @@ def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
                        floor: float | None = None) -> float:
     """Check the separating property; returns the separation margin."""
     floor = lp_tol if floor is None else floor
-    vals = np.einsum("nij,ji->n", spec.vertices, witness).real
+    vals = np.einsum("ni,ij,nj->n", spec.kets.conj(), witness, spec.kets).real  # Tr[W V_i]
     t_val = float(np.trace(witness @ target).real)
     if vals.min() < -lp_tol:
         raise NumericalInstability("certificate fails on a vertex")
@@ -358,6 +372,7 @@ class ThresholdResult:
     witness: np.ndarray | None = None   # LP: separator at epsilon_star - bracket
     margin: float | None = None         # LP: the witness's separation margin
     pivots: int = 0                     # LP: simplex pivots, both phases
+    orbits: int = 0                     # LP: vertex columns, one per orbit
 
 
 def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
@@ -366,42 +381,128 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
 
     Minimises eps over w >= 0, eps >= 0 subject to
 
-        sum_i w_i vec(V_i) + eps vec(start - end) = vec(start),  sum_i w_i = 1.
+        sum_i w_i vec(V_i) + eps vec(start - end) = vec(start),  sum_i w_i = 1,
 
-    The weights at eps* must reproduce the target there from all vertices.
-    The phase-2 multipliers y = (vec G, y0) give W = -(G + y0 I) with
-    Tr[W V_i] >= 0 on every vertex and Tr[W target(eps)] = eps - eps*;
-    scaled to unit spectral radius, W must pass ``verify_certificate`` at
-    eps* - THRESHOLD_DELTA.  A start already inside returns exactly 0.0
-    with no witness; eps* > hi raises NumericalInstability.
+    with one column per vertex; ``_solve_threshold`` checks the result.
     """
     start = _check_target(spec, start)
     end = _check_target(spec, end)
-    a = np.hstack([spec.system(), np.append(herm_to_vec(start - end), 0.0)[:, None]])
-    b = np.append(herm_to_vec(start), 1.0)
-    cost = np.zeros(spec.n_vertices + 1)
+    return _solve_threshold(spec, start, end, hi, spec.system(),
+                            np.arange(spec.n_vertices), None)
+
+
+def _solve_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
+                     hi: float, cols: np.ndarray, orbit: np.ndarray,
+                     basis: np.ndarray | None) -> ThresholdResult:
+    """The threshold LP over one column [coords of an orbit average; 1] per
+    orbit, in the coordinates ``basis``^T vec (all of vec when None).
+
+    ``orbit`` holds the orbit of each vertex.  Each orbit's weight is
+    spread evenly over its members, which must reproduce the target at
+    eps* from all vertices.  The phase-2 multipliers, mapped back to full
+    coordinates as y = (vec G, y0), give W = -(G + y0 I) with
+    Tr[W V_i] >= 0 on every vertex and Tr[W target(eps)] = eps - eps*;
+    scaled to unit spectral radius, W must pass ``verify_certificate``
+    at eps* - THRESHOLD_DELTA.  A start already inside returns exactly
+    0.0 with no witness; eps* > hi raises NumericalInstability.
+    """
+    def rows(h):
+        v = herm_to_vec(h)
+        return v if basis is None else basis.T @ v
+
+    a = np.hstack([cols, np.append(rows(start - end), 0.0)[:, None]])
+    b = np.append(rows(start), 1.0)
+    cost = np.zeros(a.shape[1])
     cost[-1] = 1.0
     _, x, y, pivots = _simplex(a, b, LP_TOL, cost)
-    eps_star, w = float(x[-1]), x[:-1]
+    eps_star = float(x[-1])
     if eps_star > hi:
         raise NumericalInstability(
             f"threshold {eps_star:.9g} lies beyond the path end {hi:.9g}")
     if eps_star <= LP_TOL:
         eps_star = 0.0
+    sizes = np.bincount(orbit)
+    w = x[orbit] / sizes[orbit]
 
     def target(eps):
         return (1.0 - eps) * start + eps * end
 
-    resid = np.einsum("n,nij->ij", w, spec.vertices) - target(eps_star)
+    resid = spec.mixture(w) - target(eps_star)
     if np.max(np.abs(resid)) > 10 * LP_TOL:
         raise NumericalInstability("threshold weights fail to reproduce the target")
     if eps_star == 0.0:
-        return ThresholdResult(0.0, 0.0, "lp", weights=w, pivots=pivots)
+        return ThresholdResult(0.0, 0.0, "lp", weights=w, pivots=pivots,
+                               orbits=len(sizes))
+    if basis is not None:
+        y = np.append(basis @ y[:-1], y[-1])
     delta = min(THRESHOLD_DELTA, eps_star)
     wit, scale = _witness(spec, y)
     margin = verify_certificate(spec, target(eps_star - delta), wit,
                                 floor=min(LP_TOL, 0.5 * delta / scale))
-    return ThresholdResult(eps_star, delta, "lp", w, wit, margin, pivots)
+    return ThresholdResult(eps_star, delta, "lp", w, wit, margin, pivots, len(sizes))
+
+
+def _phase_keys(kets: np.ndarray) -> list:
+    """One key per ket, equal for kets equal up to a global phase: the ket
+    turned so its first entry above 1e-6 in modulus is real positive,
+    rounded to 1e-6.  Callers check every match."""
+    lead = kets[np.arange(len(kets)), np.argmax(np.abs(kets) > 1e-6, axis=1)]
+    kets = kets * (lead.conj() / np.abs(lead))[:, None]
+    grid = np.rint(np.concatenate([kets.real, kets.imag], axis=1) * 1e6).astype(np.int64)
+    return [row.tobytes() for row in grid]
+
+
+def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
+    """Orbit index of each ket under the group the unitary ``maps`` generate.
+
+    Every map must send every ket to a ket of the list up to a phase, and
+    distinct kets to distinct kets; SymmetryViolation otherwise.
+    """
+    n = len(kets)
+    images = [kets @ g.T for g in maps]
+    index = {key: i for i, key in enumerate(_phase_keys(kets))}
+    perms = [np.array([index.get(key, -1) for key in _phase_keys(img)]) for img in images]
+    for perm, img in zip(perms, images):
+        if (perm < 0).any() or np.bincount(perm, minlength=n).max() > 1 or np.min(
+                np.abs(np.einsum("ni,ni->n", kets[perm].conj(), img))) < 1.0 - 1e-9:
+            raise SymmetryViolation("a generator does not permute the vertices")
+    # Each vertex takes the least index it reaches; a finite permutation
+    # group reaches its whole orbit by forward steps.
+    orbit = np.arange(n)
+    while True:
+        new = np.minimum.reduce([orbit, *(orbit[perm] for perm in perms)])
+        new = new[new]
+        if np.array_equal(new, orbit):
+            return np.cumsum(orbit == np.arange(n))[orbit] - 1  # number the orbits 0, 1, ...
+        orbit = new
+
+
+def _orbit_threshold(spec: PolytopeSpec, maps, start: np.ndarray, end: np.ndarray,
+                     hi: float) -> ThresholdResult:
+    """``lp_threshold`` over the orbit averages of a symmetry group.
+
+    Each unitary in ``maps`` must permute the vertex kets up to a phase and
+    fix ``start`` and ``end`` (SymmetryViolation otherwise).  Averaging
+    over the group they generate then maps the hull onto the hull of the
+    orbit averages and fixes the path, so the least eps is the same with
+    one column per orbit.  The LP runs in an orthonormal basis of the span
+    of the averages, start and end; weights and witness are checked
+    against every vertex.
+    """
+    start = _check_target(spec, start)
+    end = _check_target(spec, end)
+    for g in maps:
+        for h in (start, end):
+            if np.max(np.abs(g @ h @ g.conj().T - h)) > 1e-10:
+                raise SymmetryViolation("a generator moves the threshold path")
+    orbit = _ket_orbits(spec.kets, maps)
+    members = [spec.kets[orbit == o] for o in range(orbit.max() + 1)]
+    avgs = np.stack([herm_to_vec(k.T @ k.conj() / len(k)) for k in members], axis=1)
+    u, sv, _ = np.linalg.svd(np.column_stack([avgs, herm_to_vec(start), herm_to_vec(end)]),
+                             full_matrices=False)
+    basis = u[:, sv > 1e-10 * sv[0]]
+    cols = np.vstack([basis.T @ avgs, np.ones((1, avgs.shape[1]))])
+    return _solve_threshold(spec, start, end, hi, cols, orbit, basis)
 
 
 def threshold_depol_state(p: int, state: np.ndarray, method: str = "closed",
@@ -441,35 +542,22 @@ def threshold_pd_gate(p: int, state: np.ndarray, method: str = "closed",
                         phase_damped_state(p, psi, 1.0), (p - 1) / p)
 
 
-def threshold_depol_gate(p: int, u: np.ndarray,
-                         spec: PolytopeSpec | None = None) -> ThresholdResult:
-    """Least depolarising rate putting the gate's Choi state inside CLIFF."""
-    check_dim(p)
-    return lp_threshold(spec or cliff_polytope(p), depolarized_choi(p, u, 0.0),
-                        depolarized_choi(p, u, 1.0), 1.0)
+def threshold_depol_gate(p: int, u: np.ndarray) -> ThresholdResult:
+    """Least depolarising rate putting the gate's Choi state inside CLIFF.
 
-
-# Primes at which the depolarising-gate threshold is one LP over the full
-# Clifford polytope; at p=5 that LP takes some 20 s and at p=7
-# ``cliff_polytope`` is out of budget.
-DEPOL_GATE_LP_PRIMES = (2, 3)
-
-
-def depol_gate_cell(p: int, g: GateParams | None = None):
-    """Depolarising-gate threshold of gate ``g`` (default: the robust gate).
-
-    Returns (fraction, provenance, ThresholdResult | None): the LP result
-    at DEPOL_GATE_LP_PRIMES; at the other primes the recorded figure with
-    no result for the robust gate, and None for any other gate.
+    One LP over the orbits of four ket maps, which fix J_U and I/p^2 and
+    permute the Clifford Choi kets when U is a diagonal third-level gate:
+    (D^T x U D^dag U^dag) for D = X, Z, i.e. C -> (U D^dag U^dag) C D, and
+    (S^T x S^dag) for S = Z, V_F with F = [[1, 0], [1, 1]], i.e.
+    C -> S^dag C S.  Any other U raises SymmetryViolation.
     """
     check_dim(p)
-    g = ROBUST_GATE_PARAMS[p] if g is None else g
-    if p in DEPOL_GATE_LP_PRIMES:
-        r = threshold_depol_gate(p, gate_exponents(p, g).matrix())
-        return r.epsilon_star, PROV_COMPUTED, r
-    if g == ROBUST_GATE_PARAMS[p]:
-        return RECORDED_DEPOL_GATE[p], PROV_RECORDED, None
-    return None
+    u = np.asarray(u, dtype=complex)
+    maps = [np.kron(d.T, u @ d.conj().T @ u.conj().T) for d in (pauli_x(p), pauli_z(p))]
+    maps += [np.kron(s.T, s.conj().T)
+             for s in (pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))))]
+    return _orbit_threshold(cliff_polytope(p), maps, depolarized_choi(p, u, 0.0),
+                           depolarized_choi(p, u, 1.0), 1.0)
 
 
 def dilution(p: int, eps: float) -> float:
@@ -523,20 +611,20 @@ class UQCBounds:
 def uqc_bounds(p: int, config: dict | None = None) -> UQCBounds:
     """Lower/upper noise bounds for universal computation with the gate.
 
-    The upper bound is the robust gate's depolarising threshold, with the
-    value and provenance ``depol_gate_cell`` gives it.  The lower bound
+    The upper bound is the robust gate's depolarising threshold, computed
+    by ``threshold_depol_gate``.  The lower bound
     converts the configured distillation threshold back through the
     dilution map; at p=2 it equals the upper bound.
     """
     check_dim(p)
-    upper, upper_prov, _ = depol_gate_cell(p)
+    upper = threshold_depol_gate(p, gate_matrix(p, ROBUST_GATE_PARAMS[p])).epsilon_star
     if p == 2:
-        return UQCBounds(p, upper, upper_prov, upper, upper_prov)
+        return UQCBounds(p, upper, PROV_COMPUTED, upper, PROV_COMPUTED)
     if config is None:
         config = load_distill_config()
     if p not in config:
         raise MissingConfig(f"no distill_threshold.{p} entry in config")
-    return UQCBounds(p, dilution_inv(p, config[p]), PROV_CONFIG, upper, upper_prov)
+    return UQCBounds(p, dilution_inv(p, config[p]), PROV_CONFIG, upper, PROV_COMPUTED)
 
 
 # ---------------------------------------------------------------------------

@@ -118,11 +118,6 @@ class CliffordLabel:
         object.__setattr__(self, "chi", (self.chi[0] % self.p,
                                          self.chi[1] % self.p))
 
-    def apply_to_point(self, x: int, z: int) -> tuple[int, int]:
-        """Image of the phase-space point (x, z) under F."""
-        (a, b), (c, d) = self.f
-        return ((a * x + b * z) % self.p, (c * x + d * z) % self.p)
-
 
 @lru_cache(maxsize=None)
 def symplectic_unitary(p: int, f: Mat2) -> np.ndarray:

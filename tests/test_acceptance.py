@@ -8,7 +8,6 @@ before asserting, so a full run always shows all ten lines.
 """
 
 import math
-import os
 import time
 from itertools import product
 
@@ -38,7 +37,6 @@ from quditgates.hierarchy import (
 )
 from quditgates.hull import (
     LP_TOL,
-    RECORDED_DEPOL_GATE,
     ROBUST_GATE_PARAMS,
     cliff_polytope,
     dilution,
@@ -215,34 +213,28 @@ def test_criterion_05_phase_damping_thresholds(verdict):
 def test_criterion_06_depolarising_gate_thresholds(verdict):
     t0 = time.perf_counter()
     bad = []
-    specs = {2: cliff_polytope(2), 3: cliff_polytope(3)}
-    for p, n in ((2, 24), (3, 216)):
-        if specs[p].n_vertices != n:
-            bad.append(f"p={p}: {specs[p].n_vertices} vertices vs {n}")
+    for p, n in ((2, 24), (3, 216), (5, 3000), (7, 16464)):
+        count = cliff_polytope(p).n_vertices
+        if count != n:
+            bad.append(f"p={p}: {count} vertices vs {n}")
+    # p=2, 3 keep the 0.05 pp band: the exact 45.3082% is 0.012 pp from the
+    # printed 45.32%.  p=5, 7 are held to the paper's rounding, 0.005 pp.
     got = {}
-    for p, target in ((2, 45.32), (3, 78.63)):
+    for p, target, band in ((2, 45.32, 0.05), (3, 78.63, 0.05),
+                            (5, 95.24, 0.005), (7, 97.63, 0.005)):
         u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
-        got[p] = 100 * threshold_depol_gate(p, u, spec=specs[p]).epsilon_star
-        if abs(got[p] - target) > 0.05:
-            bad.append(f"p={p}: {got[p]:.4f}% vs {target}%")
-    extended = ""
-    if os.environ.get("QUDITGATES_EXTENDED"):
-        u5 = gate_matrix(5, ROBUST_GATE_PARAMS[5])
-        pct5 = 100 * threshold_depol_gate(5, u5).epsilon_star
-        extended = f", extended p=5 run {pct5:.2f}%"
-        if abs(pct5 - 95.24) > 0.1:
-            bad.append(f"p=5 extended: {pct5:.4f}% vs 95.24%")
-    if RECORDED_DEPOL_GATE[7] != 0.9763:
-        bad.append("p=7 recorded threshold drifted")
-    if uqc_bounds(7).upper_provenance != "paper-recorded":
-        bad.append("p=7 upper bound must carry recorded provenance")
+        got[p] = 100 * threshold_depol_gate(p, u).epsilon_star
+        if abs(got[p] - target) > band:
+            bad.append(f"p={p}: {got[p]:.4f}% vs {target}% (band {band} pp)")
+    if uqc_bounds(7).upper_provenance != "computed":
+        bad.append("p=7 upper bound must be computed")
     dt = time.perf_counter() - t0
     if dt >= 600.0:
         bad.append(f"runtime {dt:.1f}s over the 600s budget")
     ok = not bad
     detail = ("; ".join(bad) if bad else
-              f"gate thresholds {got[2]:.2f}% (24 vertices) and {got[3]:.2f}% "
-              f"(216 vertices) in {dt:.1f}s{extended}")
+              "gate thresholds " + "/".join(f"{got[p]:.4f}" for p in PRIMES)
+              + f"% computed over Clifford orbits in {dt:.1f}s")
     assert verdict(6, ok, detail), detail
 
 
@@ -333,16 +325,18 @@ def test_criterion_09_noise_bound_table(verdict):
         bad.append(f"p=3 lower {100 * b3.lower:.4f}% ({b3.lower_provenance})")
     if abs(100 * b3.upper - 78.63) > 0.05 or b3.upper_provenance != "computed":
         bad.append(f"p=3 upper {100 * b3.upper:.4f}% ({b3.upper_provenance})")
+    bounds = {2: b2, 3: b3}
     for p, lo, up in ((5, 80.61, 95.24), (7, 72.24, 97.63)):
-        b = uqc_bounds(p)
+        b = bounds[p] = uqc_bounds(p)
         if abs(100 * b.lower - lo) > 0.05 or b.lower_provenance != "config-derived":
             bad.append(f"p={p} lower {100 * b.lower:.4f}% ({b.lower_provenance})")
-        if abs(100 * b.upper - up) > 1e-9 or b.upper_provenance != "paper-recorded":
+        if abs(100 * b.upper - up) > 0.005 or b.upper_provenance != "computed":
             bad.append(f"p={p} upper {100 * b.upper:.4f}% ({b.upper_provenance})")
     ok = not bad
     detail = ("; ".join(bad) if bad else
-              "lower bounds 45.32/58.15/80.61/72.24%, p=2 lower = upper, "
-              "provenance flags as published")
+              "lower bounds " + "/".join(f"{100 * bounds[p].lower:.2f}" for p in PRIMES)
+              + "%, p=2 lower = upper, upper bounds "
+              + "/".join(f"{100 * bounds[p].upper:.2f}" for p in PRIMES) + "% computed")
     assert verdict(9, ok, detail), detail
 
 

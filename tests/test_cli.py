@@ -47,7 +47,7 @@ def test_threshold_reports_lp_evidence(capsys):
     ev = payload["evidence"]
     assert ev["depol_state_pct"] == {"method": "closed-form"}
     lp = ev["depol_gate_pct"]
-    assert lp["method"] == "lp" and lp["lp_pivots"] > 0
+    assert lp["method"] == "lp" and lp["lp_pivots"] > 0 and lp["orbits"] == 14
     assert lp["certificate_margin"] > 0.0
     assert abs(payload["outputs"]["depol_gate_pct"] - 78.6327) < 1e-4
 
@@ -75,7 +75,8 @@ def test_table2_provenance_tags(capsys):
     rc, payload = run_json(capsys, "table2", "--p", "5")
     assert rc == 0
     cells = payload["rows"][0]["cells"]
-    assert cells["depol_gate_pct"]["provenance"] == "paper-recorded"
+    assert cells["depol_gate_pct"]["provenance"] == "computed"
+    assert abs(cells["depol_gate_pct"]["value"] - 95.24) < 0.005
     assert cells["pd_gate_pct"]["provenance"] == "computed"
     assert cells["choi_negativity"]["provenance"] == "paper-recorded"
     assert abs(cells["pd_gate_pct"]["value"] - 64.0) < 0.005
@@ -96,7 +97,7 @@ def test_table3_rows_and_self_check(capsys):
     rows = {r["p"]: r["cells"] for r in payload["rows"]}
     assert rows[2]["lower_pct"]["value"] == rows[2]["upper_pct"]["value"]
     assert rows[3]["lower_pct"]["provenance"] == "config-derived"
-    assert rows[5]["upper_pct"]["provenance"] == "paper-recorded"
+    assert all(rows[p]["upper_pct"]["provenance"] == "computed" for p in (2, 3, 5, 7))
     assert abs(rows[3]["lower_pct"]["value"] - 58.15) < 0.05
 
 
@@ -200,18 +201,20 @@ def test_depol_gate_cell_agrees_across_commands(capsys, p):
     cell = t2["rows"][0]["cells"]["depol_gate_pct"]
     assert t3["rows"][0]["cells"]["upper_pct"] == cell
     assert th["outputs"]["depol_gate_pct"] == cell["value"]
-    assert th["provenance"]["depol_gate_pct"] == cell["provenance"]
-    want = "computed" if p in (2, 3) else "paper-recorded"
-    assert cell["provenance"] == want
-    assert ("depol_gate_pct" in th["evidence"]) == (want == "computed")
+    assert th["provenance"]["depol_gate_pct"] == cell["provenance"] == "computed"
+    ev = th["evidence"]["depol_gate_pct"]
+    assert ev["method"] == "lp" and ev["orbits"] == {2: 5, 3: 14, 5: 36, 7: 66}[p]
+    assert ev["certificate_margin"] > 0.0
 
 
-def test_threshold_other_gate_without_lp_has_no_depol_cell(capsys):
+def test_threshold_other_gate_computes_depol_cell(capsys):
     rc, payload = run_json(capsys, "threshold", "--p", "5", "--params", "1,1,0")
     assert rc == 0
-    assert "depol_gate_pct" not in payload["outputs"]
-    assert "depol_gate_pct" not in payload["provenance"]
-    assert "depol_gate_pct" not in payload["evidence"]
+    assert payload["provenance"]["depol_gate_pct"] == "computed"
+    assert 0.0 < payload["outputs"]["depol_gate_pct"] < 100.0
+    ev = payload["evidence"]["depol_gate_pct"]
+    assert ev["method"] == "lp" and ev["lp_pivots"] > 0 and ev["orbits"] > 0
+    assert ev["certificate_margin"] > 0.0
 
 
 MISMATCH = re.compile(r"^\S+ p=\d[^:]*: computed \S+ vs recorded \S+ \(tol 1e-09\)$")

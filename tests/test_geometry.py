@@ -219,7 +219,7 @@ def test_pauli_orbits_partition_edge_labels(p):
 
 def test_orbit_representatives_are_the_zero_zero_labels():
     p = 5
-    ops = geometry._edge_orbit_representatives(p)
+    ops = geometry._edge_orbit_representatives(p, np.arange(p ** (p - 2)))
     for i, tail in enumerate(itertools.product(range(p), repeat=p - 2)):
         label = (0, 0) + tail[::-1]
         assert np.max(np.abs(ops[i] - edge_facet(p, label))) < 1e-13

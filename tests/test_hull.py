@@ -1,13 +1,7 @@
-import os
-
 import numpy as np
 import pytest
 
-from quditgates.errors import (
-    MissingConfig,
-    NumericalInstability,
-    RuntimeBudgetExceeded,
-)
+from quditgates.errors import MissingConfig, NumericalInstability, SymmetryViolation
 from quditgates.geometry import (
     choi_of_unitary,
     depolarized_choi,
@@ -38,7 +32,7 @@ from quditgates.hull import (
     vec_to_herm,
     verify_certificate,
 )
-from quditgates.weylheis import pauli_z
+from quditgates.weylheis import CliffordLabel, clifford_labels, clifford_unitary, pauli_z
 
 
 def random_density(rng, d, mix=0.0):
@@ -67,11 +61,62 @@ def test_polytope_vertex_counts(p):
 def test_cliff_vertex_counts():
     assert cliff_polytope(2).n_vertices == 24
     assert cliff_polytope(3).n_vertices == 216
+    assert cliff_polytope(7).kets.shape == (16464, 49)
 
 
-def test_cliff_p7_budget():
-    with pytest.raises(RuntimeBudgetExceeded):
-        cliff_polytope(7)
+# The dense construction that kets replaced: every vertex built as a
+# density matrix, every column of the LP system from it.
+
+def _dense_herm_to_vec(h):
+    iu = np.triu_indices(h.shape[0], k=1)
+    return np.concatenate([np.diag(h).real, np.sqrt(2.0) * h[iu].real,
+                           np.sqrt(2.0) * h[iu].imag])
+
+
+def _dense_system(verts):
+    cols = np.stack([_dense_herm_to_vec(v) for v in verts], axis=1)
+    return np.vstack([cols, np.ones((1, len(verts)))])
+
+
+def _dense_cliff_vertices(p):
+    phi = np.zeros(p * p, dtype=complex)
+    phi[::p + 1] = 1.0 / np.sqrt(p)
+    out = []
+    for lab in clifford_labels(p):
+        v = np.kron(np.eye(p), clifford_unitary(lab)) @ phi
+        out.append(np.outer(v, v.conj()))
+    return out
+
+
+def _dense_equatorial_vertices(p):
+    plus = np.full(p, p ** -0.5, dtype=complex)
+    out = []
+    for gamma in range(p):
+        for z in range(p):
+            v = clifford_unitary(CliffordLabel(p, ((1, 0), (gamma, 1)), (0, z))) @ plus
+            out.append(np.outer(v, v.conj()))
+    return out
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_cliff_system_equals_dense_construction(p):
+    assert np.array_equal(cliff_polytope(p).system(), _dense_system(_dense_cliff_vertices(p)))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_equatorial_system_equals_dense_construction(p):
+    assert np.array_equal(equatorial_polytope(p).system(),
+                          _dense_system(_dense_equatorial_vertices(p)))
+
+
+@pytest.mark.parametrize("make", (stab_polytope, equatorial_polytope, cliff_polytope))
+@pytest.mark.parametrize("p", (2, 3))
+def test_vertices_are_ket_projectors(make, p):
+    spec = make(p)
+    assert np.array_equal(spec.vertices, np.array([np.outer(v, v.conj()) for v in spec.kets]))
+    rng = np.random.default_rng(p)
+    w = rng.uniform(size=spec.n_vertices)
+    assert np.max(np.abs(spec.mixture(w) - np.einsum("n,nij->ij", w, spec.vertices))) < 1e-13
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -200,7 +245,7 @@ def test_depol_gate_thresholds():
 
 def test_depol_gate_clifford_is_inside():
     spec = cliff_polytope(2)
-    r = threshold_depol_gate(2, np.eye(2), spec=spec)
+    r = threshold_depol_gate(2, np.eye(2))
     assert r.epsilon_star == 0.0
     assert r.method == "lp" and r.witness is None and r.margin is None
     resid = np.einsum("n,nij->ij", r.weights, spec.vertices) - choi_of_unitary(np.eye(2))
@@ -213,8 +258,8 @@ def test_lp_threshold_two_sided_evidence(p):
     against every vertex, at eps* - bracket."""
     spec = cliff_polytope(p)
     u = gate_exponents(p, ROBUST_GATE_PARAMS[p]).matrix()
-    r = threshold_depol_gate(p, u, spec=spec)
-    assert r.method == "lp" and r.pivots > 0
+    r = lp_threshold(spec, depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0), 1.0)
+    assert r.method == "lp" and r.pivots > 0 and r.orbits == spec.n_vertices
     assert 0.0 < r.bracket <= 1e-6
     w = r.weights
     assert w.shape == (spec.n_vertices,) and w.min() >= 0.0
@@ -260,16 +305,54 @@ def test_lp_threshold_matches_highs(p):
     c[-1] = 1.0
     res = optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
     assert res.status == 0
-    ours = threshold_depol_gate(p, u, spec=spec).epsilon_star
-    assert abs(ours - res.fun) < 1e-7
+    full = lp_threshold(spec, start, end, 1.0).epsilon_star
+    orbit = threshold_depol_gate(p, u).epsilon_star
+    assert abs(full - res.fun) < 1e-7
+    assert abs(orbit - res.fun) < 1e-7
 
 
-@pytest.mark.skipif(not os.environ.get("QUDITGATES_EXTENDED"),
-                    reason="extended p=5 run (minutes); set QUDITGATES_EXTENDED=1")
-def test_depol_gate_threshold_p5_extended():
-    u5 = gate_exponents(5, ROBUST_GATE_PARAMS[5]).matrix()
-    r5 = threshold_depol_gate(5, u5)
-    assert abs(100 * r5.epsilon_star - 95.24) < 0.1
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_orbit_lp_matches_full_lp(p):
+    """The full LP over every vertex is the oracle; at p=5 it takes ~20 s."""
+    u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
+    orbit = threshold_depol_gate(p, u)
+    full = lp_threshold(cliff_polytope(p), depolarized_choi(p, u, 0.0),
+                        depolarized_choi(p, u, 1.0), 1.0)
+    assert abs(orbit.epsilon_star - full.epsilon_star) < 1e-9
+    assert orbit.orbits < full.orbits == cliff_polytope(p).n_vertices
+
+
+@pytest.mark.parametrize("p,orbits,pct", [(2, 5, 45.308184), (3, 14, 78.632683),
+                                          (5, 36, 95.238095), (7, 66, 97.631108)])
+def test_orbit_lp_counts_and_values(p, orbits, pct):
+    r = threshold_depol_gate(p, gate_matrix(p, ROBUST_GATE_PARAMS[p]))
+    assert r.method == "lp" and r.orbits == orbits
+    assert abs(100 * r.epsilon_star - pct) < 1e-5
+
+
+def test_orbit_lp_evidence_over_every_p7_vertex():
+    """Weights and witness of the 66-orbit LP, checked against all 16464
+    Clifford Choi states rather than against the orbit averages."""
+    spec = cliff_polytope(7)
+    u = gate_matrix(7, ROBUST_GATE_PARAMS[7])
+    r = threshold_depol_gate(7, u)
+    w = r.weights
+    assert w.shape == (16464,) and w.min() >= 0.0 and abs(w.sum() - 1.0) < 1e-12
+    resid = spec.mixture(w) - depolarized_choi(7, u, r.epsilon_star)
+    assert np.max(np.abs(resid)) <= 10 * LP_TOL
+    assert 0.0 < r.bracket <= 1e-7
+    below = depolarized_choi(7, u, r.epsilon_star - r.bracket)
+    margin = verify_certificate(spec, below, r.witness, floor=0.0)
+    assert margin == pytest.approx(r.margin) and margin > 0.0
+
+
+@pytest.mark.parametrize("p,u", [
+    (2, np.diag([1.0, np.exp(0.3j)])),                               # not third level
+    (3, np.exp(2j * np.pi / 3 * np.outer(np.arange(3), np.arange(3))) / np.sqrt(3)),  # Fourier
+])
+def test_orbit_lp_rejects_gates_without_the_symmetry(p, u):
+    with pytest.raises(SymmetryViolation):
+        threshold_depol_gate(p, u)
 
 
 def test_dilution_round_trip():
@@ -312,10 +395,10 @@ def test_uqc_bounds_all_dimensions():
     assert b3.upper_provenance == "computed"
     b5 = uqc_bounds(5, cfg)
     assert abs(100 * b5.lower - 80.61) < 0.05
-    assert b5.upper == 0.9524 and b5.upper_provenance == "paper-recorded"
+    assert abs(100 * b5.upper - 95.24) < 0.005 and b5.upper_provenance == "computed"
     b7 = uqc_bounds(7, cfg)
     assert abs(100 * b7.lower - 72.24) < 0.05
-    assert b7.upper == 0.9763 and b7.upper_provenance == "paper-recorded"
+    assert abs(100 * b7.upper - 97.63) < 0.005 and b7.upper_provenance == "computed"
 
 
 def test_uqc_bounds_missing_key():
