@@ -195,6 +195,13 @@ def _self_check(args, payload: dict, checks) -> int:
     return 3 if mismatches else 0
 
 
+def _depol_gate_check(command: str, p: int, pct: float) -> tuple:
+    """The ``--self-check`` of a depolarising-gate cell against the recorded
+    table: a fixed 0.05 percentage points whatever ``--tol`` says, since
+    the computed 45.3082% is 0.012 points from the printed 45.32%."""
+    return (f"{command} p={p} depol_gate_pct", pct, 100 * RECORDED_DEPOL_GATE[p], 0.05)
+
+
 def cmd_table1(args) -> int:
     started = time.perf_counter()
 
@@ -251,8 +258,7 @@ def cmd_table2(args) -> int:
                        100 * RECORDED_PD_GATE[p], tol_pct))
         checks.append((f"table2 p={p} negativity", cells["negativity"]["value"],
                        RECORDED_NEGATIVITY[p], tol_neg))
-        checks.append((f"table2 p={p} depol_gate_pct", cells["depol_gate_pct"]["value"],
-                       100 * RECORDED_DEPOL_GATE[p], 0.05))
+        checks.append(_depol_gate_check("table2", p, cells["depol_gate_pct"]["value"]))
     payload = {"table": "robustness-negativity", "rows": rows,
                "wall_time_s": round(time.perf_counter() - started, 6)}
     return _self_check(args, payload, checks)
@@ -335,13 +341,15 @@ def cmd_negativity(args) -> int:
 
 
 def _evidence(r) -> dict:
-    """How a threshold was computed; LP cells add pivots, the orbit count
-    (vertex columns) of the LP and the margin of the witness that
-    separates the target just below the threshold."""
+    """How a threshold was computed; LP cells add pivots, refactorisations
+    and whether Bland's rule took over, the orbit count (vertex columns)
+    of the LP and the margin of the witness that separates the target
+    just below the threshold."""
     if r.method != "lp":
         return {"method": r.method}
-    return {"method": r.method, "lp_pivots": r.pivots, "orbits": r.orbits,
-            "certificate_margin": r.margin}
+    return {"method": r.method, "lp_pivots": r.pivots,
+            "lp_refactorisations": r.refactorisations, "lp_bland": r.bland,
+            "orbits": r.orbits, "certificate_margin": r.margin}
 
 
 def cmd_threshold(args) -> int:
@@ -362,6 +370,7 @@ def cmd_threshold(args) -> int:
         tol = args.tol if args.tol is not None else 0.005
         checks.append((f"threshold p={args.p} pd_gate_pct", out["pd_gate_pct"],
                        100 * RECORDED_PD_GATE[args.p], tol))
+        checks.append(_depol_gate_check("threshold", args.p, out["depol_gate_pct"]))
     rep = _report("threshold", {"p": args.p, "params": list(g.astuple())},
                   out, started)
     rep["provenance"] = prov

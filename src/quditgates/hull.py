@@ -141,12 +141,17 @@ class PolytopeSpec:
         return (self.kets.T * w) @ self.kets.conj()
 
     def system(self) -> np.ndarray:
-        """Columns [vec(V_i); 1], cached for reuse across LP calls."""
+        """Columns [vec(V_i); 1], cached for reuse across LP calls.
+
+        C-ordered: the simplex prices against this array in place, and its
+        pivot path depends on the layout (see ``_simplex``).
+        """
         if self._system is None:
+            system = np.ones((self.dim ** 2 + 1, self.n_vertices))
             # 1024 projectors at a time: at p = 7 all of them take 632 MB.
-            cols = np.concatenate([herm_to_vec(_projectors(self.kets[lo:lo + 1024]))
-                                   for lo in range(0, self.n_vertices, 1024)])
-            self._system = np.vstack([cols.T, np.ones((1, self.n_vertices))])
+            for lo in range(0, self.n_vertices, 1024):
+                system[:-1, lo:lo + 1024] = herm_to_vec(_projectors(self.kets[lo:lo + 1024])).T
+            self._system = system
         return self._system
 
 
@@ -188,30 +193,53 @@ class LPOutcome:
     certificate: np.ndarray | None  # separating Hermitian witness otherwise
     objective: float                # phase-1 optimum (0 up to lpTol if feasible)
     iterations: int
+    refactorisations: int = 0       # basis-inverse refactorisations in the pivots
+    bland: bool = False             # whether the pivots switched to Bland's rule
 
 
-def _pivot_loop(cols, rhs, cost, basis, binv, xb, banned, n, forced):
+def _basis_matrix(a, sign, basis):
+    """The basis columns of [diag(sign) A | I], Fortran-ordered for inv."""
+    n = a.shape[1]
+    bm = np.zeros((len(basis), len(basis)), order="F")
+    real = basis < n
+    bm[:, real] = a[:, basis[real]] * sign[:, None]
+    art = np.flatnonzero(~real)
+    bm[basis[art] - n, art] = 1.0
+    return bm
+
+
+def _pivot_loop(a, sign, rhs, cost, basis, binv, xb, forced):
     """Revised-simplex pivots minimising ``cost`` from the given basis.
 
+    The columns are those of [diag(sign) A | I], with the artificial
+    columns n, n+1, ... last; ``cost`` covers both parts.  Artificials
+    never enter (they start basic and are retired once they leave), so
+    only the structural columns are priced, against ``a`` itself: the
+    rows of A are signed through the multipliers and the entering
+    column, never copied.  Multiplying by +-1 is exact, and with ``a``
+    C-ordered each dot product runs as on the signed copy.
+
     Refactorises the basis inverse every 100 pivots to keep roundoff in
-    check.  Pricing is Dantzig, falling back to Bland's rule after a long
-    degenerate run (anti-cycling).  With ``forced`` (phase 2) an
-    artificial still basic is treated as zero and leaves at ratio 0
-    whenever the entering column touches its row, whatever the sign.
-    Updates ``basis`` in place; returns (binv, xb, iters).
+    check and updates it in place between.  Pricing is Dantzig, falling
+    back to Bland's rule after a long degenerate run (anti-cycling).
+    With ``forced`` (phase 2) an artificial still basic is treated as
+    zero and leaves at ratio 0 whenever the entering column touches its
+    row, whatever the sign.  Updates ``basis`` in place; returns
+    (binv, xb, iters, refactorisations, bland).
     """
-    m = len(basis)
+    m, n = a.shape
     piv_tol = 1e-9
     stall = 0
     bland = False
+    refactorisations = 0
     for it in range(10000 + 60 * m):
         if it % 100 == 99:
-            binv = np.linalg.inv(cols[:, basis])
+            binv = np.linalg.inv(_basis_matrix(a, sign, basis))
             xb = np.maximum(binv @ rhs, 0.0)
+            refactorisations += 1
         y = cost[basis] @ binv
-        rc = cost - y @ cols
-        rc[banned] = np.inf
-        rc[basis] = np.inf
+        rc = cost[:n] - (y * sign) @ a
+        rc[basis[basis < n]] = np.inf
         if bland:
             cand = np.flatnonzero(rc < -piv_tol)
             if cand.size == 0:
@@ -221,7 +249,7 @@ def _pivot_loop(cols, rhs, cost, basis, binv, xb, banned, n, forced):
             j = int(np.argmin(rc))
             if rc[j] >= -piv_tol:
                 break
-        d = binv @ cols[:, j]
+        d = binv @ (a[:, j] * sign)
         dmax = float(np.max(np.abs(d))) if d.size else 0.0
         d_tol = 1e-9 * max(1.0, dmax)
         pos = d > d_tol
@@ -234,13 +262,11 @@ def _pivot_loop(cols, rhs, cost, basis, binv, xb, banned, n, forced):
             raise NumericalInstability("unbounded pivot column in the simplex")
         ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))
         r = int(ties[np.argmax(np.abs(d[ties]))])  # largest pivot for stability
-        if basis[r] >= n:
-            banned[basis[r]] = True
         step = ratios[r]
         xb = np.maximum(xb - step * d, 0.0)
         xb[r] = step
         pivot_row = binv[r] / d[r]
-        binv = binv - np.outer(d, pivot_row)
+        binv -= d[:, None] * pivot_row
         binv[r] = pivot_row
         basis[r] = j
         if step < 1e-13:
@@ -252,33 +278,37 @@ def _pivot_loop(cols, rhs, cost, basis, binv, xb, banned, n, forced):
     else:
         raise NumericalInstability(
             f"phase-{2 if forced else 1} simplex did not terminate")
-    return binv, xb, it + 1
+    return binv, xb, it + 1, refactorisations, bland
 
 
 def _simplex(a: np.ndarray, b: np.ndarray, lp_tol: float,
              cost: np.ndarray | None = None):
     """Phase 1 for A w = b, w >= 0; then, given ``cost``, phase 2.
 
+    Rows with b_i < 0 are negated so that the all-artificial basis starts
+    feasible; ``a`` itself is read, never copied, so a cached system costs
+    nothing per call.  Keep it C-ordered: the pricing products then sum in
+    the order they did over the signed copy [diag(sign) A | I] that this
+    code once built, and the pivot path stays the same bit for bit.
     Phase 1 minimises the artificial total from the all-artificial basis,
     retiring artificial columns once they leave it.  Phase 2 runs only if
     phase 1 reaches ``lp_tol`` (else NumericalInstability): it minimises
     ``cost . w`` from the phase-1 basis with every artificial barred from
-    entering.  Returns (objective, w, y, iters) for the last phase run,
-    with y its simplex multipliers in the original row signs and iters
-    the pivots of both phases.
+    entering.  Returns (objective, w, y, iters, refactorisations, bland)
+    for the last phase run, with y its simplex multipliers in the original
+    row signs; the counters cover both phases, and ``bland`` tells whether
+    either switched to Bland's rule.
     """
     m, n = a.shape
     sign = np.where(b < 0.0, -1.0, 1.0)
-    cols = np.hstack([a * sign[:, None], np.eye(m)])
     rhs = b * sign
     phase_cost = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
-    banned = np.zeros(n + m, dtype=bool)
-    binv, xb, iters = _pivot_loop(cols, rhs, phase_cost, basis, np.eye(m),
-                                  rhs.copy(), banned, n, forced=False)
+    binv, xb, iters, refactorisations, bland = _pivot_loop(
+        a, sign, rhs, phase_cost, basis, np.eye(m), rhs.copy(), forced=False)
 
     def refactor(c):
-        binv = np.linalg.inv(cols[:, basis])
+        binv = np.linalg.inv(_basis_matrix(a, sign, basis))
         xb = np.maximum(binv @ rhs, 0.0)
         w = np.zeros(n + m)
         w[basis] = xb
@@ -287,15 +317,15 @@ def _simplex(a: np.ndarray, b: np.ndarray, lp_tol: float,
 
     binv, xb, objective, w, y = refactor(phase_cost)
     if cost is None:
-        return objective, w, y, iters
+        return objective, w, y, iters, refactorisations, bland
     if objective > lp_tol:
         raise NumericalInstability("no feasible point to start phase 2 from")
     phase_cost = np.concatenate([cost, np.zeros(m)])
-    banned[n:] = True
-    binv, xb, more = _pivot_loop(cols, rhs, phase_cost, basis, binv, xb,
-                                 banned, n, forced=True)
+    binv, xb, more, more_refactorisations, more_bland = _pivot_loop(
+        a, sign, rhs, phase_cost, basis, binv, xb, forced=True)
     _, _, objective, w, y = refactor(phase_cost)
-    return objective, w, y, iters + more
+    return (objective, w, y, iters + more, refactorisations + more_refactorisations,
+            bland or more_bland)
 
 
 def _check_target(spec: PolytopeSpec, target: np.ndarray) -> np.ndarray:
@@ -313,10 +343,10 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray,
     target = _check_target(spec, target)
     a = spec.system()
     b = np.concatenate([herm_to_vec(target), [1.0]])
-    objective, w, y, iters = _simplex(a, b, lp_tol)
+    objective, w, y, *counts = _simplex(a, b, lp_tol)
 
     if objective <= lp_tol:
-        out = LPOutcome(True, w, None, objective, iters)
+        out = LPOutcome(True, w, None, objective, *counts)
         if verify:
             resid = spec.mixture(w) - target
             if np.max(np.abs(resid)) > 10 * lp_tol:
@@ -327,7 +357,7 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray,
     # y . b = objective > 0.  With y = (u, y0) this gives the Hermitian
     # separator below, normalised to unit spectral radius.
     wit, scale = _witness(spec, y)
-    out = LPOutcome(False, None, wit, objective, iters)
+    out = LPOutcome(False, None, wit, objective, *counts)
     if verify:
         # Targets barely outside the hull cannot separate by the full
         # lp_tol after spectral normalisation; hold them to half the
@@ -373,6 +403,8 @@ class ThresholdResult:
     margin: float | None = None         # LP: the witness's separation margin
     pivots: int = 0                     # LP: simplex pivots, both phases
     orbits: int = 0                     # LP: vertex columns, one per orbit
+    refactorisations: int = 0           # LP: basis-inverse refactorisations
+    bland: bool = False                 # LP: whether the pivots switched to Bland's rule
 
 
 def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
@@ -414,7 +446,7 @@ def _solve_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     b = np.append(rows(start), 1.0)
     cost = np.zeros(a.shape[1])
     cost[-1] = 1.0
-    _, x, y, pivots = _simplex(a, b, LP_TOL, cost)
+    _, x, y, pivots, refactorisations, bland = _simplex(a, b, LP_TOL, cost)
     eps_star = float(x[-1])
     if eps_star > hi:
         raise NumericalInstability(
@@ -432,14 +464,16 @@ def _solve_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
         raise NumericalInstability("threshold weights fail to reproduce the target")
     if eps_star == 0.0:
         return ThresholdResult(0.0, 0.0, "lp", weights=w, pivots=pivots,
-                               orbits=len(sizes))
+                               orbits=len(sizes), refactorisations=refactorisations,
+                               bland=bland)
     if basis is not None:
         y = np.append(basis @ y[:-1], y[-1])
     delta = min(THRESHOLD_DELTA, eps_star)
     wit, scale = _witness(spec, y)
     margin = verify_certificate(spec, target(eps_star - delta), wit,
                                 floor=min(LP_TOL, 0.5 * delta / scale))
-    return ThresholdResult(eps_star, delta, "lp", w, wit, margin, pivots, len(sizes))
+    return ThresholdResult(eps_star, delta, "lp", w, wit, margin, pivots, len(sizes),
+                           refactorisations, bland)
 
 
 def _phase_keys(kets: np.ndarray) -> list:

@@ -48,6 +48,7 @@ def test_threshold_reports_lp_evidence(capsys):
     assert ev["depol_state_pct"] == {"method": "closed-form"}
     lp = ev["depol_gate_pct"]
     assert lp["method"] == "lp" and lp["lp_pivots"] > 0 and lp["orbits"] == 14
+    assert lp["lp_refactorisations"] == 0 and lp["lp_bland"] is False
     assert lp["certificate_margin"] > 0.0
     assert abs(payload["outputs"]["depol_gate_pct"] - 78.6327) < 1e-4
 
@@ -234,6 +235,21 @@ def test_self_check_tight_tol_reports_each_mismatch(capsys, argv):
     lines = captured.err.splitlines()
     assert lines == reported and lines
     assert all(MISMATCH.match(line) for line in lines), lines
+
+
+@pytest.mark.parametrize("command", ("table2", "threshold"))
+def test_self_check_holds_depol_gate_cell_to_fixed_band(capsys, monkeypatch, command):
+    """Both commands check the computed cell against the recorded table at
+    0.05 percentage points, whatever ``--tol`` says."""
+    rc, payload = run_json(capsys, command, "--p", "5", "--self-check")
+    assert rc == 0 and payload["self_check"] == "ok"
+    monkeypatch.setitem(cli.RECORDED_DEPOL_GATE, 5, 0.90)
+    rc = main([command, "--p", "5", "--self-check"])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 3
+    assert len(lines) == 1
+    assert re.fullmatch(rf"{command} p=5 depol_gate_pct: computed 95\.2381 vs recorded 90 "
+                        r"\(tol 0\.05\)", lines[0]), lines
 
 
 def test_table1_self_check(capsys, monkeypatch):

@@ -355,6 +355,178 @@ def test_orbit_lp_rejects_gates_without_the_symmetry(p, u):
         threshold_depol_gate(p, u)
 
 
+# The simplex before it priced against the structural matrix in place,
+# kept as an oracle: it builds the dense signed system [A diag(sign) | I],
+# prices every column, artificials included, and allocates a new basis
+# inverse at every pivot.
+
+def _oracle_pivot_loop(cols, rhs, cost, basis, binv, xb, banned, n, forced):
+    m = len(basis)
+    piv_tol = 1e-9
+    stall = 0
+    bland = False
+    for it in range(10000 + 60 * m):
+        if it % 100 == 99:
+            binv = np.linalg.inv(cols[:, basis])
+            xb = np.maximum(binv @ rhs, 0.0)
+        y = cost[basis] @ binv
+        rc = cost - y @ cols
+        rc[banned] = np.inf
+        rc[basis] = np.inf
+        if bland:
+            cand = np.flatnonzero(rc < -piv_tol)
+            if cand.size == 0:
+                break
+            j = int(cand[0])
+        else:
+            j = int(np.argmin(rc))
+            if rc[j] >= -piv_tol:
+                break
+        d = binv @ cols[:, j]
+        dmax = float(np.max(np.abs(d))) if d.size else 0.0
+        d_tol = 1e-9 * max(1.0, dmax)
+        pos = d > d_tol
+        ratios = np.full(m, np.inf)
+        ratios[pos] = xb[pos] / d[pos]
+        if forced:
+            ratios[(basis >= n) & (np.abs(d) > d_tol)] = 0.0
+        best = float(ratios.min())
+        if best == np.inf:
+            raise NumericalInstability("unbounded pivot column in the simplex")
+        ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))
+        r = int(ties[np.argmax(np.abs(d[ties]))])
+        if basis[r] >= n:
+            banned[basis[r]] = True
+        step = ratios[r]
+        xb = np.maximum(xb - step * d, 0.0)
+        xb[r] = step
+        pivot_row = binv[r] / d[r]
+        binv = binv - np.outer(d, pivot_row)
+        binv[r] = pivot_row
+        basis[r] = j
+        if step < 1e-13:
+            stall += 1
+            if stall > 8 * m:
+                bland = True
+        else:
+            stall = 0
+    else:
+        raise NumericalInstability("simplex did not terminate")
+    return binv, xb, it + 1
+
+
+def _oracle_simplex(a, b, lp_tol, cost=None):
+    m, n = a.shape
+    sign = np.where(b < 0.0, -1.0, 1.0)
+    cols = np.hstack([a * sign[:, None], np.eye(m)])
+    rhs = b * sign
+    phase_cost = np.concatenate([np.zeros(n), np.ones(m)])
+    basis = np.arange(n, n + m)
+    banned = np.zeros(n + m, dtype=bool)
+    binv, xb, iters = _oracle_pivot_loop(cols, rhs, phase_cost, basis, np.eye(m),
+                                         rhs.copy(), banned, n, forced=False)
+
+    def refactor(c):
+        binv = np.linalg.inv(cols[:, basis])
+        xb = np.maximum(binv @ rhs, 0.0)
+        w = np.zeros(n + m)
+        w[basis] = xb
+        y = (c[basis] @ binv) * sign
+        return binv, xb, float(c[basis] @ xb), np.maximum(w[:n], 0.0), y
+
+    binv, xb, objective, w, y = refactor(phase_cost)
+    if cost is None:
+        return objective, w, y, iters
+    if objective > lp_tol:
+        raise NumericalInstability("no feasible point to start phase 2 from")
+    phase_cost = np.concatenate([cost, np.zeros(m)])
+    banned[n:] = True
+    binv, xb, more = _oracle_pivot_loop(cols, rhs, phase_cost, basis, binv, xb,
+                                        banned, n, forced=True)
+    _, _, objective, w, y = refactor(phase_cost)
+    return objective, w, y, iters + more
+
+
+def _assert_matches_oracle(args, got):
+    objective, w, y, iters = _oracle_simplex(*args)
+    assert got[0] == objective
+    assert np.array_equal(got[1], w) and np.array_equal(got[2], y)
+    assert got[3] == iters
+
+
+def _simplex_calls(monkeypatch, run):
+    """Run ``run()`` and return (args, result) of each ``hull._simplex`` call."""
+    calls = []
+    real = hull._simplex
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(hull, "_simplex", spy)
+    out = run()
+    monkeypatch.undo()
+    return calls, out
+
+
+@pytest.mark.parametrize("make", (stab_polytope, equatorial_polytope, cliff_polytope))
+@pytest.mark.parametrize("p", (2, 3))
+def test_membership_pivots_match_dense_oracle(monkeypatch, make, p):
+    """The same pivots, bit for bit, on targets inside and outside."""
+    spec = make(p)
+    inside = spec.mixture(np.full(spec.n_vertices, 1.0 / spec.n_vertices))
+    if spec.name == "CLIFF":
+        outside = choi_of_unitary(gate_matrix(p, ROBUST_GATE_PARAMS[p]))
+    else:
+        psi = gate_state(p, ROBUST_GATE_PARAMS[p])
+        outside = np.outer(psi, psi.conj())
+    feasible = []
+    for target in (inside, outside):
+        calls, out = _simplex_calls(monkeypatch, lambda: lp_membership(spec, target))
+        ((args, got),) = calls
+        _assert_matches_oracle(args, got)
+        assert (out.iterations, out.refactorisations, out.bland) == tuple(got[3:])
+        feasible.append(out.feasible)
+    assert feasible == [True, False]
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_lp_threshold_pivots_match_dense_oracle(monkeypatch, p):
+    """Phase 2 too: the full threshold LP over every CLIFF vertex."""
+    u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
+    calls, r = _simplex_calls(monkeypatch, lambda: lp_threshold(
+        cliff_polytope(p), depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0), 1.0))
+    ((args, got),) = calls
+    assert args[3] is not None
+    _assert_matches_oracle(args, got)
+    assert (r.pivots, r.refactorisations, r.bland) == tuple(got[3:])
+
+
+@pytest.mark.parametrize("phase2", (False, True))
+def test_seeded_lp_matches_dense_oracle_through_refactorisations(monkeypatch, phase2):
+    rng = np.random.default_rng(0)
+    a = np.vstack([rng.normal(size=(59, 600)), np.ones((1, 600))])
+    b = a @ rng.dirichlet(np.ones(600))
+    args = (a, b, LP_TOL, rng.normal(size=600) if phase2 else None)
+    inverses = []
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(m) or real_inv(m))
+    got = hull._simplex(*args)
+    monkeypatch.undo()
+    _assert_matches_oracle(args, got)
+    iters, refactorisations, bland = got[3:]
+    # one inverse at the end of each phase, the rest every 100 pivots
+    assert refactorisations == len(inverses) - 1 - phase2
+    assert refactorisations >= phase2 and not bland
+    assert all(m.flags.f_contiguous for m in inverses)
+
+
+def test_systems_are_c_ordered():
+    """The pivot path depends on the layout the simplex prices against."""
+    for spec in (stab_polytope(3), equatorial_polytope(3), cliff_polytope(5)):
+        assert spec.system().flags.c_contiguous
+
+
 def test_dilution_round_trip():
     grid = np.linspace(0.0, 1.0, 1001)
     for p in (2, 3, 5, 7):
