@@ -217,7 +217,8 @@ def _pivot_loop(a, sign, rhs, cost, basis, binv, xb, forced):
     only the structural columns are priced, against ``a`` itself: the
     rows of A are signed through the multipliers and the entering
     column, never copied.  Multiplying by +-1 is exact, and with ``a``
-    C-ordered each dot product runs as on the signed copy.
+    C-ordered each dot product sums in the order it does over the dense
+    signed system, so the pivots are those of the dense loop bit for bit.
 
     Refactorises the basis inverse every 100 pivots to keep roundoff in
     check and updates it in place between.  Pricing is Dantzig, falling
@@ -287,9 +288,9 @@ def _simplex(a: np.ndarray, b: np.ndarray, lp_tol: float,
 
     Rows with b_i < 0 are negated so that the all-artificial basis starts
     feasible; ``a`` itself is read, never copied, so a cached system costs
-    nothing per call.  Keep it C-ordered: the pricing products then sum in
-    the order they did over the signed copy [diag(sign) A | I] that this
-    code once built, and the pivot path stays the same bit for bit.
+    nothing per call.  Keep it C-ordered: the pivot path then matches, bit
+    for bit, that of a dense loop over [diag(sign) A | I], which the tests
+    keep as an oracle.
     Phase 1 minimises the artificial total from the all-artificial basis,
     retiring artificial columns once they leave it.  Phase 2 runs only if
     phase 1 reaches ``lp_tol`` (else NumericalInstability): it minimises

@@ -240,7 +240,7 @@ def test_self_check_tight_tol_reports_each_mismatch(capsys, argv):
 @pytest.mark.parametrize("command", ("table2", "threshold"))
 def test_self_check_holds_depol_gate_cell_to_fixed_band(capsys, monkeypatch, command):
     """Both commands check the computed cell against the recorded table at
-    0.05 percentage points, whatever ``--tol`` says."""
+    a fixed 0.05 percentage points."""
     rc, payload = run_json(capsys, command, "--p", "5", "--self-check")
     assert rc == 0 and payload["self_check"] == "ok"
     monkeypatch.setitem(cli.RECORDED_DEPOL_GATE, 5, 0.90)
