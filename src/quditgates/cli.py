@@ -195,11 +195,11 @@ def _self_check(args, payload: dict, checks) -> int:
     return 3 if mismatches else 0
 
 
-def _depol_gate_check(command: str, p: int, pct: float) -> tuple:
+def _depol_gate_check(command: str, p: int, cell: str, pct: float) -> tuple:
     """The ``--self-check`` of a depolarising-gate cell against the recorded
     table: a fixed 0.05 percentage points whatever ``--tol`` says, since
     the computed 45.3082% is 0.012 points from the printed 45.32%."""
-    return (f"{command} p={p} depol_gate_pct", pct, 100 * RECORDED_DEPOL_GATE[p], 0.05)
+    return (f"{command} p={p} {cell}", pct, 100 * RECORDED_DEPOL_GATE[p], 0.05)
 
 
 def cmd_table1(args) -> int:
@@ -242,7 +242,7 @@ def cmd_table2(args) -> int:
         depol = threshold_depol_gate(p, gate_matrix(p, g))
         cells = {
             "depol_gate_pct": _cell(100 * depol.epsilon_star),
-            "pd_gate_pct": _cell(100 * threshold_pd_gate(p, psi, "closed").epsilon_star),
+            "pd_gate_pct": _cell(100 * threshold_pd_gate(p, psi).epsilon_star),
             "negativity": _cell(negativity(p, psi).value),
             "choi_negativity": _cell(RECORDED_CHOI_NEGATIVITY[p], PROV_RECORDED),
         }
@@ -258,7 +258,8 @@ def cmd_table2(args) -> int:
                        100 * RECORDED_PD_GATE[p], tol_pct))
         checks.append((f"table2 p={p} negativity", cells["negativity"]["value"],
                        RECORDED_NEGATIVITY[p], tol_neg))
-        checks.append(_depol_gate_check("table2", p, cells["depol_gate_pct"]["value"]))
+        checks.append(_depol_gate_check("table2", p, "depol_gate_pct",
+                                        cells["depol_gate_pct"]["value"]))
     payload = {"table": "robustness-negativity", "rows": rows,
                "wall_time_s": round(time.perf_counter() - started, 6)}
     return _self_check(args, payload, checks)
@@ -279,11 +280,15 @@ def cmd_table3(args) -> int:
     tol = args.tol if args.tol is not None else 0.05
     checks = []
     for r in rows:
-        p = r["p"]
-        for name, want in (("lower_pct", RECORDED_UQC_LOWER[p]),
-                           ("upper_pct", RECORDED_DEPOL_GATE[p])):
-            checks.append((f"table3 p={p} {name}", r["cells"][name]["value"],
-                           100 * want, tol))
+        p, lower = r["p"], r["cells"]["lower_pct"]
+        # A computed lower bound (p=2) is the depolarising-gate cell itself.
+        if lower["provenance"] == PROV_COMPUTED:
+            checks.append(_depol_gate_check("table3", p, "lower_pct", lower["value"]))
+        else:
+            checks.append((f"table3 p={p} lower_pct", lower["value"],
+                           100 * RECORDED_UQC_LOWER[p], tol))
+        checks.append(_depol_gate_check("table3", p, "upper_pct",
+                                        r["cells"]["upper_pct"]["value"]))
     payload = {"table": "uqc-bounds", "rows": rows,
                "wall_time_s": round(time.perf_counter() - started, 6)}
     return _self_check(args, payload, checks)
@@ -370,7 +375,8 @@ def cmd_threshold(args) -> int:
         tol = args.tol if args.tol is not None else 0.005
         checks.append((f"threshold p={args.p} pd_gate_pct", out["pd_gate_pct"],
                        100 * RECORDED_PD_GATE[args.p], tol))
-        checks.append(_depol_gate_check("threshold", args.p, out["depol_gate_pct"]))
+        checks.append(_depol_gate_check("threshold", args.p, "depol_gate_pct",
+                                        out["depol_gate_pct"]))
     rep = _report("threshold", {"p": args.p, "params": list(g.astuple())},
                   out, started)
     rep["provenance"] = prov

@@ -310,21 +310,20 @@ class EdgeScanResult:
     window_flat_count: int
 
 
-def edge_scan(p: int, target: float | None = None, window: float = 1e-4,
-              flat_tol: float = 1e-6) -> EdgeScanResult:
+def edge_scan(p: int, target: float | None = None, window: float = 1e-4) -> EdgeScanResult:
     """Scan all p^p edge facets for their minimal eigenvalues.
 
     When ``target`` is given, counts edges whose smallest eigenvalue lies
     within ``window`` of it, and among those how many have a minimising
-    eigenvector with flat amplitude profile |v_i| = p**-0.5 (the signature
-    of a diagonal-gate +1 superposition image).
+    eigenvector with flat amplitude profile |v_i| = p**-0.5 to 1e-6 (the
+    signature of a diagonal-gate +1 superposition image).
     """
     _pauli_index_shifts(p)
     lam1 = _edge_orbit_eigenvalues(p)[:, 0]
     mask = np.zeros(len(lam1), bool) if target is None else np.abs(lam1 - target) <= window
     ops = _edge_orbit_representatives(p, np.flatnonzero(mask))
     lead = np.abs(np.linalg.eigh(ops)[1][:, :, 0])
-    flat = np.sum(np.max(np.abs(lead - p ** -0.5), axis=1) <= flat_tol)
+    flat = np.sum(np.max(np.abs(lead - p ** -0.5), axis=1) <= 1e-6)
     return EdgeScanResult(min_eigenvalue=float(lam1.min()), n_edges=p ** p,
                           window_count=p * p * int(mask.sum()),
                           window_flat_count=p * p * int(flat))

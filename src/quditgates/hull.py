@@ -10,17 +10,17 @@ holds iff the phase-1 objective reaches lpTol; otherwise the phase-1 dual
 yields a separating Hermitian witness, which plays the role of the
 (unknown) facet description of the Clifford polytope.
 
-Thresholds along the depolarising/phase-damping noise paths follow either
-from the closed forms tied to facet geometry or from one LP that adds the
-noise rate eps as a column and minimises it in a phase 2 of the same
-simplex (``lp_threshold``).  Its weights show the target inside at eps*
-and its phase-2 dual a witness separating it just below; the closed-form
-and LP routes are kept independent on purpose.
+The state and dephasing thresholds follow from closed forms tied to facet
+geometry.  ``lp_threshold`` is the one LP route to a threshold: it adds
+the noise rate eps as a column and minimises it in a phase 2 of the same
+simplex, over the orbits of optional maps that fix the noise path and
+permute the vertices (with none, each vertex is its own orbit).  Its
+weights show the target inside at eps* and its phase-2 dual a witness
+separating it just below; the tests hold the closed forms against it.
 
-The depolarising-gate threshold solves that LP over the orbits of maps
-that fix its path and permute the Clifford vertices, 66 orbits instead of
-16464 vertices at p = 7.  Vertices are stored as kets; weights and
-witnesses are checked against every one.
+The depolarising-gate threshold is that LP over Clifford orbits, 66
+columns instead of 16464 vertices at p = 7.  Vertices are stored as kets;
+weights and witnesses are checked against every one.
 """
 
 from __future__ import annotations
@@ -31,15 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingConfig, NumericalInstability, SymmetryViolation
-from .geometry import (
-    choi_ket,
-    depolarized_choi,
-    depolarized_state,
-    negativity,
-    phase_damped_state,
-    _as_density,
-)
-from .hierarchy import GateParams, gate_matrix
+from .geometry import choi_ket, depolarized_choi, negativity
+from .hierarchy import GateParams, gate_matrix, root_order
 from .weylheis import (
     CliffordLabel,
     check_dim,
@@ -338,34 +331,32 @@ def _check_target(spec: PolytopeSpec, target: np.ndarray) -> np.ndarray:
     return target
 
 
-def lp_membership(spec: PolytopeSpec, target: np.ndarray,
-                  lp_tol: float = LP_TOL, verify: bool = True) -> LPOutcome:
-    """Decide whether ``target`` lies in the hull of ``spec.vertices``."""
+def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
+    """Decide whether ``target`` lies in the hull of ``spec.vertices``.
+
+    The weights or the witness are checked before they are returned
+    (NumericalInstability if they fail).
+    """
     target = _check_target(spec, target)
     a = spec.system()
     b = np.concatenate([herm_to_vec(target), [1.0]])
-    objective, w, y, *counts = _simplex(a, b, lp_tol)
+    objective, w, y, *counts = _simplex(a, b, LP_TOL)
 
-    if objective <= lp_tol:
-        out = LPOutcome(True, w, None, objective, *counts)
-        if verify:
-            resid = spec.mixture(w) - target
-            if np.max(np.abs(resid)) > 10 * lp_tol:
-                raise NumericalInstability("feasible weights fail to reproduce the target")
-        return out
+    if objective <= LP_TOL:
+        resid = spec.mixture(w) - target
+        if np.max(np.abs(resid)) > 10 * LP_TOL:
+            raise NumericalInstability("feasible weights fail to reproduce the target")
+        return LPOutcome(True, w, None, objective, *counts)
 
     # Farkas witness: y . col_i <= 0 for every vertex column while
     # y . b = objective > 0.  With y = (u, y0) this gives the Hermitian
     # separator below, normalised to unit spectral radius.
     wit, scale = _witness(spec, y)
-    out = LPOutcome(False, None, wit, objective, *counts)
-    if verify:
-        # Targets barely outside the hull cannot separate by the full
-        # lp_tol after spectral normalisation; hold them to half the
-        # margin the dual predicts instead.
-        floor = min(lp_tol, 0.5 * objective / scale)
-        verify_certificate(spec, target, wit, lp_tol, floor=floor)
-    return out
+    # Targets barely outside the hull cannot separate by the full
+    # LP_TOL after spectral normalisation; hold them to half the
+    # margin the dual predicts instead.
+    verify_certificate(spec, target, wit, floor=min(LP_TOL, 0.5 * objective / scale))
+    return LPOutcome(False, None, wit, objective, *counts)
 
 
 def _witness(spec: PolytopeSpec, y: np.ndarray) -> tuple[np.ndarray, float]:
@@ -408,75 +399,6 @@ class ThresholdResult:
     bland: bool = False                 # LP: whether the pivots switched to Bland's rule
 
 
-def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
-                 hi: float) -> ThresholdResult:
-    """Least eps putting (1 - eps) start + eps end in the hull, by one LP.
-
-    Minimises eps over w >= 0, eps >= 0 subject to
-
-        sum_i w_i vec(V_i) + eps vec(start - end) = vec(start),  sum_i w_i = 1,
-
-    with one column per vertex; ``_solve_threshold`` checks the result.
-    """
-    start = _check_target(spec, start)
-    end = _check_target(spec, end)
-    return _solve_threshold(spec, start, end, hi, spec.system(),
-                            np.arange(spec.n_vertices), None)
-
-
-def _solve_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
-                     hi: float, cols: np.ndarray, orbit: np.ndarray,
-                     basis: np.ndarray | None) -> ThresholdResult:
-    """The threshold LP over one column [coords of an orbit average; 1] per
-    orbit, in the coordinates ``basis``^T vec (all of vec when None).
-
-    ``orbit`` holds the orbit of each vertex.  Each orbit's weight is
-    spread evenly over its members, which must reproduce the target at
-    eps* from all vertices.  The phase-2 multipliers, mapped back to full
-    coordinates as y = (vec G, y0), give W = -(G + y0 I) with
-    Tr[W V_i] >= 0 on every vertex and Tr[W target(eps)] = eps - eps*;
-    scaled to unit spectral radius, W must pass ``verify_certificate``
-    at eps* - THRESHOLD_DELTA.  A start already inside returns exactly
-    0.0 with no witness; eps* > hi raises NumericalInstability.
-    """
-    def rows(h):
-        v = herm_to_vec(h)
-        return v if basis is None else basis.T @ v
-
-    a = np.hstack([cols, np.append(rows(start - end), 0.0)[:, None]])
-    b = np.append(rows(start), 1.0)
-    cost = np.zeros(a.shape[1])
-    cost[-1] = 1.0
-    _, x, y, pivots, refactorisations, bland = _simplex(a, b, LP_TOL, cost)
-    eps_star = float(x[-1])
-    if eps_star > hi:
-        raise NumericalInstability(
-            f"threshold {eps_star:.9g} lies beyond the path end {hi:.9g}")
-    if eps_star <= LP_TOL:
-        eps_star = 0.0
-    sizes = np.bincount(orbit)
-    w = x[orbit] / sizes[orbit]
-
-    def target(eps):
-        return (1.0 - eps) * start + eps * end
-
-    resid = spec.mixture(w) - target(eps_star)
-    if np.max(np.abs(resid)) > 10 * LP_TOL:
-        raise NumericalInstability("threshold weights fail to reproduce the target")
-    if eps_star == 0.0:
-        return ThresholdResult(0.0, 0.0, "lp", weights=w, pivots=pivots,
-                               orbits=len(sizes), refactorisations=refactorisations,
-                               bland=bland)
-    if basis is not None:
-        y = np.append(basis @ y[:-1], y[-1])
-    delta = min(THRESHOLD_DELTA, eps_star)
-    wit, scale = _witness(spec, y)
-    margin = verify_certificate(spec, target(eps_star - delta), wit,
-                                floor=min(LP_TOL, 0.5 * delta / scale))
-    return ThresholdResult(eps_star, delta, "lp", w, wit, margin, pivots, len(sizes),
-                           refactorisations, bland)
-
-
 def _phase_keys(kets: np.ndarray) -> list:
     """One key per ket, equal for kets equal up to a global phase: the ket
     turned so its first entry above 1e-6 in modulus is real positive,
@@ -512,17 +434,31 @@ def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
         orbit = new
 
 
-def _orbit_threshold(spec: PolytopeSpec, maps, start: np.ndarray, end: np.ndarray,
-                     hi: float) -> ThresholdResult:
-    """``lp_threshold`` over the orbit averages of a symmetry group.
+def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
+                 hi: float, maps=()) -> ThresholdResult:
+    """Least eps putting (1 - eps) start + eps end in the hull, by one LP.
 
-    Each unitary in ``maps`` must permute the vertex kets up to a phase and
-    fix ``start`` and ``end`` (SymmetryViolation otherwise).  Averaging
-    over the group they generate then maps the hull onto the hull of the
-    orbit averages and fixes the path, so the least eps is the same with
-    one column per orbit.  The LP runs in an orthonormal basis of the span
-    of the averages, start and end; weights and witness are checked
-    against every vertex.
+    Minimises eps over w >= 0, eps >= 0 subject to
+
+        sum_i w_i vec(V_i) + eps vec(start - end) = vec(start),  sum_i w_i = 1,
+
+    with one column per orbit of the group the unitary ``maps`` generate
+    (Heinrich & Gross, arXiv:1807.10296); with no maps each vertex is its
+    own orbit.  Each map must permute the vertex kets up to a phase and fix
+    ``start`` and ``end`` (SymmetryViolation otherwise).  Averaging over the
+    group then maps the hull onto the hull of the orbit averages and fixes
+    the path, so the least eps is the same with one column per orbit.  The
+    LP runs in an orthonormal basis of the span of the averages, start and
+    end.
+
+    Each orbit's weight is spread evenly over its members, which must
+    reproduce the target at eps* from all vertices.  The phase-2
+    multipliers, mapped back to full coordinates as y = (vec G, y0), give
+    W = -(G + y0 I) with Tr[W V_i] >= 0 on every vertex and
+    Tr[W target(eps)] = eps - eps*; scaled to unit spectral radius, W must
+    pass ``verify_certificate`` at eps* - THRESHOLD_DELTA.  A start already
+    inside returns exactly 0.0 with no witness; eps* > hi raises
+    NumericalInstability.
     """
     start = _check_target(spec, start)
     end = _check_target(spec, end)
@@ -531,68 +467,86 @@ def _orbit_threshold(spec: PolytopeSpec, maps, start: np.ndarray, end: np.ndarra
             if np.max(np.abs(g @ h @ g.conj().T - h)) > 1e-10:
                 raise SymmetryViolation("a generator moves the threshold path")
     orbit = _ket_orbits(spec.kets, maps)
-    members = [spec.kets[orbit == o] for o in range(orbit.max() + 1)]
+    sizes = np.bincount(orbit)
+    # Stable, so each orbit keeps its members in index order.
+    members = np.split(spec.kets[np.argsort(orbit, kind="stable")], np.cumsum(sizes)[:-1])
     avgs = np.stack([herm_to_vec(k.T @ k.conj() / len(k)) for k in members], axis=1)
     u, sv, _ = np.linalg.svd(np.column_stack([avgs, herm_to_vec(start), herm_to_vec(end)]),
                              full_matrices=False)
     basis = u[:, sv > 1e-10 * sv[0]]
     cols = np.vstack([basis.T @ avgs, np.ones((1, avgs.shape[1]))])
-    return _solve_threshold(spec, start, end, hi, cols, orbit, basis)
+    a = np.hstack([cols, np.append(basis.T @ herm_to_vec(start - end), 0.0)[:, None]])
+    b = np.append(basis.T @ herm_to_vec(start), 1.0)
+    cost = np.zeros(a.shape[1])
+    cost[-1] = 1.0
+    _, x, y, pivots, refactorisations, bland = _simplex(a, b, LP_TOL, cost)
+    eps_star = float(x[-1])
+    if eps_star > hi:
+        raise NumericalInstability(
+            f"threshold {eps_star:.9g} lies beyond the path end {hi:.9g}")
+    if eps_star <= LP_TOL:
+        eps_star = 0.0
+    w = x[orbit] / sizes[orbit]
+
+    def target(eps):
+        return (1.0 - eps) * start + eps * end
+
+    resid = spec.mixture(w) - target(eps_star)
+    if np.max(np.abs(resid)) > 10 * LP_TOL:
+        raise NumericalInstability("threshold weights fail to reproduce the target")
+    if eps_star == 0.0:
+        return ThresholdResult(0.0, 0.0, "lp", weights=w, pivots=pivots,
+                               orbits=len(sizes), refactorisations=refactorisations,
+                               bland=bland)
+    y = np.append(basis @ y[:-1], y[-1])
+    delta = min(THRESHOLD_DELTA, eps_star)
+    wit, scale = _witness(spec, y)
+    margin = verify_certificate(spec, target(eps_star - delta), wit,
+                                floor=min(LP_TOL, 0.5 * delta / scale))
+    return ThresholdResult(eps_star, delta, "lp", w, wit, margin, pivots, len(sizes),
+                           refactorisations, bland)
 
 
-def threshold_depol_state(p: int, state: np.ndarray, method: str = "closed",
-                          spec: PolytopeSpec | None = None) -> ThresholdResult:
-    """Least depolarising rate putting the state inside STAB.
+def threshold_depol_state(p: int, state: np.ndarray) -> ThresholdResult:
+    """Least depolarising rate putting the state inside STAB, in closed form.
 
-    Closed form: eps* = N / (N + 1/p^2), from linearity of the facet
-    expectations and Tr A(u) = 1/p.  The "lp" route solves one LP.
+    eps* = N / (N + 1/p^2), from linearity of the facet expectations and
+    Tr A(u) = 1/p.  ``lp_threshold`` over ``stab_polytope(p)`` is the
+    independent route the tests compare with.
     """
     check_dim(p)
-    if method == "closed":
-        n = negativity(p, state).value
-        return ThresholdResult(n / (n + 1.0 / p ** 2), 0.0, "closed-form")
-    if method != "lp":
-        raise ValueError("method must be 'closed' or 'lp'")
-    rho = _as_density(p, state)
-    return lp_threshold(spec or stab_polytope(p), depolarized_state(p, rho, 0.0),
-                        depolarized_state(p, rho, 1.0), 1.0)
+    n = negativity(p, state).value
+    return ThresholdResult(n / (n + 1.0 / p ** 2), 0.0, "closed-form")
 
 
-def threshold_pd_gate(p: int, state: np.ndarray, method: str = "closed",
-                      spec: PolytopeSpec | None = None) -> ThresholdResult:
+def threshold_pd_gate(p: int, state: np.ndarray) -> ThresholdResult:
     """Phase-damping threshold of a diagonal gate via its superposition image.
 
-    Closed form eps*_PD = (p-1)/p * eps*_D(psi).  The "lp" route tracks
-    the phase-damped state against the p^2-vertex equatorial polytope on
-    [0, (p-1)/p], where the path reaches I/p.
+    Closed form eps*_PD = (p-1)/p * eps*_D(psi).  The tests compare it with
+    ``lp_threshold`` tracking the phase-damped state against the p^2-vertex
+    equatorial polytope on [0, (p-1)/p], where the path reaches I/p.
     """
-    check_dim(p)
-    if method == "closed":
-        base = threshold_depol_state(p, state, "closed")
-        return ThresholdResult((p - 1) / p * base.epsilon_star, 0.0, "closed-form")
-    if method != "lp":
-        raise ValueError("method must be 'closed' or 'lp'")
-    psi = np.asarray(state, dtype=complex)
-    return lp_threshold(spec or equatorial_polytope(p), phase_damped_state(p, psi, 0.0),
-                        phase_damped_state(p, psi, 1.0), (p - 1) / p)
+    base = threshold_depol_state(p, state)
+    return ThresholdResult((p - 1) / p * base.epsilon_star, 0.0, "closed-form")
 
 
 def threshold_depol_gate(p: int, u: np.ndarray) -> ThresholdResult:
     """Least depolarising rate putting the gate's Choi state inside CLIFF.
 
-    One LP over the orbits of four ket maps, which fix J_U and I/p^2 and
-    permute the Clifford Choi kets when U is a diagonal third-level gate:
-    (D^T x U D^dag U^dag) for D = X, Z, i.e. C -> (U D^dag U^dag) C D, and
-    (S^T x S^dag) for S = Z, V_F with F = [[1, 0], [1, 1]], i.e.
-    C -> S^dag C S.  Any other U raises SymmetryViolation.
+    ``lp_threshold`` over the orbits of four ket maps, which fix J_U and
+    I/p^2 and permute the Clifford Choi kets when U is a diagonal
+    third-level gate: (D^T x U D^dag U^dag) for D = X, Z, i.e.
+    C -> (U D^dag U^dag) C D, and (S^T x S^dag) for S = Z, V_F with
+    F = [[1, 0], [1, 1]], i.e. C -> S^dag C S.  Any other U raises
+    SymmetryViolation.
     """
     check_dim(p)
     u = np.asarray(u, dtype=complex)
     maps = [np.kron(d.T, u @ d.conj().T @ u.conj().T) for d in (pauli_x(p), pauli_z(p))]
     maps += [np.kron(s.T, s.conj().T)
              for s in (pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))))]
-    return _orbit_threshold(cliff_polytope(p), maps, depolarized_choi(p, u, 0.0),
-                           depolarized_choi(p, u, 1.0), 1.0)
+    return lp_threshold(cliff_polytope(p), depolarized_choi(p, u, 0.0),
+                        depolarized_choi(p, u, 1.0), 1.0, maps)
 
 
 def dilution(p: int, eps: float) -> float:
@@ -738,30 +692,27 @@ def _batched_coordinate_descent(p: int, starts: np.ndarray, rounds: int = 4,
     return theta, best
 
 
-def optimize_equatorial(p: int, seed: int = 0, restarts: int = 24,
-                        lattice: bool = True) -> EquatorialOptimum:
+def optimize_equatorial(p: int, seed: int = 0, restarts: int = 24) -> EquatorialOptimum:
     """Maximise negativity over equatorial states by local search.
 
-    Starts are ``restarts`` seeded uniform angles plus (optionally) the 8
-    best points of the root-of-unity lattice matching the diagonal-gate
-    family.  Every start is polished by coordinate descent with
-    golden-section steps, all of them together; the first start with the
-    largest polished negativity wins.
+    Starts are ``restarts`` seeded uniform angles (``restarts`` >= 0, else
+    ValueError) plus the 8 best points of the root-of-unity lattice
+    matching the diagonal-gate family.  Every start is polished by
+    coordinate descent with golden-section steps, all of them together;
+    the first start with the largest polished negativity wins.
     """
     check_dim(p)
-    if restarts < 0 or not (restarts or lattice):
-        raise ValueError("restarts must be >= 0, and >= 1 when lattice is False")
+    if restarts < 0:
+        raise ValueError("restarts must be >= 0")
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, 2 * np.pi, size=(restarts, p - 1))
-    if lattice:
-        from .hierarchy import root_order
-        r = root_order(p)
-        ks = np.indices((r,) * (p - 1)).reshape(p - 1, -1).T
-        lat = 2 * np.pi * ks / r
-        vals = np.concatenate([_neg_batch(p, chunk)
-                               for chunk in np.array_split(lat, max(1, len(lat) // 20000 + 1))])
-        order = np.argsort(vals)[::-1]
-        starts = np.concatenate([starts, lat[order[:8]]])
+    r = root_order(p)
+    ks = np.indices((r,) * (p - 1)).reshape(p - 1, -1).T
+    lat = 2 * np.pi * ks / r
+    vals = np.concatenate([_neg_batch(p, chunk)
+                           for chunk in np.array_split(lat, max(1, len(lat) // 20000 + 1))])
+    order = np.argsort(vals)[::-1]
+    starts = np.concatenate([starts, lat[order[:8]]])
     thetas, vals = _batched_coordinate_descent(p, starts)
     i = int(np.argmax(vals))
     best_theta, best_val = thetas[i].copy(), float(vals[i])

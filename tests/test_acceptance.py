@@ -24,6 +24,7 @@ from quditgates.geometry import (
     gate_state,
     inject_gate,
     negativity,
+    phase_damped_state,
     simulate_dilution,
 )
 from quditgates.hierarchy import (
@@ -41,7 +42,9 @@ from quditgates.hull import (
     cliff_polytope,
     dilution,
     dilution_inv,
+    equatorial_polytope,
     lp_membership,
+    lp_threshold,
     optimize_equatorial,
     stab_polytope,
     threshold_depol_gate,
@@ -199,7 +202,8 @@ def test_criterion_05_phase_damping_thresholds(verdict):
                        f"from the recorded {want}% (band 0.005pp)")
     for p in (2, 3):
         st = gate_state(p, ROBUST_GATE_PARAMS[p])
-        lp = 100 * threshold_pd_gate(p, st, method="lp").epsilon_star
+        lp = 100 * lp_threshold(equatorial_polytope(p), phase_damped_state(p, st, 0.0),
+                                phase_damped_state(p, st, 1.0), (p - 1) / p).epsilon_star
         if abs(lp - closed[p]) > 0.05:
             bad.append(f"p={p}: LP {lp:.4f}% vs closed {closed[p]:.4f}%")
     ok = not bad

@@ -237,19 +237,26 @@ def test_self_check_tight_tol_reports_each_mismatch(capsys, argv):
     assert all(MISMATCH.match(line) for line in lines), lines
 
 
-@pytest.mark.parametrize("command", ("table2", "threshold"))
-def test_self_check_holds_depol_gate_cell_to_fixed_band(capsys, monkeypatch, command):
-    """Both commands check the computed cell against the recorded table at
-    a fixed 0.05 percentage points."""
-    rc, payload = run_json(capsys, command, "--p", "5", "--self-check")
+@pytest.mark.parametrize("command,p,cells,computed", [
+    pytest.param("table2", 5, ("depol_gate_pct",), "95.2381", id="table2"),
+    pytest.param("threshold", 5, ("depol_gate_pct",), "95.2381", id="threshold"),
+    pytest.param("table3", 2, ("lower_pct", "upper_pct"), "45.3082", id="table3"),
+])
+def test_self_check_holds_depol_gate_cell_to_fixed_band(capsys, monkeypatch, command, p,
+                                                        cells, computed):
+    """Every command checks the computed depolarising-gate cell against the
+    recorded table at a fixed 0.05 percentage points, whatever ``--tol``
+    says.  At p=2 the table3 lower bound is that same cell."""
+    rc, payload = run_json(capsys, command, "--p", str(p), "--self-check", "--tol", "0.005")
     assert rc == 0 and payload["self_check"] == "ok"
-    monkeypatch.setitem(cli.RECORDED_DEPOL_GATE, 5, 0.90)
-    rc = main([command, "--p", "5", "--self-check"])
+    monkeypatch.setitem(cli.RECORDED_DEPOL_GATE, p, 0.90)
+    rc = main([command, "--p", str(p), "--self-check"])
     lines = capsys.readouterr().err.splitlines()
     assert rc == 3
-    assert len(lines) == 1
-    assert re.fullmatch(rf"{command} p=5 depol_gate_pct: computed 95\.2381 vs recorded 90 "
-                        r"\(tol 0\.05\)", lines[0]), lines
+    assert len(lines) == len(cells)
+    for cell, line in zip(cells, lines):
+        assert re.fullmatch(rf"{command} p={p} {cell}: computed {re.escape(computed)} "
+                            r"vs recorded 90 \(tol 0\.05\)", line), lines
 
 
 def test_table1_self_check(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from quditgates.geometry import (
     depolarized_state,
     gate_state,
     negativity,
+    phase_damped_state,
 )
 from quditgates.hierarchy import GateParams, gate_exponents, gate_matrix, root_order
 from quditgates import hull
@@ -32,7 +33,13 @@ from quditgates.hull import (
     vec_to_herm,
     verify_certificate,
 )
-from quditgates.weylheis import CliffordLabel, clifford_labels, clifford_unitary, pauli_z
+from quditgates.weylheis import (
+    CliffordLabel,
+    clifford_labels,
+    clifford_unitary,
+    pauli_x,
+    pauli_z,
+)
 
 
 def random_density(rng, d, mix=0.0):
@@ -191,15 +198,6 @@ def test_state_threshold_closed_vs_lp_probes(p):
         assert above.feasible, gp
 
 
-def test_state_threshold_bisection_route():
-    psi = gate_state(2, GateParams(0, 1, 0))
-    closed = threshold_depol_state(2, psi, "closed")
-    bis = threshold_depol_state(2, psi, "lp")
-    assert closed.method == "closed-form" and bis.method == "lp"
-    assert bis.bracket <= 1e-6
-    assert abs(closed.epsilon_star - bis.epsilon_star) < 1e-5
-
-
 @pytest.mark.parametrize("p,want_pct", [(2, 14.6447), (3, 36.7267),
                                         (5, 64.0), (7, 73.2697)])
 def test_pd_gate_closed_form(p, want_pct):
@@ -211,8 +209,9 @@ def test_pd_gate_closed_form(p, want_pct):
 @pytest.mark.parametrize("p", (2, 3))
 def test_pd_gate_lp_cross_check(p):
     psi = gate_state(p, ROBUST_GATE_PARAMS[p])
-    closed = threshold_pd_gate(p, psi, "closed").epsilon_star
-    lp = threshold_pd_gate(p, psi, "lp").epsilon_star
+    closed = threshold_pd_gate(p, psi).epsilon_star
+    lp = lp_threshold(equatorial_polytope(p), phase_damped_state(p, psi, 0.0),
+                      phase_damped_state(p, psi, 1.0), (p - 1) / p).epsilon_star
     assert abs(closed - lp) < 1e-4
 
 
@@ -277,10 +276,13 @@ def test_lp_threshold_two_sided_evidence(p):
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_stab_lp_route_matches_closed_form(p):
     psi = gate_state(p, ROBUST_GATE_PARAMS[p])
-    closed = threshold_depol_state(p, psi, "closed").epsilon_star
-    lp = threshold_depol_state(p, psi, "lp")
-    assert lp.method == "lp" and lp.margin > 0.0
-    assert abs(lp.epsilon_star - closed) < 1e-6
+    rho = np.outer(psi, psi.conj())
+    closed = threshold_depol_state(p, psi)
+    lp = lp_threshold(stab_polytope(p), depolarized_state(p, rho, 0.0),
+                      depolarized_state(p, rho, 1.0), 1.0)
+    assert closed.method == "closed-form"
+    assert lp.method == "lp" and lp.margin > 0.0 and lp.bracket <= 1e-6
+    assert abs(lp.epsilon_star - closed.epsilon_star) < 1e-6
 
 
 def test_lp_threshold_beyond_path_end_raises():
@@ -325,8 +327,11 @@ def test_orbit_lp_matches_full_lp(p):
 @pytest.mark.parametrize("p,orbits,pct", [(2, 5, 45.308184), (3, 14, 78.632683),
                                           (5, 36, 95.238095), (7, 66, 97.631108)])
 def test_orbit_lp_counts_and_values(p, orbits, pct):
+    """The pivot counts pin the orbit LP's coordinates: another basis or
+    column order takes another pivot path."""
     r = threshold_depol_gate(p, gate_matrix(p, ROBUST_GATE_PARAMS[p]))
     assert r.method == "lp" and r.orbits == orbits
+    assert r.pivots == {2: 5, 3: 7, 5: 12, 7: 15}[p]
     assert abs(100 * r.epsilon_star - pct) < 1e-5
 
 
@@ -353,6 +358,15 @@ def test_orbit_lp_evidence_over_every_p7_vertex():
 def test_orbit_lp_rejects_gates_without_the_symmetry(p, u):
     with pytest.raises(SymmetryViolation):
         threshold_depol_gate(p, u)
+
+
+def test_orbit_lp_rejects_a_map_that_moves_the_path():
+    """(X^T x X^dag) permutes the Clifford Choi kets but does not fix J_T."""
+    t = gate_matrix(2, ROBUST_GATE_PARAMS[2])
+    x = pauli_x(2)
+    with pytest.raises(SymmetryViolation, match="moves the threshold path"):
+        lp_threshold(cliff_polytope(2), choi_of_unitary(t), np.eye(4) / 4, 1.0,
+                     maps=[np.kron(x.T, x.conj().T)])
 
 
 # The simplex before it priced against the structural matrix in place,
@@ -600,8 +614,6 @@ def test_optimizer_deterministic():
 
 
 def test_optimizer_rejects_empty_starts():
-    with pytest.raises(ValueError, match="restarts"):
-        optimize_equatorial(3, restarts=0, lattice=False)
     with pytest.raises(ValueError, match="restarts"):
         optimize_equatorial(3, restarts=-3)
     # the lattice alone supplies the starts
