@@ -1,24 +1,25 @@
-"""Polytope membership by linear programming, thresholds, and bound tables.
+"""Polytope membership and thresholds by linear programming, and bound tables.
 
-Membership of a unit-trace Hermitian target in the convex hull of a vertex
-list is decided by a phase-1 simplex on
+``lp_threshold`` is the one LP.  It finds the least noise rate eps putting
+(1 - eps) start + eps end in the convex hull of a vertex list, by a
+two-phase simplex on
 
-    sum_i w_i vec(V_i) = vec(target),   sum_i w_i = 1,   w >= 0,
+    sum_i w_i vec(V_i) + eps vec(start - end) = vec(start),
+    sum_i w_i = 1,   w >= 0,   eps >= 0,
 
-over the isometric real vectorization of Hermitian operators.  Feasibility
-holds iff the phase-1 objective reaches lpTol; otherwise the phase-1 dual
-yields a separating Hermitian witness, which plays the role of the
-(unknown) facet description of the Clifford polytope.
+over the isometric real vectorization of Hermitian operators, with one
+column per orbit of optional maps that fix the path and permute the
+vertices (with none, each vertex is its own orbit).  Its weights show the
+target inside at eps*, and its phase-2 dual gives a Hermitian witness
+separating it just below, which plays the role of the (unknown) facet
+description of the Clifford polytope.
 
-The state and dephasing thresholds follow from closed forms tied to facet
-geometry.  ``lp_threshold`` is the one LP route to a threshold: it adds
-the noise rate eps as a column and minimises it in a phase 2 of the same
-simplex, over the orbits of optional maps that fix the noise path and
-permute the vertices (with none, each vertex is its own orbit).  Its
-weights show the target inside at eps* and its phase-2 dual a witness
-separating it just below; the tests hold the closed forms against it.
+Membership is that LP from the target toward the vertex barycentre: the
+target is inside iff eps* = 0, and otherwise the witness separates the
+target itself.  The state and dephasing thresholds follow from closed
+forms tied to facet geometry; the tests hold them against the LP.
 
-The depolarising-gate threshold is that LP over Clifford orbits, 66
+The depolarising-gate threshold is the LP over Clifford orbits, 66
 columns instead of 16464 vertices at p = 7.  Vertices are stored as kets;
 weights and witnesses are checked against every one.
 """
@@ -134,10 +135,11 @@ class PolytopeSpec:
         return (self.kets.T * w) @ self.kets.conj()
 
     def system(self) -> np.ndarray:
-        """Columns [vec(V_i); 1], cached for reuse across LP calls.
+        """Columns [vec(V_i); 1], cached.
 
-        C-ordered: the simplex prices against this array in place, and its
-        pivot path depends on the layout (see ``_simplex``).
+        No LP reads it: ``lp_threshold`` builds its own rows in the SVD
+        basis of the vertex span.  It is kept for the benchmark's shape
+        check and for the tests, which compare it with a dense build.
         """
         if self._system is None:
             system = np.ones((self.dim ** 2 + 1, self.n_vertices))
@@ -184,8 +186,8 @@ class LPOutcome:
     feasible: bool
     weights: np.ndarray | None      # convex weights when feasible
     certificate: np.ndarray | None  # separating Hermitian witness otherwise
-    objective: float                # phase-1 optimum (0 up to lpTol if feasible)
-    iterations: int
+    distance: float                 # eps* toward the vertex barycentre (0.0 if feasible)
+    iterations: int                 # simplex pivots, both phases
     refactorisations: int = 0       # basis-inverse refactorisations in the pivots
     bland: bool = False             # whether the pivots switched to Bland's rule
 
@@ -275,23 +277,21 @@ def _pivot_loop(a, sign, rhs, cost, basis, binv, xb, forced):
     return binv, xb, it + 1, refactorisations, bland
 
 
-def _simplex(a: np.ndarray, b: np.ndarray, lp_tol: float,
-             cost: np.ndarray | None = None):
-    """Phase 1 for A w = b, w >= 0; then, given ``cost``, phase 2.
+def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
+    """Minimise ``cost . w`` subject to A w = b, w >= 0, in two phases.
 
     Rows with b_i < 0 are negated so that the all-artificial basis starts
-    feasible; ``a`` itself is read, never copied, so a cached system costs
-    nothing per call.  Keep it C-ordered: the pivot path then matches, bit
-    for bit, that of a dense loop over [diag(sign) A | I], which the tests
-    keep as an oracle.
+    feasible; ``a`` itself is read, never copied.  Keep it C-ordered: the
+    pivot path then matches, bit for bit, that of a dense loop over
+    [diag(sign) A | I], which the tests keep as an oracle.
     Phase 1 minimises the artificial total from the all-artificial basis,
-    retiring artificial columns once they leave it.  Phase 2 runs only if
-    phase 1 reaches ``lp_tol`` (else NumericalInstability): it minimises
-    ``cost . w`` from the phase-1 basis with every artificial barred from
-    entering.  Returns (objective, w, y, iters, refactorisations, bland)
-    for the last phase run, with y its simplex multipliers in the original
-    row signs; the counters cover both phases, and ``bland`` tells whether
-    either switched to Bland's rule.
+    retiring artificial columns once they leave it; if that total stays
+    above LP_TOL there is no feasible point (NumericalInstability).
+    Phase 2 minimises ``cost . w`` from the phase-1 basis with every
+    artificial barred from entering.  Returns (w, y, iters,
+    refactorisations, bland), with y the phase-2 simplex multipliers in
+    the original row signs; the counters cover both phases, and ``bland``
+    tells whether either switched to Bland's rule.
     """
     m, n = a.shape
     sign = np.where(b < 0.0, -1.0, 1.0)
@@ -301,31 +301,31 @@ def _simplex(a: np.ndarray, b: np.ndarray, lp_tol: float,
     binv, xb, iters, refactorisations, bland = _pivot_loop(
         a, sign, rhs, phase_cost, basis, np.eye(m), rhs.copy(), forced=False)
 
-    def refactor(c):
+    def refactor():
         binv = np.linalg.inv(_basis_matrix(a, sign, basis))
-        xb = np.maximum(binv @ rhs, 0.0)
-        w = np.zeros(n + m)
-        w[basis] = xb
-        y = (c[basis] @ binv) * sign
-        return binv, xb, float(c[basis] @ xb), np.maximum(w[:n], 0.0), y
+        return binv, np.maximum(binv @ rhs, 0.0)
 
-    binv, xb, objective, w, y = refactor(phase_cost)
-    if cost is None:
-        return objective, w, y, iters, refactorisations, bland
-    if objective > lp_tol:
+    binv, xb = refactor()
+    if phase_cost[basis] @ xb > LP_TOL:
         raise NumericalInstability("no feasible point to start phase 2 from")
     phase_cost = np.concatenate([cost, np.zeros(m)])
     binv, xb, more, more_refactorisations, more_bland = _pivot_loop(
         a, sign, rhs, phase_cost, basis, binv, xb, forced=True)
-    _, _, objective, w, y = refactor(phase_cost)
-    return (objective, w, y, iters + more, refactorisations + more_refactorisations,
-            bland or more_bland)
+    binv, xb = refactor()
+    w = np.zeros(n + m)
+    w[basis] = xb
+    y = (phase_cost[basis] @ binv) * sign
+    return (np.maximum(w[:n], 0.0), y, iters + more,
+            refactorisations + more_refactorisations, bland or more_bland)
 
 
 def _check_target(spec: PolytopeSpec, target: np.ndarray) -> np.ndarray:
     target = np.asarray(target, dtype=complex)
     if target.shape != (spec.dim, spec.dim):
         raise ValueError("target dimension does not match the polytope")
+    # herm_to_vec reads only the upper triangle.
+    if np.max(np.abs(target - target.conj().T)) > 1e-10:
+        raise ValueError("target must be Hermitian")
     if abs(np.trace(target).real - 1.0) > 1e-8:
         raise ValueError("target must have unit trace")
     return target
@@ -334,37 +334,20 @@ def _check_target(spec: PolytopeSpec, target: np.ndarray) -> np.ndarray:
 def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
     """Decide whether ``target`` lies in the hull of ``spec.vertices``.
 
-    The weights or the witness are checked before they are returned
-    (NumericalInstability if they fail).
+    Runs ``lp_threshold`` from the target toward the vertex barycentre,
+    which lies inside the hull, so the target is inside iff eps* = 0; eps*
+    is returned as ``distance``.  Inside, the weights are those of the LP.
+    Outside, the LP's witness separates the point just short of eps*, and
+    it is checked against the target itself, which lies farther out
+    (NumericalInstability if the weights or the witness fail).
     """
-    target = _check_target(spec, target)
-    a = spec.system()
-    b = np.concatenate([herm_to_vec(target), [1.0]])
-    objective, w, y, *counts = _simplex(a, b, LP_TOL)
-
-    if objective <= LP_TOL:
-        resid = spec.mixture(w) - target
-        if np.max(np.abs(resid)) > 10 * LP_TOL:
-            raise NumericalInstability("feasible weights fail to reproduce the target")
-        return LPOutcome(True, w, None, objective, *counts)
-
-    # Farkas witness: y . col_i <= 0 for every vertex column while
-    # y . b = objective > 0.  With y = (u, y0) this gives the Hermitian
-    # separator below, normalised to unit spectral radius.
-    wit, scale = _witness(spec, y)
-    # Targets barely outside the hull cannot separate by the full
-    # LP_TOL after spectral normalisation; hold them to half the
-    # margin the dual predicts instead.
-    verify_certificate(spec, target, wit, floor=min(LP_TOL, 0.5 * objective / scale))
-    return LPOutcome(False, None, wit, objective, *counts)
-
-
-def _witness(spec: PolytopeSpec, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Hermitian -(G + y0 I) from multipliers y = (vec G, y0), scaled to
-    unit spectral radius; returns it with the scale divided out."""
-    wit = -(vec_to_herm(y[:-1]) + y[-1] * np.eye(spec.dim))
-    scale = float(np.max(np.abs(np.linalg.eigvalsh(wit))))
-    return wit / scale, scale
+    n = spec.n_vertices
+    r = lp_threshold(spec, target, spec.mixture(np.full(n, 1.0 / n)), 1.0)
+    counts = r.pivots, r.refactorisations, r.bland
+    if r.epsilon_star == 0.0:
+        return LPOutcome(True, r.weights, None, 0.0, *counts)
+    verify_certificate(spec, target, r.witness, floor=min(LP_TOL, 0.5 * r.margin))
+    return LPOutcome(False, None, r.witness, r.epsilon_star, *counts)
 
 
 def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
@@ -372,7 +355,7 @@ def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
                        floor: float | None = None) -> float:
     """Check the separating property; returns the separation margin."""
     floor = lp_tol if floor is None else floor
-    vals = np.einsum("ni,ij,nj->n", spec.kets.conj(), witness, spec.kets).real  # Tr[W V_i]
+    vals = ((spec.kets.conj() @ witness) * spec.kets).sum(1).real  # Tr[W V_i]
     t_val = float(np.trace(witness @ target).real)
     if vals.min() < -lp_tol:
         raise NumericalInstability("certificate fails on a vertex")
@@ -456,9 +439,11 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     multipliers, mapped back to full coordinates as y = (vec G, y0), give
     W = -(G + y0 I) with Tr[W V_i] >= 0 on every vertex and
     Tr[W target(eps)] = eps - eps*; scaled to unit spectral radius, W must
-    pass ``verify_certificate`` at eps* - THRESHOLD_DELTA.  A start already
-    inside returns exactly 0.0 with no witness; eps* > hi raises
-    NumericalInstability.
+    pass ``verify_certificate`` at eps* - THRESHOLD_DELTA.  An eps* within
+    LP_TOL of 0 or of ``hi`` is taken as that end: a start already inside
+    returns exactly 0.0 with no witness, and a target reached only at the
+    end, such as one off the span of the vertices, returns ``hi``.  An
+    eps* farther beyond ``hi`` raises NumericalInstability.
     """
     start = _check_target(spec, start)
     end = _check_target(spec, end)
@@ -468,24 +453,39 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
                 raise SymmetryViolation("a generator moves the threshold path")
     orbit = _ket_orbits(spec.kets, maps)
     sizes = np.bincount(orbit)
+    n = len(sizes)
     # Stable, so each orbit keeps its members in index order.
     members = np.split(spec.kets[np.argsort(orbit, kind="stable")], np.cumsum(sizes)[:-1])
-    avgs = np.stack([herm_to_vec(k.T @ k.conj() / len(k)) for k in members], axis=1)
-    u, sv, _ = np.linalg.svd(np.column_stack([avgs, herm_to_vec(start), herm_to_vec(end)]),
+    # Orbit averages, start and end in one array, filled in place: with a
+    # column per vertex it is the largest array the LP builds.  One column
+    # at a time, as chunks of a few MB raised the p = 5 peak RSS by 20 MB
+    # (freed blocks that size lift malloc's mmap threshold).
+    m = np.empty((spec.dim ** 2, n + 2))
+    for o, k in enumerate(members):
+        m[:, o] = herm_to_vec(k.T @ k.conj() / len(k))
+    m[:, n], m[:, n + 1] = herm_to_vec(start), herm_to_vec(end)
+    # A wide array has the column space and singular values of its square
+    # R factor, whose SVD needs no right factor as wide as the array.
+    wide = n + 2 > len(m)
+    u, sv, _ = np.linalg.svd(np.linalg.qr(m.T, mode="r").T if wide else m,
                              full_matrices=False)
     basis = u[:, sv > 1e-10 * sv[0]]
-    cols = np.vstack([basis.T @ avgs, np.ones((1, avgs.shape[1]))])
-    a = np.hstack([cols, np.append(basis.T @ herm_to_vec(start - end), 0.0)[:, None]])
+    a = np.empty((basis.shape[1] + 1, n + 1))
+    np.matmul(basis.T, m[:, :n], out=a[:-1, :n])
+    a[-1, :n] = 1.0
+    a[:-1, n] = basis.T @ herm_to_vec(start - end)
+    a[-1, n] = 0.0
+    del m, members, u
     b = np.append(basis.T @ herm_to_vec(start), 1.0)
-    cost = np.zeros(a.shape[1])
+    cost = np.zeros(n + 1)
     cost[-1] = 1.0
-    _, x, y, pivots, refactorisations, bland = _simplex(a, b, LP_TOL, cost)
+    x, y, pivots, refactorisations, bland = _simplex(a, b, cost)
     eps_star = float(x[-1])
-    if eps_star > hi:
+    if eps_star > hi + LP_TOL:
         raise NumericalInstability(
             f"threshold {eps_star:.9g} lies beyond the path end {hi:.9g}")
-    if eps_star <= LP_TOL:
-        eps_star = 0.0
+    # Within LP_TOL of either end of the path is taken as that end.
+    eps_star = 0.0 if eps_star <= LP_TOL else min(eps_star, hi)
     w = x[orbit] / sizes[orbit]
 
     def target(eps):
@@ -495,15 +495,17 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     if np.max(np.abs(resid)) > 10 * LP_TOL:
         raise NumericalInstability("threshold weights fail to reproduce the target")
     if eps_star == 0.0:
-        return ThresholdResult(0.0, 0.0, "lp", weights=w, pivots=pivots,
-                               orbits=len(sizes), refactorisations=refactorisations,
-                               bland=bland)
-    y = np.append(basis @ y[:-1], y[-1])
+        return ThresholdResult(0.0, 0.0, "lp", weights=w, pivots=pivots, orbits=n,
+                               refactorisations=refactorisations, bland=bland)
+    # Multipliers (vec G, y0) in full coordinates give W = -(G + y0 I),
+    # scaled to unit spectral radius.
+    wit = -(vec_to_herm(basis @ y[:-1]) + y[-1] * np.eye(spec.dim))
+    scale = float(np.max(np.abs(np.linalg.eigvalsh(wit))))
+    wit /= scale
     delta = min(THRESHOLD_DELTA, eps_star)
-    wit, scale = _witness(spec, y)
     margin = verify_certificate(spec, target(eps_star - delta), wit,
                                 floor=min(LP_TOL, 0.5 * delta / scale))
-    return ThresholdResult(eps_star, delta, "lp", w, wit, margin, pivots, len(sizes),
+    return ThresholdResult(eps_star, delta, "lp", w, wit, margin, pivots, n,
                            refactorisations, bland)
 
 

@@ -407,6 +407,7 @@ def test_criterion_10_structure_and_membership(verdict):
     robust3 = gate_state(3, ROBUST_GATE_PARAMS[3])
     disagree = n_out = n_skip = 0
     worst_margin = np.inf
+    worst_distance = 0.0
     for k in range(1000):
         kind = k % 10
         if kind < 4:
@@ -427,6 +428,9 @@ def test_criterion_10_structure_and_membership(verdict):
             continue
         if (res.minimum > 0) != out.feasible:
             disagree += 1
+        # The LP's distance is the state's depolarising threshold.
+        worst_distance = max(worst_distance,
+                             abs(out.distance - res.value / (res.value + 1 / 9)))
         if not out.feasible:
             n_out += 1
             margin = verify_certificate(spec, rho, out.certificate,
@@ -436,9 +440,12 @@ def test_criterion_10_structure_and_membership(verdict):
         bad.append(f"{disagree} LP/facet disagreements")
     if n_out and worst_margin <= 0:
         bad.append("a separating certificate has nonpositive margin")
+    if worst_distance > 1e-9:
+        bad.append(f"LP distance off N/(N + 1/9) by {worst_distance:.2e}")
     ok = not bad
     detail = ("; ".join(bad) if bad else
               f"800 compositions, 120 conjugations, {eig_n} eigenphases, "
               f"100 injections; LP and facet tests agree on 1000 states "
-              f"({n_out} outside, all certificates sound, {n_skip} within band)")
+              f"({n_out} outside, all certificates sound, distances within "
+              f"{worst_distance:.1e} of N/(N + 1/9), {n_skip} within band)")
     assert verdict(10, ok, detail), detail

@@ -155,6 +155,39 @@ def test_qubit_gate_choi_outside_cliff_with_certificate():
     assert np.max(np.abs(np.linalg.eigvalsh(out.certificate))) <= 1 + 1e-9
 
 
+def test_p5_cliff_membership_distance_is_the_gate_threshold():
+    """The depolarised robust gate at eps=0.5, decided over all 3000
+    vertices; eps + (1 - eps) distance is the gate threshold 20/21."""
+    spec = cliff_polytope(5)
+    target = depolarized_choi(5, gate_matrix(5, ROBUST_GATE_PARAMS[5]), 0.5)
+    out = lp_membership(spec, target)
+    assert not out.feasible and out.weights is None
+    assert abs(0.5 + 0.5 * out.distance - 20 / 21) < 1e-12
+    assert verify_certificate(spec, target, out.certificate) > 1e-3
+
+
+def test_target_off_the_vertex_span_is_outside_at_distance_one():
+    """Every EQ vertex has a flat diagonal, so the path from |0><0| meets
+    the hull only at its end, I/5."""
+    spec = equatorial_polytope(5)
+    target = np.diag([1.0, 0.0, 0.0, 0.0, 0.0])
+    out = lp_membership(spec, target)
+    assert not out.feasible
+    assert abs(out.distance - 1.0) < 1e-12
+    assert verify_certificate(spec, target, out.certificate) > 0.0
+
+
+def test_non_hermitian_target_is_rejected_before_any_lp():
+    """herm_to_vec reads only the upper triangle, so the LP would see a
+    Hermitian target that is not this one."""
+    spec = stab_polytope(2)
+    bad = np.array([[0.5, 0.5j], [0.5j, 0.5]])
+    with pytest.raises(ValueError, match="Hermitian"):
+        lp_membership(spec, bad)
+    with pytest.raises(ValueError, match="Hermitian"):
+        lp_threshold(spec, bad, np.eye(2) / 2, 1.0)
+
+
 def test_lp_agrees_with_facet_description():
     """STAB has a complete facet list; the LP must reproduce it."""
     rng = np.random.default_rng(31)
@@ -429,7 +462,7 @@ def _oracle_pivot_loop(cols, rhs, cost, basis, binv, xb, banned, n, forced):
     return binv, xb, it + 1
 
 
-def _oracle_simplex(a, b, lp_tol, cost=None):
+def _oracle_simplex(a, b, cost):
     m, n = a.shape
     sign = np.where(b < 0.0, -1.0, 1.0)
     cols = np.hstack([a * sign[:, None], np.eye(m)])
@@ -440,32 +473,28 @@ def _oracle_simplex(a, b, lp_tol, cost=None):
     binv, xb, iters = _oracle_pivot_loop(cols, rhs, phase_cost, basis, np.eye(m),
                                          rhs.copy(), banned, n, forced=False)
 
-    def refactor(c):
+    def refactor():
         binv = np.linalg.inv(cols[:, basis])
-        xb = np.maximum(binv @ rhs, 0.0)
-        w = np.zeros(n + m)
-        w[basis] = xb
-        y = (c[basis] @ binv) * sign
-        return binv, xb, float(c[basis] @ xb), np.maximum(w[:n], 0.0), y
+        return binv, np.maximum(binv @ rhs, 0.0)
 
-    binv, xb, objective, w, y = refactor(phase_cost)
-    if cost is None:
-        return objective, w, y, iters
-    if objective > lp_tol:
+    binv, xb = refactor()
+    if phase_cost[basis] @ xb > LP_TOL:
         raise NumericalInstability("no feasible point to start phase 2 from")
     phase_cost = np.concatenate([cost, np.zeros(m)])
     banned[n:] = True
     binv, xb, more = _oracle_pivot_loop(cols, rhs, phase_cost, basis, binv, xb,
                                         banned, n, forced=True)
-    _, _, objective, w, y = refactor(phase_cost)
-    return objective, w, y, iters + more
+    binv, xb = refactor()
+    w = np.zeros(n + m)
+    w[basis] = xb
+    y = (phase_cost[basis] @ binv) * sign
+    return np.maximum(w[:n], 0.0), y, iters + more
 
 
 def _assert_matches_oracle(args, got):
-    objective, w, y, iters = _oracle_simplex(*args)
-    assert got[0] == objective
-    assert np.array_equal(got[1], w) and np.array_equal(got[2], y)
-    assert got[3] == iters
+    w, y, iters = _oracle_simplex(*args)
+    assert np.array_equal(got[0], w) and np.array_equal(got[1], y)
+    assert got[2] == iters
 
 
 def _simplex_calls(monkeypatch, run):
@@ -486,9 +515,10 @@ def _simplex_calls(monkeypatch, run):
 @pytest.mark.parametrize("make", (stab_polytope, equatorial_polytope, cliff_polytope))
 @pytest.mark.parametrize("p", (2, 3))
 def test_membership_pivots_match_dense_oracle(monkeypatch, make, p):
-    """The same pivots, bit for bit, on targets inside and outside."""
+    """Membership is one threshold LP toward the barycentre: the same
+    pivots, bit for bit, on targets inside and outside."""
     spec = make(p)
-    inside = spec.mixture(np.full(spec.n_vertices, 1.0 / spec.n_vertices))
+    inside = spec.mixture(np.random.default_rng(p).dirichlet(np.ones(spec.n_vertices)))
     if spec.name == "CLIFF":
         outside = choi_of_unitary(gate_matrix(p, ROBUST_GATE_PARAMS[p]))
     else:
@@ -499,7 +529,7 @@ def test_membership_pivots_match_dense_oracle(monkeypatch, make, p):
         calls, out = _simplex_calls(monkeypatch, lambda: lp_membership(spec, target))
         ((args, got),) = calls
         _assert_matches_oracle(args, got)
-        assert (out.iterations, out.refactorisations, out.bland) == tuple(got[3:])
+        assert (out.iterations, out.refactorisations, out.bland) == tuple(got[2:])
         feasible.append(out.feasible)
     assert feasible == [True, False]
 
@@ -511,34 +541,44 @@ def test_lp_threshold_pivots_match_dense_oracle(monkeypatch, p):
     calls, r = _simplex_calls(monkeypatch, lambda: lp_threshold(
         cliff_polytope(p), depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0), 1.0))
     ((args, got),) = calls
-    assert args[3] is not None
     _assert_matches_oracle(args, got)
-    assert (r.pivots, r.refactorisations, r.bland) == tuple(got[3:])
+    assert (r.pivots, r.refactorisations, r.bland) == tuple(got[2:])
 
 
-@pytest.mark.parametrize("phase2", (False, True))
-def test_seeded_lp_matches_dense_oracle_through_refactorisations(monkeypatch, phase2):
+@pytest.mark.parametrize("dense_cost", (False, True))
+def test_seeded_lp_matches_dense_oracle_through_refactorisations(monkeypatch, dense_cost):
+    """A random cost, or the threshold LP's unit cost on the last column."""
     rng = np.random.default_rng(0)
     a = np.vstack([rng.normal(size=(59, 600)), np.ones((1, 600))])
     b = a @ rng.dirichlet(np.ones(600))
-    args = (a, b, LP_TOL, rng.normal(size=600) if phase2 else None)
+    cost = rng.normal(size=600) if dense_cost else np.eye(600)[-1]
+    args = (a, b, cost)
     inverses = []
     real_inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(m) or real_inv(m))
     got = hull._simplex(*args)
     monkeypatch.undo()
     _assert_matches_oracle(args, got)
-    iters, refactorisations, bland = got[3:]
+    iters, refactorisations, bland = got[2:]
     # one inverse at the end of each phase, the rest every 100 pivots
-    assert refactorisations == len(inverses) - 1 - phase2
-    assert refactorisations >= phase2 and not bland
+    assert refactorisations == len(inverses) - 2
+    assert refactorisations >= dense_cost and not bland
     assert all(m.flags.f_contiguous for m in inverses)
 
 
-def test_systems_are_c_ordered():
-    """The pivot path depends on the layout the simplex prices against."""
-    for spec in (stab_polytope(3), equatorial_polytope(3), cliff_polytope(5)):
-        assert spec.system().flags.c_contiguous
+def test_systems_are_c_ordered(monkeypatch):
+    """The pivot path depends on the layout of the rows ``lp_threshold``
+    hands the simplex: full STAB, EQ and CLIFF at p=3 and the p=5 orbit LP."""
+    psi = gate_state(3, ROBUST_GATE_PARAMS[3])
+    rho = np.outer(psi, psi.conj())
+    j = choi_of_unitary(gate_matrix(3, ROBUST_GATE_PARAMS[3]))
+    runs = [lambda: lp_membership(stab_polytope(3), rho),
+            lambda: lp_membership(equatorial_polytope(3), rho),
+            lambda: lp_membership(cliff_polytope(3), j),
+            lambda: threshold_depol_gate(5, gate_matrix(5, ROBUST_GATE_PARAMS[5]))]
+    for run in runs:
+        ((args, _),), _ = _simplex_calls(monkeypatch, run)
+        assert args[0].flags.c_contiguous
 
 
 def test_dilution_round_trip():
