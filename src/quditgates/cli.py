@@ -150,13 +150,12 @@ def _json_ready(obj):
     return obj
 
 
-def _report(operation: str, inputs: dict, outputs: dict, started: float,
-            provenance: str = PROV_COMPUTED) -> dict:
+def _report(operation: str, inputs: dict, outputs: dict, started: float) -> dict:
     return {
         "operation": operation,
         "inputs": _json_ready(inputs),
         "outputs": _json_ready(outputs),
-        "provenance": provenance,
+        "provenance": PROV_COMPUTED,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
 
@@ -412,7 +411,10 @@ def cmd_inject(args) -> int:
     else:
         rng = np.random.default_rng(args.seed)
         psi = rng.normal(size=args.p) + 1j * rng.normal(size=args.p)
-    psi = psi / np.linalg.norm(psi)
+    norm = np.linalg.norm(psi)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"input state must be finite and nonzero, norm {norm}")
+    psi = psi / norm
     res = inject_gate(args.p, g, psi)
     u = gate_exponents(args.p, g).matrix()
     want = np.kron(u @ psi, np.eye(args.p, dtype=complex)[0])
@@ -530,10 +532,7 @@ def main(argv=None) -> int:
     except MissingConfig as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
-    except (ValueError, OSError) as exc:
-        sys.stderr.write(f"domain error: {exc}\n")
-        return 2
-    except QuditGatesError as exc:
+    except (QuditGatesError, ValueError, OSError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return 2
 

@@ -139,11 +139,7 @@ def compose_params(p: int, g1: GateParams, g2: GateParams) -> GateParams:
 def element_order(p: int, g: GateParams) -> int:
     """Multiplicative order of the gate, computed on exact exponents."""
     gate = gate_exponents(p, g)
-    r = gate.root_order
-    common = r
-    for e in gate.exps:
-        common = math.gcd(common, e)
-    return r // common
+    return gate.root_order // math.gcd(gate.root_order, *gate.exps)
 
 
 @dataclass(frozen=True)
@@ -157,53 +153,28 @@ class GroupReport:
     min_generators: int
 
 
-def _abelian_type_from_histogram(p: int, hist: dict) -> tuple[int, ...]:
-    """Invariant factors (as prime-power exponents, descending) of an
-    abelian p-group with the given element-order histogram."""
-    max_e = max(hist)
-    ks = 0
-    while p ** ks < max_e:
-        ks += 1
-    # n_k = number of elements of order dividing p^k = p^(sum_i min(l_i, k))
-    sums = []
-    for k in range(1, ks + 1):
-        n_k = sum(c for o, c in hist.items() if o <= p ** k)
-        sums.append(round(math.log(n_k, p)))
-    lam = []
-    prev = 0
-    parts: list[int] = []
-    for k, s in enumerate(sums, start=1):
-        inc = s - prev
-        prev = s
-        lam.append(inc)
-    # lam[k-1] = number of parts of size >= k; convert to the partition
-    for k in range(len(lam), 0, -1):
-        count_ge_k = lam[k - 1]
-        count_ge_next = lam[k] if k < len(lam) else 0
-        parts = [k] * (count_ge_k - count_ge_next) + parts
-    return tuple(sorted(parts, reverse=True))
+def _invariant_factors(p: int, hist: dict) -> tuple[int, ...]:
+    """Invariant factors (prime-power exponents, descending) of the abelian
+    p-group with this element-order histogram: p**s_k elements have order
+    dividing p**k, and s_k - s_(k-1) factors have exponent >= k."""
+    n = round(math.log(sum(hist.values()), p))      # |G| = p**n
+    s = [0]
+    while s[-1] < n:
+        s.append(round(math.log(sum(c for o, c in hist.items() if o <= p ** len(s)), p)))
+    ge = [b - a for a, b in zip(s, s[1:])]          # ge[k-1]: factors with exponent >= k
+    return tuple(sum(m >= i for m in ge) for i in range(1, max(ge, default=0) + 1))
 
 
 def group_structure(p: int) -> GroupReport:
     """Classify the group generated by the whole gate family at fixed p."""
     check_dim(p)
-    if p == 2:
-        vectors = [(k,) for k in range(8)]
-        r = 8
-    else:
-        vectors = [gate_exponents(p, GateParams(*t)).exps
-                   for t in product(range(p), repeat=3)]
-        r = root_order(p)
-    hist: dict[int, int] = {}
-    for v in vectors:
-        common = r
-        for e in v:
-            common = math.gcd(common, e)
-        o = r // common
+    hist: dict[int, int] = {}  # the p**3 triples; at p = 2, the 8 packed k = 2z + g + 4e
+    for t in product(range(p), repeat=3):
+        o = element_order(p, GateParams(*t))
         hist[o] = hist.get(o, 0) + 1
-    parts = _abelian_type_from_histogram(p, hist)
+    parts = _invariant_factors(p, hist)
     name = " x ".join(f"Z{p ** e}" for e in parts)
-    return GroupReport(p=p, size=len(vectors), order_histogram=dict(sorted(hist.items())),
+    return GroupReport(p=p, size=p ** 3, order_histogram=dict(sorted(hist.items())),
                        group_name=name, min_generators=len(parts))
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,13 +76,21 @@ ROBUST_GATE_PARAMS = {
 }
 
 
+@lru_cache(maxsize=None)
+def _triu(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of a d x d matrix."""
+    rows, cols = np.triu_indices(d, k=1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def herm_to_vec(h: np.ndarray) -> np.ndarray:
     """Isometric real coordinates: vec(A) . vec(B) = Tr[A B].
 
     Acts on the last two axes, so a stack of operators gives a stack of rows.
     """
     h = np.asarray(h, dtype=complex)
-    iu = np.triu_indices(h.shape[-1], k=1)
+    iu = _triu(h.shape[-1])
     upper = h[..., iu[0], iu[1]]
     return np.concatenate([
         np.diagonal(h, axis1=-2, axis2=-1).real,
@@ -97,7 +106,7 @@ def vec_to_herm(v: np.ndarray) -> np.ndarray:
         raise ValueError("vector length is not a perfect square")
     h = np.zeros((d, d), dtype=complex)
     np.fill_diagonal(h, v[:d])
-    iu = np.triu_indices(d, k=1)
+    iu = _triu(d)
     k = d * (d - 1) // 2
     upper = (v[d:d + k] + 1j * v[d + k:]) / np.sqrt(2.0)
     h[iu] = upper
@@ -351,13 +360,11 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
 
 
 def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
-                       witness: np.ndarray, lp_tol: float = LP_TOL,
-                       floor: float | None = None) -> float:
+                       witness: np.ndarray, floor: float = LP_TOL) -> float:
     """Check the separating property; returns the separation margin."""
-    floor = lp_tol if floor is None else floor
     vals = ((spec.kets.conj() @ witness) * spec.kets).sum(1).real  # Tr[W V_i]
     t_val = float(np.trace(witness @ target).real)
-    if vals.min() < -lp_tol:
+    if vals.min() < -LP_TOL:
         raise NumericalInstability("certificate fails on a vertex")
     if t_val > -floor:
         raise NumericalInstability("certificate does not separate the target")
@@ -586,7 +593,10 @@ def load_distill_config(path: str | None = None) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             if not key.startswith("distill_threshold."):
                 raise MissingConfig(f"unknown config key: {key}")
-            out[int(key.split(".", 1)[1])] = float(val)
+            try:
+                out[int(key.split(".", 1)[1])] = float(val)
+            except ValueError:
+                raise MissingConfig(f"malformed config line: {raw.rstrip()}") from None
     return out
 
 
@@ -644,16 +654,17 @@ def _neg_batch(p: int, thetas: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, -(q.min(axis=2).sum(axis=1) - 1.0) / p)
 
 
-def _batched_coordinate_descent(p: int, starts: np.ndarray, rounds: int = 4,
-                                grid: int = 48) -> tuple[np.ndarray, np.ndarray]:
+def _batched_coordinate_descent(p: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polish every row of an (S, p-1) array of starts by coordinate descent.
 
-    Each coordinate is scanned on a grid of ``grid`` offsets, then refined by
-    40 golden-section steps and a mid-point check.  All starts move together,
-    one ``_neg_batch`` call per step, yet each row follows the arithmetic it
-    would follow alone; a row that did not improve in a round is frozen.
+    Each of 4 rounds scans every coordinate on a grid of 48 offsets, then
+    refines it by 40 golden-section steps and a mid-point check.  All starts
+    move together, one ``_neg_batch`` call per step, yet each row follows the
+    arithmetic it would follow alone; a row that did not improve in a round
+    is frozen.
     Returns the polished thetas and their negativities.
     """
+    rounds, grid = 4, 48
     theta = np.array(starts, dtype=float)
     best = _neg_batch(p, theta)
     offsets = np.linspace(-np.pi, np.pi, grid, endpoint=False)

@@ -79,14 +79,14 @@ def _xz_matrix(p: int, x: int, z: int) -> np.ndarray:
     return m
 
 
-def displacement(p: int, x: int, z: int, c: int = 0) -> np.ndarray:
-    """D_(x|z) = tau**(x*z) X**x Z**z, optionally scaled by a tau**c phase.
+def displacement(p: int, x: int, z: int) -> np.ndarray:
+    """D_(x|z) = tau**(x*z) X**x Z**z.
 
     The phase exponent is taken from the labels as given, not from their
     residues mod p; at p = 2 the two differ because tau has order 4.
     """
     check_dim(p)
-    return _tau_pow(p, c + x * z) * _xz_matrix(p, x % p, z % p)
+    return _tau_pow(p, x * z) * _xz_matrix(p, x % p, z % p)
 
 
 @lru_cache(maxsize=None)

@@ -37,7 +37,6 @@ from quditgates.hierarchy import (
     pauli_conjugation,
 )
 from quditgates.hull import (
-    LP_TOL,
     ROBUST_GATE_PARAMS,
     cliff_polytope,
     dilution,
@@ -380,7 +379,7 @@ def test_criterion_10_structure_and_membership(verdict):
     try:
         for p in (3, 5):
             for g in _all_params(p):
-                clifford_eigenphase(p, g, tol=1e-8)
+                clifford_eigenphase(p, g)
                 eig_n += 1
     except NotEigenvector as exc:
         bad.append(f"eigenphase failure after {eig_n} labels: {exc}")
@@ -433,8 +432,7 @@ def test_criterion_10_structure_and_membership(verdict):
                              abs(out.distance - res.value / (res.value + 1 / 9)))
         if not out.feasible:
             n_out += 1
-            margin = verify_certificate(spec, rho, out.certificate,
-                                        LP_TOL, floor=0.0)
+            margin = verify_certificate(spec, rho, out.certificate, floor=0.0)
             worst_margin = min(worst_margin, margin)
     if disagree:
         bad.append(f"{disagree} LP/facet disagreements")

@@ -107,6 +107,16 @@ def test_table3_missing_config(capsys, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("line", ["distill_threshold.3 = abc", "distill_threshold.x = 0.3"])
+def test_table3_malformed_config_is_config_error(capsys, tmp_path, line):
+    path = tmp_path / "bad.cfg"
+    path.write_text(line + "\n")
+    rc = main(["table3", "--p", "3", "--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err.startswith("config error:") and line in captured.err
+
+
 def test_verify_identifies_gate(capsys, tmp_path):
     path = tmp_path / "u.txt"
     write_matrix(path, gate_matrix(3, GateParams(1, 2, 0)))
@@ -137,6 +147,13 @@ def test_inject_reports_unit_fidelity(capsys):
     assert rc == 0
     assert abs(payload["outputs"]["success_prob"] - 1 / 3) < 1e-10
     assert payload["outputs"]["fidelity"] > 1 - 1e-10
+
+
+def test_inject_rejects_zero_state(capsys, tmp_path):
+    path = tmp_path / "zero.txt"
+    write_matrix(path, np.zeros((1, 3)))
+    rc, out = run(capsys, "inject", "--p", "3", "--state", str(path))
+    assert rc == 2 and out == ""
 
 
 def test_spectra_qutrit(capsys):

@@ -5,6 +5,9 @@ oracle that iterates the defining recurrence; the oracle is implemented
 here, in the tests, so the two routes share no code.
 """
 
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from quditgates.hierarchy import (
     identify_third_level,
     magic_gate,
     magic_gate_matrix,
+    _invariant_factors,
     pauli_conjugation,
     root_order,
 )
@@ -109,6 +113,20 @@ def test_group_structure(p, name, hist, gens):
     assert rep.group_name == name
     assert rep.order_histogram == hist
     assert rep.min_generators == gens
+
+
+@pytest.mark.parametrize("p,factors", [
+    (2, (2, 1)), (2, (1, 1, 1)), (2, (3, 1)),
+    (3, (3,)), (3, (1, 1, 1)), (3, (2, 2)), (3, (2, 1, 1)),
+])
+def test_invariant_factors_beyond_table1(p, factors):
+    # brute-force order histogram of Z_(p^a) x Z_(p^b) x ..., then recover a, b, ...
+    mods = [p ** a for a in factors]
+    hist = {}
+    for x in product(*(range(m) for m in mods)):
+        o = max(m // math.gcd(m, xi) for m, xi in zip(mods, x))
+        hist[o] = hist.get(o, 0) + 1
+    assert _invariant_factors(p, hist) == factors
 
 
 @pytest.mark.parametrize("p", (5, 7))

@@ -604,9 +604,11 @@ def test_load_distill_config_default_and_errors(tmp_path):
     with pytest.raises(MissingConfig):
         load_distill_config(str(tmp_path / "absent.cfg"))
     bad = tmp_path / "bad.cfg"
-    bad.write_text("not a key value line\n")
-    with pytest.raises(MissingConfig):
-        load_distill_config(str(bad))
+    for line in ("not a key value line", "distill_threshold.3 = abc",
+                 "distill_threshold.x = 0.3"):
+        bad.write_text(line + "\n")
+        with pytest.raises(MissingConfig, match="config line"):
+            load_distill_config(str(bad))
 
 
 def test_uqc_bounds_all_dimensions():
