@@ -1,7 +1,13 @@
 """Command-line front end.
 
 Subcommands reproduce the three summary tables and expose the library
-operations one by one.  JSON output carries full doubles and a provenance
+operations one by one.  Each ``cmd_*`` handler is a pure function of the
+parsed arguments that returns ``(payload, checks)``: the report, and the
+``(label, computed, recorded, tol)`` checks that ``--self-check`` compares.
+``main`` is the one runner: it validates ``--p``, gives ``--params`` the
+robust gate by default, times the handler, adds ``wall_time_s`` (and
+``self_check`` where the command takes the flag), emits the payload and
+picks the exit code.  JSON output carries full doubles and a provenance
 tag per numeric cell; CSV rounds to 6 significant digits and appends the
 provenance in parentheses for anything that is not freshly computed.
 
@@ -76,8 +82,14 @@ def _parse_params(text: str) -> GateParams:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("--params expects three comma-separated integers z,g,e")
-    z, g, e = (int(s) for s in parts)
-    return GateParams(z, g, e)
+    return GateParams(*(int(s) for s in parts))
+
+
+def _parse_tol(text: str) -> float:
+    tol = float(text)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError("--tol expects a finite number >= 0")
+    return tol
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -91,8 +103,7 @@ def read_matrix(path: str) -> np.ndarray:
             rows.append([complex(tok.replace("i", "j")) for tok in line.split()])
     if not rows:
         raise ValueError(f"no matrix data in {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    if len({len(r) for r in rows}) != 1:
         raise ValueError("ragged rows in matrix file")
     return np.array(rows, dtype=complex)
 
@@ -127,8 +138,14 @@ def _emit(payload: dict, fmt: str) -> None:
                 parts.append(text)
             print(",".join(parts))
         return
-    for key in sorted(payload.get("outputs", {})):
-        val = payload["outputs"][key]
+    outputs = payload["outputs"]
+    if "classes" in outputs:
+        print("eigenvalues,count")
+        for c in outputs["classes"]:
+            print("\"" + " ".join(_fmt6(x) for x in c["eigenvalues"]) + f"\",{c['count']}")
+        return
+    for key in sorted(outputs):
+        val = outputs[key]
         if isinstance(val, float):
             val = _fmt6(val)
         elif isinstance(val, (list, tuple, dict)):
@@ -150,48 +167,27 @@ def _json_ready(obj):
     return obj
 
 
-def _report(operation: str, inputs: dict, outputs: dict, started: float) -> dict:
-    return {
-        "operation": operation,
-        "inputs": _json_ready(inputs),
-        "outputs": _json_ready(outputs),
-        "provenance": PROV_COMPUTED,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
+def _report(operation: str, inputs: dict, outputs: dict) -> dict:
+    return {"operation": operation, "inputs": _json_ready(inputs),
+            "outputs": _json_ready(outputs), "provenance": PROV_COMPUTED}
 
 
-def _selected_primes(args) -> list:
-    if args.p is not None:
-        check_dim(args.p)
-        return [args.p]
-    return list(SUPPORTED_PRIMES)
+def _mismatches(checks) -> list:
+    """One line per (label, computed, recorded, tol) check that differs by
+    more than ``tol``, or at all when ``tol`` is None; a NaN on either side
+    is a mismatch."""
+    out = []
+    for label, got, want, tol in checks:
+        if tol is None:
+            if got != want:
+                out.append(f"{label}: computed {got} vs recorded {want} (exact)")
+        elif not abs(got - want) <= tol:
+            out.append(f"{label}: computed {got:.6g} vs recorded {want:.6g} (tol {tol:g})")
+    return out
 
 
 # ---------------------------------------------------------------------------
 # table commands
-
-
-def _self_check(args, payload: dict, checks) -> int:
-    """Set ``payload["self_check"]``, emit the payload, and return the exit code.
-
-    With ``--self-check`` each (label, computed, recorded, tol) check
-    that differs by more than ``tol`` is a mismatch (``tol`` None asks
-    for equality); mismatches go to stderr and make the exit code 3.
-    """
-    mismatches = []
-    if args.self_check:
-        for label, got, want, tol in checks:
-            if tol is None:
-                if got != want:
-                    mismatches.append(f"{label}: computed {got} vs recorded {want} (exact)")
-            elif abs(got - want) > tol:
-                mismatches.append(f"{label}: computed {got:.6g} vs recorded "
-                                  f"{want:.6g} (tol {tol:g})")
-    payload["self_check"] = (mismatches or "ok") if args.self_check else "off"
-    _emit(payload, args.format)
-    for m in mismatches:
-        sys.stderr.write(m + "\n")
-    return 3 if mismatches else 0
 
 
 def _depol_gate_check(command: str, p: int, cell: str, pct: float) -> tuple:
@@ -201,14 +197,12 @@ def _depol_gate_check(command: str, p: int, cell: str, pct: float) -> tuple:
     return (f"{command} p={p} {cell}", pct, 100 * RECORDED_DEPOL_GATE[p], 0.05)
 
 
-def cmd_table1(args) -> int:
-    started = time.perf_counter()
-
-    def row(p):
+def cmd_table1(args) -> tuple[dict, list]:
+    rows, checks = [], []
+    for p in (args.p,) if args.p else SUPPORTED_PRIMES:
         rep = group_structure(p)
-        counts = "/".join(str(rep.order_histogram[k])
-                          for k in sorted(rep.order_histogram))
-        return {
+        counts = "/".join(str(v) for v in rep.order_histogram.values())
+        rows.append({
             "p": p,
             "cells": {
                 "group": _cell(rep.group_name),
@@ -216,91 +210,61 @@ def cmd_table1(args) -> int:
                 "min_generators": _cell(rep.min_generators),
             },
             "order_histogram": {str(k): v for k, v in rep.order_histogram.items()},
-        }
-
-    rows = [row(p) for p in _selected_primes(args)]
-    checks = []
-    for r in rows:
-        p = r["p"]
+        })
         hist, gens = EXPECTED_TABLE1[p]
-        checks.append((f"table1 p={p} order_histogram",
-                       {int(k): v for k, v in r["order_histogram"].items()}, hist, None))
-        checks.append((f"table1 p={p} min_generators",
-                       r["cells"]["min_generators"]["value"], gens, None))
-    payload = {"table": "group-structure", "rows": rows,
-               "wall_time_s": round(time.perf_counter() - started, 6)}
-    return _self_check(args, payload, checks)
+        checks.append((f"table1 p={p} order_histogram", rep.order_histogram, hist, None))
+        checks.append((f"table1 p={p} min_generators", rep.min_generators, gens, None))
+    return {"table": "group-structure", "rows": rows}, checks
 
 
-def cmd_table2(args) -> int:
-    started = time.perf_counter()
-
-    def row(p):
-        g = ROBUST_GATE_PARAMS[p]
-        psi = gate_state(p, g)
-        depol = threshold_depol_gate(p, gate_matrix(p, g))
-        cells = {
-            "depol_gate_pct": _cell(100 * depol.epsilon_star),
-            "pd_gate_pct": _cell(100 * threshold_pd_gate(p, psi).epsilon_star),
-            "negativity": _cell(negativity(p, psi).value),
-            "choi_negativity": _cell(RECORDED_CHOI_NEGATIVITY[p], PROV_RECORDED),
-        }
-        return {"p": p, "params": list(g.astuple()), "cells": cells}
-
-    rows = [row(p) for p in _selected_primes(args)]
+def cmd_table2(args) -> tuple[dict, list]:
     tol_pct = args.tol if args.tol is not None else 0.005
     tol_neg = args.tol if args.tol is not None else 5e-5
-    checks = []
-    for r in rows:
-        p, cells = r["p"], r["cells"]
-        checks.append((f"table2 p={p} pd_gate_pct", cells["pd_gate_pct"]["value"],
-                       100 * RECORDED_PD_GATE[p], tol_pct))
-        checks.append((f"table2 p={p} negativity", cells["negativity"]["value"],
-                       RECORDED_NEGATIVITY[p], tol_neg))
-        checks.append(_depol_gate_check("table2", p, "depol_gate_pct",
-                                        cells["depol_gate_pct"]["value"]))
-    payload = {"table": "robustness-negativity", "rows": rows,
-               "wall_time_s": round(time.perf_counter() - started, 6)}
-    return _self_check(args, payload, checks)
+    rows, checks = [], []
+    for p in (args.p,) if args.p else SUPPORTED_PRIMES:
+        g = ROBUST_GATE_PARAMS[p]
+        psi = gate_state(p, g)
+        depol = 100 * threshold_depol_gate(p, gate_matrix(p, g)).epsilon_star
+        pd = 100 * threshold_pd_gate(p, psi).epsilon_star
+        neg = negativity(p, psi).value
+        rows.append({"p": p, "params": list(g.astuple()), "cells": {
+            "depol_gate_pct": _cell(depol),
+            "pd_gate_pct": _cell(pd),
+            "negativity": _cell(neg),
+            "choi_negativity": _cell(RECORDED_CHOI_NEGATIVITY[p], PROV_RECORDED),
+        }})
+        checks.append((f"table2 p={p} pd_gate_pct", pd, 100 * RECORDED_PD_GATE[p], tol_pct))
+        checks.append((f"table2 p={p} negativity", neg, RECORDED_NEGATIVITY[p], tol_neg))
+        checks.append(_depol_gate_check("table2", p, "depol_gate_pct", depol))
+    return {"table": "robustness-negativity", "rows": rows}, checks
 
 
-def cmd_table3(args) -> int:
-    started = time.perf_counter()
+def cmd_table3(args) -> tuple[dict, list]:
     config = load_distill_config(args.config)
-
-    def row(p):
-        b = uqc_bounds(p, config)
-        return {"p": p, "cells": {
-            "lower_pct": _cell(100 * b.lower, b.lower_provenance),
-            "upper_pct": _cell(100 * b.upper, b.upper_provenance),
-        }}
-
-    rows = [row(p) for p in _selected_primes(args)]
     tol = args.tol if args.tol is not None else 0.05
-    checks = []
-    for r in rows:
-        p, lower = r["p"], r["cells"]["lower_pct"]
+    rows, checks = [], []
+    for p in (args.p,) if args.p else SUPPORTED_PRIMES:
+        b = uqc_bounds(p, config)
+        lower, upper = 100 * b.lower, 100 * b.upper
+        rows.append({"p": p, "cells": {
+            "lower_pct": _cell(lower, b.lower_provenance),
+            "upper_pct": _cell(upper, b.upper_provenance),
+        }})
         # A computed lower bound (p=2) is the depolarising-gate cell itself.
-        if lower["provenance"] == PROV_COMPUTED:
-            checks.append(_depol_gate_check("table3", p, "lower_pct", lower["value"]))
+        if b.lower_provenance == PROV_COMPUTED:
+            checks.append(_depol_gate_check("table3", p, "lower_pct", lower))
         else:
-            checks.append((f"table3 p={p} lower_pct", lower["value"],
-                           100 * RECORDED_UQC_LOWER[p], tol))
-        checks.append(_depol_gate_check("table3", p, "upper_pct",
-                                        r["cells"]["upper_pct"]["value"]))
-    payload = {"table": "uqc-bounds", "rows": rows,
-               "wall_time_s": round(time.perf_counter() - started, 6)}
-    return _self_check(args, payload, checks)
+            checks.append((f"table3 p={p} lower_pct", lower, 100 * RECORDED_UQC_LOWER[p], tol))
+        checks.append(_depol_gate_check("table3", p, "upper_pct", upper))
+    return {"table": "uqc-bounds", "rows": rows}, checks
 
 
 # ---------------------------------------------------------------------------
 # single-operation commands
 
 
-def cmd_gate(args) -> int:
-    started = time.perf_counter()
-    check_dim(args.p)
-    g = args.params if args.params else ROBUST_GATE_PARAMS[args.p]
+def cmd_gate(args) -> tuple[dict, list]:
+    g = args.params
     exact = gate_exponents(args.p, g)
     out = {
         "root_order": exact.root_order,
@@ -308,29 +272,21 @@ def cmd_gate(args) -> int:
         "element_order": element_order(args.p, g),
         "params_reduced": list(g.reduced(args.p).astuple()),
     }
-    _emit(_report("gate", {"p": args.p, "params": list(g.astuple())}, out, started),
-          args.format)
-    return 0
+    return _report("gate", {"p": args.p, "params": list(g.astuple())}, out), []
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    check_dim(args.p)
+def cmd_verify(args) -> tuple[dict, list]:
     m = read_matrix(args.matrix)
     tol = args.tol if args.tol is not None else 1e-9
     rep = identify_third_level(args.p, m, tol=tol)
     out = {"kind": rep.kind}
     if rep.params is not None:
         out["params"] = list(rep.params.astuple())
-    _emit(_report("verify", {"p": args.p, "matrix": args.matrix}, out, started),
-          args.format)
-    return 0
+    return _report("verify", {"p": args.p, "matrix": args.matrix}, out), []
 
 
-def cmd_negativity(args) -> int:
-    started = time.perf_counter()
-    check_dim(args.p)
-    g = args.params if args.params else ROBUST_GATE_PARAMS[args.p]
+def cmd_negativity(args) -> tuple[dict, list]:
+    g = args.params
     res = negativity(args.p, gate_state(args.p, g))
     out = {"negativity": res.value, "facet": list(res.facet),
            "min_facet_value": res.minimum, "inside_stab": res.inside}
@@ -339,9 +295,7 @@ def cmd_negativity(args) -> int:
         tol = args.tol if args.tol is not None else 5e-5
         checks.append((f"negativity p={args.p}", res.value,
                        RECORDED_NEGATIVITY[args.p], tol))
-    rep = _report("negativity", {"p": args.p, "params": list(g.astuple())},
-                  out, started)
-    return _self_check(args, rep, checks)
+    return _report("negativity", {"p": args.p, "params": list(g.astuple())}, out), checks
 
 
 def _evidence(r) -> dict:
@@ -356,10 +310,8 @@ def _evidence(r) -> dict:
             "orbits": r.orbits, "certificate_margin": r.margin}
 
 
-def cmd_threshold(args) -> int:
-    started = time.perf_counter()
-    check_dim(args.p)
-    g = args.params if args.params else ROBUST_GATE_PARAMS[args.p]
+def cmd_threshold(args) -> tuple[dict, list]:
+    g = args.params
     psi = gate_state(args.p, g)
     results = {
         "depol_state_pct": threshold_depol_state(args.p, psi),
@@ -367,8 +319,6 @@ def cmd_threshold(args) -> int:
         "depol_gate_pct": threshold_depol_gate(args.p, gate_matrix(args.p, g)),
     }
     out = {name: 100 * r.epsilon_star for name, r in results.items()}
-    prov = dict.fromkeys(results, PROV_COMPUTED)
-    evidence = {name: _evidence(r) for name, r in results.items()}
     checks = []
     if g == ROBUST_GATE_PARAMS[args.p]:
         tol = args.tol if args.tol is not None else 0.005
@@ -376,38 +326,29 @@ def cmd_threshold(args) -> int:
                        100 * RECORDED_PD_GATE[args.p], tol))
         checks.append(_depol_gate_check("threshold", args.p, "depol_gate_pct",
                                         out["depol_gate_pct"]))
-    rep = _report("threshold", {"p": args.p, "params": list(g.astuple())},
-                  out, started)
-    rep["provenance"] = prov
-    rep["evidence"] = evidence
-    return _self_check(args, rep, checks)
+    rep = _report("threshold", {"p": args.p, "params": list(g.astuple())}, out)
+    rep["provenance"] = dict.fromkeys(results, PROV_COMPUTED)
+    rep["evidence"] = {name: _evidence(r) for name, r in results.items()}
+    return rep, checks
 
 
-def cmd_dilute(args) -> int:
-    started = time.perf_counter()
-    check_dim(args.p)
+def cmd_dilute(args) -> tuple[dict, list]:
     if args.invert:
         out = {"eps": dilution_inv(args.p, args.eps)}
     else:
         out = {"eps_prime": dilution(args.p, args.eps)}
     if args.simulate:
-        g = args.params if args.params else ROBUST_GATE_PARAMS[args.p]
-        sim = simulate_dilution(args.p, g, args.eps)
+        sim = simulate_dilution(args.p, args.params, args.eps)
         out["simulated_eps_prime"] = sim.eps_out
         out["success_prob"] = sim.success_prob
-    _emit(_report("dilute", {"p": args.p, "eps": args.eps,
-                             "invert": bool(args.invert)}, out, started),
-          args.format)
-    return 0
+    return _report("dilute", {"p": args.p, "eps": args.eps,
+                              "invert": bool(args.invert)}, out), []
 
 
-def cmd_inject(args) -> int:
-    started = time.perf_counter()
-    check_dim(args.p)
-    g = args.params if args.params else ROBUST_GATE_PARAMS[args.p]
+def cmd_inject(args) -> tuple[dict, list]:
+    g = args.params
     if args.state:
-        m = read_matrix(args.state)
-        psi = m.ravel()
+        psi = read_matrix(args.state).ravel()
     else:
         rng = np.random.default_rng(args.seed)
         psi = rng.normal(size=args.p) + 1j * rng.normal(size=args.p)
@@ -420,14 +361,11 @@ def cmd_inject(args) -> int:
     want = np.kron(u @ psi, np.eye(args.p, dtype=complex)[0])
     fidelity = float(np.abs(np.vdot(want, res.state)) ** 2)
     out = {"success_prob": res.success_prob, "fidelity": fidelity}
-    _emit(_report("inject", {"p": args.p, "params": list(g.astuple()),
-                             "seed": args.seed}, out, started), args.format)
-    return 0
+    return _report("inject", {"p": args.p, "params": list(g.astuple()),
+                              "seed": args.seed}, out), []
 
 
-def cmd_spectra(args) -> int:
-    started = time.perf_counter()
-    check_dim(args.p)
+def cmd_spectra(args) -> tuple[dict, list]:
     out = {"n_edges": args.p ** args.p}
     # At p >= 7 only the JSON lists the classes; the CSV keeps its four scan lines.
     if args.p <= 5 or args.format == "json":
@@ -441,25 +379,15 @@ def cmd_spectra(args) -> int:
             "near_target_count": scan.window_count,
             "flat_eigenvector_count": scan.window_flat_count,
         })
-    rep = _report("spectra", {"p": args.p}, out, started)
-    if args.format == "csv" and args.p <= 5:
-        print("eigenvalues,count")
-        for c in rep["outputs"]["classes"]:
-            print("\"" + " ".join(_fmt6(x) for x in c["eigenvalues"]) + f"\",{c['count']}")
-        return 0
-    _emit(rep, args.format)
-    return 0
+    return _report("spectra", {"p": args.p}, out), []
 
 
-def cmd_group(args) -> int:
-    started = time.perf_counter()
-    check_dim(args.p)
+def cmd_group(args) -> tuple[dict, list]:
     rep = group_structure(args.p)
     out = {"group": rep.group_name, "size": rep.size,
            "min_generators": rep.min_generators,
            "order_histogram": {str(k): v for k, v in rep.order_histogram.items()}}
-    _emit(_report("group", {"p": args.p}, out, started), args.format)
-    return 0
+    return _report("group", {"p": args.p}, out), []
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +403,7 @@ def build_parser() -> _Parser:
     flags = {
         "--params": dict(type=_parse_params, default=None, metavar="z,g,e",
                          help="gate parameters"),
-        "--tol": dict(type=float, default=None),
+        "--tol": dict(type=_parse_tol, default=None),
         "--seed": dict(type=int, default=0),
         "--config": dict(default=None, help="distillation config path"),
         "--self-check": dict(dest="self_check", action="store_true"),
@@ -527,15 +455,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
-        return args.handler(args)
+        if args.p is not None:
+            check_dim(args.p)
+        if "params" in args and args.params is None:
+            args.params = ROBUST_GATE_PARAMS[args.p]
+        payload, checks = args.handler(args)
     except MissingConfig as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 1
     except (QuditGatesError, ValueError, OSError) as exc:
         sys.stderr.write(f"domain error: {exc}\n")
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    payload["wall_time_s"] = round(time.perf_counter() - started, 6)
+    mismatches = _mismatches(checks) if getattr(args, "self_check", False) else []
+    if "self_check" in args:
+        payload["self_check"] = mismatches or ("ok" if args.self_check else "off")
+    _emit(payload, args.format)
+    for m in mismatches:
+        sys.stderr.write(m + "\n")
+    return 3 if mismatches else 0

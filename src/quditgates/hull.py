@@ -578,7 +578,8 @@ DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "data",
 
 
 def load_distill_config(path: str | None = None) -> dict:
-    """Parse ``distill_threshold.<p> = <real>`` lines; '#' starts a comment."""
+    """Parse ``distill_threshold.<p> = <real>`` lines; '#' starts a comment.
+    A malformed line or a value outside [0, 1] raises ``MissingConfig``."""
     path = path or DEFAULT_CONFIG
     if not os.path.exists(path):
         raise MissingConfig(f"config file not found: {path}")
@@ -594,9 +595,12 @@ def load_distill_config(path: str | None = None) -> dict:
             if not key.startswith("distill_threshold."):
                 raise MissingConfig(f"unknown config key: {key}")
             try:
-                out[int(key.split(".", 1)[1])] = float(val)
+                prime, value = int(key.split(".", 1)[1]), float(val)
             except ValueError:
                 raise MissingConfig(f"malformed config line: {raw.rstrip()}") from None
+            if not 0.0 <= value <= 1.0:
+                raise MissingConfig(f"config line outside [0, 1]: {raw.rstrip()}")
+            out[prime] = value
     return out
 
 

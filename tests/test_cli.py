@@ -1,11 +1,16 @@
+import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import quditgates
 from quditgates import cli
-from quditgates.cli import main, read_matrix
+from quditgates.cli import build_parser, main, read_matrix
 from quditgates.hierarchy import GateParams, gate_matrix
 
 
@@ -107,7 +112,8 @@ def test_table3_missing_config(capsys, tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("line", ["distill_threshold.3 = abc", "distill_threshold.x = 0.3"])
+@pytest.mark.parametrize("line", ["distill_threshold.3 = abc", "distill_threshold.x = 0.3",
+                                  "distill_threshold.3 = 1.5", "distill_threshold.3 = nan"])
 def test_table3_malformed_config_is_config_error(capsys, tmp_path, line):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")
@@ -295,3 +301,58 @@ def test_table1_self_check(capsys, monkeypatch):
 def test_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
     assert main(list(argv)) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
+def test_tol_must_be_finite_and_nonnegative(capsys, tol):
+    rc = main(["table2", "--p", "2", "--self-check", "--tol", tol])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert "argument --tol" in captured.err
+
+
+def test_self_check_flags_nan_recorded_value(capsys, monkeypatch):
+    monkeypatch.setitem(cli.RECORDED_NEGATIVITY, 3, float("nan"))
+    rc = main(["negativity", "--p", "3", "--self-check"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("negativity p=3: computed 0.136298 vs recorded nan")
+
+
+def _subcommands() -> dict:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+@pytest.mark.parametrize("name", sorted(_subcommands()))
+def test_runner_contract(capsys, tmp_path, name):
+    """Every subcommand reports ``wall_time_s``, reports ``self_check`` exactly
+    when it takes ``--self-check`` ("off" without the flag), and rejects an
+    unsupported dimension with exit code 2 and nothing on stdout."""
+    path = tmp_path / "u.txt"
+    write_matrix(path, gate_matrix(2, GateParams(1, 1, 0)))
+    extra = {"dilute": ["--eps", "0.3"], "verify": [str(path)]}.get(name, [])
+    takes_self_check = any(a.dest == "self_check" for a in _subcommands()[name]._actions)
+    rc, payload = run_json(capsys, name, "--p", "2", *extra)
+    assert rc == 0
+    assert isinstance(payload["wall_time_s"], float)
+    assert ("self_check" in payload) == takes_self_check
+    if takes_self_check:
+        assert payload["self_check"] == "off"
+    rc, out = run(capsys, name, "--p", "4", *extra)
+    assert rc == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["group", "--p", "2"], 0),
+    (["nonsense"], 1),
+    (["negativity", "--p", "4"], 2),
+    (["table2", "--p", "2", "--self-check"], 3),
+])
+def test_python_dash_m_exit_codes(argv, code):
+    src = os.path.dirname(os.path.dirname(quditgates.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "quditgates", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr

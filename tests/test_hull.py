@@ -605,9 +605,10 @@ def test_load_distill_config_default_and_errors(tmp_path):
         load_distill_config(str(tmp_path / "absent.cfg"))
     bad = tmp_path / "bad.cfg"
     for line in ("not a key value line", "distill_threshold.3 = abc",
-                 "distill_threshold.x = 0.3"):
+                 "distill_threshold.x = 0.3", "distill_threshold.3 = 1.5",
+                 "distill_threshold.3 = nan"):
         bad.write_text(line + "\n")
-        with pytest.raises(MissingConfig, match="config line"):
+        with pytest.raises(MissingConfig, match=f"config line.*{line}"):
             load_distill_config(str(bad))
 
 
