@@ -148,12 +148,14 @@ def _emit(payload: dict, fmt: str) -> None:
         val = outputs[key]
         if isinstance(val, float):
             val = _fmt6(val)
-        elif isinstance(val, (list, tuple, dict)):
+        elif isinstance(val, (bool, list, tuple, dict)):
             val = json.dumps(val, sort_keys=True)
         print(f"{key},{val}")
 
 
 def _json_ready(obj):
+    if isinstance(obj, (bool, np.bool_)):  # before int: True is an int
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):

@@ -225,7 +225,9 @@ def _pivot_loop(a, sign, rhs, cost, basis, binv, xb, forced):
     signed system, so the pivots are those of the dense loop bit for bit.
 
     Refactorises the basis inverse every 100 pivots to keep roundoff in
-    check and updates it in place between.  Pricing is Dantzig, falling
+    check and updates it in place between, 64 rows at a time through one
+    buffer, so no m x m temporary is made; each entry is still the product
+    subtracted from it, as in the dense loop.  Pricing is Dantzig, falling
     back to Bland's rule after a long degenerate run (anti-cycling).
     With ``forced`` (phase 2) an artificial still basic is treated as
     zero and leaves at ratio 0 whenever the entering column touches its
@@ -237,6 +239,8 @@ def _pivot_loop(a, sign, rhs, cost, basis, binv, xb, forced):
     stall = 0
     bland = False
     refactorisations = 0
+    block = 64
+    buf = np.empty((block, m))
     for it in range(10000 + 60 * m):
         if it % 100 == 99:
             binv = np.linalg.inv(_basis_matrix(a, sign, basis))
@@ -271,7 +275,11 @@ def _pivot_loop(a, sign, rhs, cost, basis, binv, xb, forced):
         xb = np.maximum(xb - step * d, 0.0)
         xb[r] = step
         pivot_row = binv[r] / d[r]
-        binv -= d[:, None] * pivot_row
+        for lo in range(0, m, block):
+            rows = binv[lo:lo + block]
+            part = buf[:len(rows)]
+            np.multiply(d[lo:lo + block, None], pivot_row, out=part)
+            np.subtract(rows, part, out=rows)
         binv[r] = pivot_row
         basis[r] = j
         if step < 1e-13:
@@ -709,14 +717,74 @@ def _batched_coordinate_descent(p: int, starts: np.ndarray) -> tuple[np.ndarray,
     return theta, best
 
 
+def _diagonal_clifford_shifts(p: int) -> np.ndarray:
+    """Lattice shifts (a k + b k^2) mod p, k = 1..p-1, one row per (a, b).
+
+    Z^a diag(omega^(b k^2)) multiplies amplitude k by omega^(a k + b k^2)
+    and fixes amplitude 0, so on the root-of-unity lattice of p >= 5 it
+    adds that shift to ks_k.  Measured on every call: Z and diag(omega^(k^2))
+    must map the rows of ``mub_vectors(p)``, up to a phase, one to one onto
+    rows, each basis onto one basis, so that they keep the negativity
+    (SymmetryViolation otherwise).  The p = 2 and 3 lattices are finer
+    than Z_p and take the identity alone: one zero row.
+    """
+    if p < 5:
+        return np.zeros((1, p - 1), dtype=int)
+    vecs = mub_vectors(p).reshape(-1, p)
+    k = np.arange(p)
+    for expo in (k, k * k):
+        image = vecs * np.exp(2j * np.pi * (expo % p) / p)
+        overlap = np.abs(vecs.conj() @ image.T) ** 2  # [row, image of row]
+        to = overlap.argmax(axis=0)
+        if (overlap[to, np.arange(len(to))].min() < 1 - 1e-9
+                or len(np.unique(to)) != len(to)
+                or np.ptp((to // p).reshape(p + 1, p), axis=1).any()):
+            raise SymmetryViolation("a diagonal Clifford does not permute the MUB bases")
+    a, b = np.divmod(np.arange(p * p), p)
+    return (a[:, None] * k[1:] + b[:, None] * k[1:] ** 2) % p
+
+
+def _lattice_starts(p: int) -> np.ndarray:
+    """Indices of the 8 best points of the root-of-unity lattice.
+
+    A point ks (theta_k = 2 pi ks_k / r, lattice index ks_1 ks_2 ... read
+    in base r) is scored through its orbit under the diagonal Cliffords
+    Z^a diag(omega^(b k^2)), which keep the negativity.  For p >= 5 the
+    action is free ((a, b) -> (a + b, 2a + 4b) has determinant 2), so each
+    orbit of p^2 points has one member with ks_1 = ks_2 = 0, and these are
+    the first p^(p-3) indices: 2,401 scored states instead of 117,649 at
+    p = 7, 25 at p = 5.  Only the best orbits are expanded to their
+    points.  The order is the score rounded to 12 decimals, descending,
+    then the lattice index, ascending.
+    """
+    r = root_order(p)
+    shifts = _diagonal_clifford_shifts(p)
+    shape = (r,) * (p - 1)
+    reps = np.array(np.unravel_index(np.arange(r ** (p - 1) // len(shifts)), shape)).T
+    score = np.round(_neg_batch(p, 2 * np.pi * reps / r), 12)
+    # the 8 best points lie in orbits scoring at least the ceil(8/p^2)-th best
+    cut = np.sort(score)[::-1][7 // len(shifts)]
+    top = np.flatnonzero(score >= cut)
+    index = np.ravel_multi_index(np.moveaxis((reps[top, None] + shifts) % r, -1, 0), shape)
+    order = np.lexsort((index.ravel(), -np.repeat(score[top], len(shifts))))
+    return index.ravel()[order[:8]]
+
+
 def optimize_equatorial(p: int, seed: int = 0, restarts: int = 24) -> EquatorialOptimum:
     """Maximise negativity over equatorial states by local search.
 
     Starts are ``restarts`` seeded uniform angles (``restarts`` >= 0, else
     ValueError) plus the 8 best points of the root-of-unity lattice
-    matching the diagonal-gate family.  Every start is polished by
-    coordinate descent with golden-section steps, all of them together;
-    the first start with the largest polished negativity wins.
+    matching the diagonal-gate family.  The lattice is scored once per
+    orbit of the diagonal Cliffords Z^a diag(omega^(b k^2)), 2,401 orbits
+    at p = 7 and 25 at p = 5 (point by point at p = 2 and 3), after
+    checking on every call that Z and diag(omega^(k^2)) permute the
+    stabilizer bases (SymmetryViolation otherwise); see
+    ``_lattice_starts``.  The lattice starts are the first 8 points by
+    score rounded to 12 decimals, descending, then lattice index,
+    ascending.  Every start is polished by coordinate descent with
+    golden-section steps, all of them together; the first start with the
+    largest polished negativity wins.
     """
     check_dim(p)
     if restarts < 0:
@@ -724,12 +792,8 @@ def optimize_equatorial(p: int, seed: int = 0, restarts: int = 24) -> Equatorial
     rng = np.random.default_rng(seed)
     starts = rng.uniform(0.0, 2 * np.pi, size=(restarts, p - 1))
     r = root_order(p)
-    ks = np.indices((r,) * (p - 1)).reshape(p - 1, -1).T
-    lat = 2 * np.pi * ks / r
-    vals = np.concatenate([_neg_batch(p, chunk)
-                           for chunk in np.array_split(lat, max(1, len(lat) // 20000 + 1))])
-    order = np.argsort(vals)[::-1]
-    starts = np.concatenate([starts, lat[order[:8]]])
+    ks = np.array(np.unravel_index(_lattice_starts(p), (r,) * (p - 1))).T
+    starts = np.concatenate([starts, 2 * np.pi * ks / r])
     thetas, vals = _batched_coordinate_descent(p, starts)
     i = int(np.argmax(vals))
     best_theta, best_val = thetas[i].copy(), float(vals[i])

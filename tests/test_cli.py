@@ -65,6 +65,20 @@ def test_dilute_invert(capsys):
     assert abs(payload["outputs"]["eps"] - 0.5815) < 5e-4
 
 
+@pytest.mark.parametrize("argv,section,key,want", [
+    (("negativity", "--p", "3"), "outputs", "inside_stab", False),
+    (("dilute", "--p", "3", "--eps", "0.3165", "--invert"), "inputs", "invert", True),
+])
+def test_json_flags_stay_booleans(capsys, argv, section, key, want):
+    rc, out = run(capsys, *argv)
+    assert rc == 0
+    assert json.loads(out)[section][key] is want
+    assert f'"{key}": {str(want).lower()}' in out
+    if section == "outputs":
+        rc, out = run(capsys, *argv, "--format", "csv")
+        assert f"\n{key},{str(want).lower()}\n" in out
+
+
 def test_negativity_p7_example(capsys):
     rc, payload = run_json(capsys, "negativity", "--p", "7")
     assert rc == 0

@@ -705,15 +705,27 @@ def _serial_descent(p, theta, rounds=4, grid=48):
     return theta, best
 
 
-def _serial_optimize(p, seed, restarts):
-    rng = np.random.default_rng(seed)
-    starts = [rng.uniform(0.0, 2 * np.pi, size=p - 1) for _ in range(restarts)]
+def _lattice_order(vals):
+    """Lattice indices by score rounded to 12 decimals, descending, then
+    by index, ascending: the tie rule of optimize_equatorial."""
+    return np.lexsort((np.arange(len(vals)), -np.round(vals, 12)))
+
+
+def _full_lattice(p):
+    """Every root-of-unity lattice point, in index order, and its score."""
     r = root_order(p)
     ks = np.indices((r,) * (p - 1)).reshape(p - 1, -1).T
     lat = 2 * np.pi * ks / r
     vals = np.concatenate([hull._neg_batch(p, chunk)
                            for chunk in np.array_split(lat, max(1, len(lat) // 20000 + 1))])
-    order = np.argsort(vals)[::-1]
+    return lat, vals
+
+
+def _serial_optimize(p, seed, restarts):
+    rng = np.random.default_rng(seed)
+    starts = [rng.uniform(0.0, 2 * np.pi, size=p - 1) for _ in range(restarts)]
+    lat, vals = _full_lattice(p)
+    order = _lattice_order(vals)
     starts.extend(lat[i] for i in order[:8])
     best_theta, best_val = None, -1.0
     for theta in starts:
@@ -743,3 +755,39 @@ def test_optimizer_matches_serial_oracle(p, restarts):
         assert np.array_equal(opt.theta, theta)
         assert opt.negativity == val
         assert opt.facet == facet
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_orbit_scores_match_full_lattice(p):
+    r = root_order(p)
+    full = _full_lattice(p)[1]
+    shifts = hull._diagonal_clifford_shifts(p)
+    assert len(shifts) == (p * p if p >= 5 else 1)
+    n_orbits = len(full) // len(shifts)
+    assert n_orbits == {2: 8, 3: 81, 5: 25, 7: 2401}[p]
+    # orbit i holds the representative i (ks_1 = ks_2 = 0) shifted by each row
+    reps = np.array(np.unravel_index(np.arange(n_orbits), (r,) * (p - 1))).T
+    members = np.ravel_multi_index(
+        np.moveaxis((reps[:, None] + shifts) % r, -1, 0), (r,) * (p - 1))
+    assert np.array_equal(np.sort(members, axis=None), np.arange(len(full)))
+    assert np.max(np.abs(full[members] - full[:n_orbits, None])) < 1e-12
+    assert np.array_equal(hull._lattice_starts(p), _lattice_order(full)[:8])
+
+
+def _swap_rows_across_bases(vecs):
+    vecs[[1, 2], 0] = vecs[[2, 1], 0]
+
+
+def _repeat_a_basis(vecs):
+    vecs[1] = vecs[2]
+
+
+@pytest.mark.parametrize("corrupt", (_swap_rows_across_bases, _repeat_a_basis))
+def test_broken_diagonal_symmetry_raises(monkeypatch, corrupt):
+    corrupted = {p: np.array(hull.mub_vectors(p)) for p in (5, 7)}
+    for vecs in corrupted.values():
+        corrupt(vecs)
+    monkeypatch.setattr(hull, "mub_vectors", corrupted.__getitem__)
+    for p in (5, 7):
+        with pytest.raises(SymmetryViolation):
+            optimize_equatorial(p)
