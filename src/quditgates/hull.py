@@ -16,7 +16,11 @@ description of the Clifford polytope.
 
 Membership is that LP from the target toward the vertex barycentre: the
 target is inside iff eps* = 0, and otherwise the witness separates the
-target itself.  The state and dephasing thresholds follow from closed
+target itself.  It runs over the orbits of those of the polytope's own
+symmetry maps that fix the target: for CLIFF, conjugation by X, Z, a
+shear and the Fourier gate, which generate the Clifford group (180
+columns instead of 3000 for the depolarised p = 5 robust gate).  STAB and
+EQ carry no maps.  The state and dephasing thresholds follow from closed
 forms tied to facet geometry; the tests hold them against the LP.
 
 The depolarising-gate threshold is the LP over Clifford orbits, 66
@@ -118,9 +122,11 @@ class PolytopeSpec:
     """Hull of the pure states |v_i><v_i| given by unit kets v_i, shape (n, d).
 
     Only the kets are stored; dense vertices are derived when read.
+    ``maps`` are d x d unitaries g claimed to permute the kets up to a
+    phase, v -> g v; ``lp_threshold`` checks the claim whenever it uses one.
     """
 
-    def __init__(self, name: str, p: int, kets: np.ndarray):
+    def __init__(self, name: str, p: int, kets: np.ndarray, maps=()):
         kets = np.asarray(kets, dtype=complex)
         if np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0)) > 1e-10:
             raise ValueError("polytope vertices must be unit kets")
@@ -128,6 +134,7 @@ class PolytopeSpec:
         self.p = p
         self.kets = kets
         self.dim = kets.shape[1]
+        self.maps = tuple(maps)
         self._system = None
 
     @property
@@ -183,11 +190,18 @@ def cliff_polytope(p: int) -> PolytopeSpec:
 
     At p = 7 that is 16464 kets of length 49, 13 MB; the dense vertices
     would take 632 MB and the LP system 316 MB, so the depolarising-gate
-    threshold reads neither (see ``threshold_depol_gate``).
+    threshold reads neither (see ``threshold_depol_gate``).  Its maps are
+    the Choi-space conjugations (S^T x S^dag), C -> S^dag C S, for S = X,
+    Z, and V_F for the shear F = [[1, 0], [1, 1]] and the Fourier matrix
+    F = [[0, -1], [1, 0]]; they generate the Clifford group, so
+    ``lp_membership`` decides any target over the orbits of the
+    conjugations that fix it.
     """
     check_dim(p)
     us = np.array([clifford_unitary(lab) for lab in clifford_labels(p)])
-    return PolytopeSpec("CLIFF", p, choi_ket(us))
+    gens = (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
+            symplectic_unitary(p, ((0, p - 1), (1, 0))))
+    return PolytopeSpec("CLIFF", p, choi_ket(us), [np.kron(s.T, s.conj().T) for s in gens])
 
 
 @dataclass(frozen=True)
@@ -199,6 +213,7 @@ class LPOutcome:
     iterations: int                 # simplex pivots, both phases
     refactorisations: int = 0       # basis-inverse refactorisations in the pivots
     bland: bool = False             # whether the pivots switched to Bland's rule
+    orbits: int = 0                 # vertex columns of the LP, one per orbit
 
 
 def _basis_matrix(a, sign, basis):
@@ -353,18 +368,29 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
 
     Runs ``lp_threshold`` from the target toward the vertex barycentre,
     which lies inside the hull, so the target is inside iff eps* = 0; eps*
-    is returned as ``distance``.  Inside, the weights are those of the LP.
-    Outside, the LP's witness separates the point just short of eps*, and
-    it is checked against the target itself, which lies farther out
-    (NumericalInstability if the weights or the witness fail).
+    is returned as ``distance``.  The LP takes one column per orbit of
+    those ``spec.maps`` that fix the target (all columns when none does);
+    they must permute the kets and fix the barycentre (SymmetryViolation
+    otherwise).  Inside, the weights are those of the LP, spread over
+    every vertex.  Outside, the LP's witness separates the point just
+    short of eps*, and it is checked against the target itself, which lies
+    farther out (NumericalInstability if the weights or the witness fail).
     """
+    target = _check_target(spec, target)
     n = spec.n_vertices
-    r = lp_threshold(spec, target, spec.mixture(np.full(n, 1.0 / n)), 1.0)
-    counts = r.pivots, r.refactorisations, r.bland
+    maps = [g for g in spec.maps if _fixes(g, target)]
+    r = lp_threshold(spec, target, spec.mixture(np.full(n, 1.0 / n)), 1.0, maps)
+    counts = dict(iterations=r.pivots, refactorisations=r.refactorisations,
+                  bland=r.bland, orbits=r.orbits)
     if r.epsilon_star == 0.0:
-        return LPOutcome(True, r.weights, None, 0.0, *counts)
+        return LPOutcome(True, r.weights, None, 0.0, **counts)
     verify_certificate(spec, target, r.witness, floor=min(LP_TOL, 0.5 * r.margin))
-    return LPOutcome(False, None, r.witness, r.epsilon_star, *counts)
+    return LPOutcome(False, None, r.witness, r.epsilon_star, **counts)
+
+
+def _fixes(g: np.ndarray, h: np.ndarray) -> bool:
+    """Whether the ket map g fixes the operator h: g h g^dag = h to 1e-10."""
+    return bool(np.max(np.abs(g @ h @ g.conj().T - h)) <= 1e-10)
 
 
 def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
@@ -462,10 +488,8 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     """
     start = _check_target(spec, start)
     end = _check_target(spec, end)
-    for g in maps:
-        for h in (start, end):
-            if np.max(np.abs(g @ h @ g.conj().T - h)) > 1e-10:
-                raise SymmetryViolation("a generator moves the threshold path")
+    if not all(_fixes(g, h) for g in maps for h in (start, end)):
+        raise SymmetryViolation("a generator moves the threshold path")
     orbit = _ket_orbits(spec.kets, maps)
     sizes = np.bincount(orbit)
     n = len(sizes)
@@ -550,20 +574,24 @@ def threshold_pd_gate(p: int, state: np.ndarray) -> ThresholdResult:
 def threshold_depol_gate(p: int, u: np.ndarray) -> ThresholdResult:
     """Least depolarising rate putting the gate's Choi state inside CLIFF.
 
-    ``lp_threshold`` over the orbits of four ket maps, which fix J_U and
-    I/p^2 and permute the Clifford Choi kets when U is a diagonal
-    third-level gate: (D^T x U D^dag U^dag) for D = X, Z, i.e.
-    C -> (U D^dag U^dag) C D, and (S^T x S^dag) for S = Z, V_F with
-    F = [[1, 0], [1, 1]], i.e. C -> S^dag C S.  Any other U raises
-    SymmetryViolation.
+    ``lp_threshold`` over the orbits of ket maps that fix J_U and I/p^2
+    and permute the Clifford Choi kets: (D^T x U D^dag U^dag) for D = X, Z,
+    i.e. C -> (U D^dag U^dag) C D, which permute them when U is a
+    third-level gate, and those of ``cliff_polytope(p).maps`` that fix
+    J_U.  For a diagonal U these include the conjugations by Z and by the
+    shear V_F, F = [[1, 0], [1, 1]].  U must be diagonal, as the gates of
+    the tables are; a non-diagonal U, or a diagonal one outside the third
+    level, raises SymmetryViolation.
     """
     check_dim(p)
     u = np.asarray(u, dtype=complex)
+    if np.count_nonzero(u - np.diag(np.diag(u))):
+        raise SymmetryViolation("the depolarising-gate threshold needs a diagonal gate")
+    spec = cliff_polytope(p)
+    start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
     maps = [np.kron(d.T, u @ d.conj().T @ u.conj().T) for d in (pauli_x(p), pauli_z(p))]
-    maps += [np.kron(s.T, s.conj().T)
-             for s in (pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))))]
-    return lp_threshold(cliff_polytope(p), depolarized_choi(p, u, 0.0),
-                        depolarized_choi(p, u, 1.0), 1.0, maps)
+    maps += [g for g in spec.maps if _fixes(g, start) and _fixes(g, end)]
+    return lp_threshold(spec, start, end, 1.0, maps)
 
 
 def dilution(p: int, eps: float) -> float:

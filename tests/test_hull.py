@@ -156,14 +156,67 @@ def test_qubit_gate_choi_outside_cliff_with_certificate():
 
 
 def test_p5_cliff_membership_distance_is_the_gate_threshold():
-    """The depolarised robust gate at eps=0.5, decided over all 3000
-    vertices; eps + (1 - eps) distance is the gate threshold 20/21."""
+    """The depolarised robust gate at eps=0.5, decided over the 180 orbits
+    of the Clifford conjugations that fix it (Z and the shear); eps +
+    (1 - eps) distance is the gate threshold 20/21."""
     spec = cliff_polytope(5)
     target = depolarized_choi(5, gate_matrix(5, ROBUST_GATE_PARAMS[5]), 0.5)
     out = lp_membership(spec, target)
-    assert not out.feasible and out.weights is None
+    assert not out.feasible and out.weights is None and out.orbits == 180
     assert abs(0.5 + 0.5 * out.distance - 20 / 21) < 1e-12
     assert verify_certificate(spec, target, out.certificate) > 1e-3
+
+
+@pytest.mark.parametrize("eps,inside", [(0.94, False), (0.9675, True)])
+def test_p5_cliff_membership_of_the_benchmark_targets(eps, inside):
+    """The two decisions of the p=5 benchmark, over 180 orbit columns;
+    the weights are spread over, and checked against, all 3000 vertices."""
+    spec = cliff_polytope(5)
+    target = depolarized_choi(5, gate_matrix(5, ROBUST_GATE_PARAMS[5]), eps)
+    out = lp_membership(spec, target)
+    assert out.feasible == inside and out.orbits == 180
+    if inside:
+        assert out.weights.shape == (3000,) and out.weights.min() >= 0.0
+        assert np.max(np.abs(spec.mixture(out.weights) - target)) <= 10 * LP_TOL
+    else:
+        assert abs(eps + (1 - eps) * out.distance - 20 / 21) < 1e-9
+        assert verify_certificate(spec, target, out.certificate) > 0.0
+
+
+@pytest.mark.parametrize("p,eps", [(2, 0.40), (2, 0.50), (3, 0.73), (3, 0.84)])
+def test_cliff_membership_over_orbits_matches_full_lp(p, eps):
+    """Either side of the gate threshold (45.31% at p=2, 78.63% at p=3),
+    the orbit LP decides as the LP over every vertex does."""
+    spec = cliff_polytope(p)
+    target = depolarized_choi(p, gate_matrix(p, ROBUST_GATE_PARAMS[p]), eps)
+    out = lp_membership(spec, target)
+    full = lp_threshold(spec, target, spec.mixture(np.full(spec.n_vertices, 1 / spec.n_vertices)),
+                        1.0)
+    assert full.orbits == spec.n_vertices and out.orbits < spec.n_vertices
+    assert out.feasible == (full.epsilon_star == 0.0) == (eps > {2: 0.4531, 3: 0.7863}[p])
+    assert abs(out.distance - full.epsilon_star) < 1e-9
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_cliff_membership_of_a_random_mixture_uses_every_vertex(p):
+    """No Clifford conjugation fixes a generic interior point."""
+    spec = cliff_polytope(p)
+    target = spec.mixture(np.random.default_rng(5).dirichlet(np.ones(spec.n_vertices)))
+    out = lp_membership(spec, target)
+    assert out.feasible and out.orbits == spec.n_vertices
+
+
+def test_membership_rejects_a_map_that_does_not_permute_the_vertices():
+    """A diagonal phase gate off the Clifford group fixes the Choi state
+    of the T gate but maps Clifford Choi kets off the polytope; the LP
+    must raise rather than drop it."""
+    spec = cliff_polytope(2)
+    s = np.diag([1.0, np.exp(0.3j)])
+    bad = hull.PolytopeSpec("CLIFF", 2, spec.kets, spec.maps + (np.kron(s.T, s.conj().T),))
+    target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
+    assert lp_membership(spec, target).orbits < spec.n_vertices
+    with pytest.raises(SymmetryViolation, match="permute"):
+        lp_membership(bad, target)
 
 
 def test_target_off_the_vertex_span_is_outside_at_distance_one():
