@@ -42,11 +42,12 @@ from .hierarchy import GateParams, gate_matrix, root_order
 from .weylheis import (
     CliffordLabel,
     check_dim,
-    clifford_labels,
     clifford_unitary,
+    displacement,
     mub_vectors,
     pauli_x,
     pauli_z,
+    sl2_matrices,
     symplectic_unitary,
 )
 
@@ -188,6 +189,10 @@ def equatorial_polytope(p: int) -> PolytopeSpec:
 def cliff_polytope(p: int) -> PolytopeSpec:
     """Hull of the Choi states of all p^3 (p^2 - 1) Clifford gates.
 
+    The gates D_chi V_F come from one broadcast product of the p^2
+    displacements, in (x, z) order, with the p (p^2 - 1) symplectic
+    unitaries, in ``sl2_matrices`` order: the ``clifford_labels`` order,
+    and entry for entry what ``clifford_unitary`` gives for each label.
     At p = 7 that is 16464 kets of length 49, 13 MB; the dense vertices
     would take 632 MB and the LP system 316 MB, so the depolarising-gate
     threshold reads neither (see ``threshold_depol_gate``).  Its maps are
@@ -198,7 +203,9 @@ def cliff_polytope(p: int) -> PolytopeSpec:
     conjugations that fix it.
     """
     check_dim(p)
-    us = np.array([clifford_unitary(lab) for lab in clifford_labels(p)])
+    ds = np.array([displacement(p, x, z) for x in range(p) for z in range(p)])
+    vs = np.array([symplectic_unitary(p, f) for f in sl2_matrices(p)])
+    us = np.matmul(ds[None], vs[:, None]).reshape(-1, p, p)
     gens = (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
             symplectic_unitary(p, ((0, p - 1), (1, 0))))
     return PolytopeSpec("CLIFF", p, choi_ket(us), [np.kron(s.T, s.conj().T) for s in gens])
@@ -423,30 +430,48 @@ class ThresholdResult:
     bland: bool = False                 # LP: whether the pivots switched to Bland's rule
 
 
-def _phase_keys(kets: np.ndarray) -> list:
-    """One key per ket, equal for kets equal up to a global phase: the ket
-    turned so its first entry above 1e-6 in modulus is real positive,
-    rounded to 1e-6.  Callers check every match."""
+def _phase_keys(kets: np.ndarray) -> np.ndarray:
+    """One int64 key per ket, equal for kets equal up to a global phase.
+
+    The ket is turned so its first entry above 1e-6 in modulus is real
+    positive and rounded to a 1e-6 integer grid; the key hashes that grid
+    row by a dot product with fixed weights, wrapping mod 2^64.  Distinct
+    kets may share a key, so callers check every match.
+    """
     lead = kets[np.arange(len(kets)), np.argmax(np.abs(kets) > 1e-6, axis=1)]
     kets = kets * (lead.conj() / np.abs(lead))[:, None]
     grid = np.rint(np.concatenate([kets.real, kets.imag], axis=1) * 1e6).astype(np.int64)
-    return [row.tobytes() for row in grid]
+    # Powers of an odd constant: the same keys in every run, and no import
+    # of numpy.random, which adds about 5 MB to the resident set.
+    weights = np.cumprod(np.full(grid.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64))
+    return (grid.view(np.uint64) @ weights).view(np.int64)
 
 
 def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
     """Orbit index of each ket under the group the unitary ``maps`` generate.
 
-    Every map must send every ket to a ket of the list up to a phase, and
-    distinct kets to distinct kets; SymmetryViolation otherwise.
+    Each map's images are matched to the kets by ``_phase_keys``, through
+    one sort of the ket keys and a binary search per image.  Every map must
+    send every ket to a ket of the list up to a phase, and distinct kets to
+    distinct kets: an image with no matching key, two images matched to one
+    ket, or a match whose overlap falls short of 1 - 1e-9 raises
+    SymmetryViolation, so a key collision fails one of these checks and
+    never passes.
     """
     n = len(kets)
-    images = [kets @ g.T for g in maps]
-    index = {key: i for i, key in enumerate(_phase_keys(kets))}
-    perms = [np.array([index.get(key, -1) for key in _phase_keys(img)]) for img in images]
-    for perm, img in zip(perms, images):
+    keys = _phase_keys(kets)
+    order = np.argsort(keys)
+    ranked = keys[order]
+    perms = []
+    for g in maps:
+        img = kets @ g.T
+        want = _phase_keys(img)
+        at = np.minimum(np.searchsorted(ranked, want), n - 1)
+        perm = np.where(ranked[at] == want, order[at], -1)
         if (perm < 0).any() or np.bincount(perm, minlength=n).max() > 1 or np.min(
                 np.abs(np.einsum("ni,ni->n", kets[perm].conj(), img))) < 1.0 - 1e-9:
             raise SymmetryViolation("a generator does not permute the vertices")
+        perms.append(perm)
     # Each vertex takes the least index it reaches; a finite permutation
     # group reaches its whole orbit by forward steps.
     orbit = np.arange(n)

@@ -3,6 +3,7 @@ import pytest
 
 from quditgates.errors import MissingConfig, NumericalInstability, SymmetryViolation
 from quditgates.geometry import (
+    choi_ket,
     choi_of_unitary,
     depolarized_choi,
     depolarized_state,
@@ -103,6 +104,14 @@ def _dense_equatorial_vertices(p):
             v = clifford_unitary(CliffordLabel(p, ((1, 0), (gamma, 1)), (0, z))) @ plus
             out.append(np.outer(v, v.conj()))
     return out
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_cliff_kets_equal_one_clifford_unitary_per_label(p):
+    """The broadcast D_chi V_F product gives, bit for bit and in
+    ``clifford_labels`` order, the kets of one ``clifford_unitary`` each."""
+    us = np.array([clifford_unitary(lab) for lab in clifford_labels(p)])
+    assert np.array_equal(cliff_polytope(p).kets, choi_ket(us))
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
@@ -217,6 +226,35 @@ def test_membership_rejects_a_map_that_does_not_permute_the_vertices():
     assert lp_membership(spec, target).orbits < spec.n_vertices
     with pytest.raises(SymmetryViolation, match="permute"):
         lp_membership(bad, target)
+
+
+def _colliding_keys(images):
+    """A ``_phase_keys`` stand-in: the true keys for the first stack (the
+    kets), then ``images(ket_keys)`` for every image stack."""
+    real = hull._phase_keys
+    seen = []
+
+    def keys(kets):
+        seen.append(real(kets))
+        return seen[0] if len(seen) == 1 else images(seen[0])
+    return keys
+
+
+@pytest.mark.parametrize("images", [
+    # every image matches the same ket: fails the bijection check
+    pytest.param(np.zeros_like, id="all-keys-equal"),
+    # a permutation, but onto the wrong kets: fails the overlap check
+    pytest.param(lambda ket_keys: np.roll(ket_keys, 1), id="keys-rolled"),
+])
+def test_membership_fails_closed_on_a_key_collision(monkeypatch, images):
+    """Keys are hashes, so matching an image to a ket can go wrong; the
+    bijection and overlap checks must then raise, not pass."""
+    spec = cliff_polytope(2)
+    target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
+    assert lp_membership(spec, target).orbits < spec.n_vertices
+    monkeypatch.setattr(hull, "_phase_keys", _colliding_keys(images))
+    with pytest.raises(SymmetryViolation, match="permute"):
+        lp_membership(spec, target)
 
 
 def test_target_off_the_vertex_span_is_outside_at_distance_one():
@@ -419,6 +457,41 @@ def test_orbit_lp_counts_and_values(p, orbits, pct):
     assert r.method == "lp" and r.orbits == orbits
     assert r.pivots == {2: 5, 3: 7, 5: 12, 7: 15}[p]
     assert abs(100 * r.epsilon_star - pct) < 1e-5
+
+
+def _sign_order(values):
+    """Sign of every pairwise difference, ties to 1e-9 counting as 0."""
+    return np.sign(np.subtract.outer(values, values).round(9))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_robust_gate_is_the_most_robust_in_its_family(p):
+    """The depolarising-gate threshold depends on (z, gamma, eps) only
+    through +-gamma: z and eps multiply the gate by a diagonal Clifford,
+    and complex conjugation maps gamma to -gamma, leaving CLIFF and I/p^2
+    in place.  Over the +-gamma classes ROBUST_GATE_PARAMS attains the
+    largest threshold, and the thresholds are ordered as the negativities
+    of the gate states: at p=5 every gamma != 0 ties at 20/21."""
+    def eps_star(g):
+        return threshold_depol_gate(p, gate_matrix(p, g)).epsilon_star
+
+    classes = range(p // 2 + 1)
+    if p <= 3:
+        # the whole family
+        sample = [GateParams(*g) for g in np.ndindex(p, p, p)]
+    else:
+        rng = np.random.default_rng(p)
+        sample = [ROBUST_GATE_PARAMS[p]] + [GateParams(*map(int, rng.integers(0, p, 3)))
+                                            for _ in range(2)]
+    per_class = {c: eps_star(GateParams(0, c, 0)) for c in classes}
+    got = {g: eps_star(g) for g in sample}
+    for g, e in got.items():
+        assert abs(e - per_class[min(g.gamma, p - g.gamma)]) < 1e-9, g
+    assert abs(got[ROBUST_GATE_PARAMS[p]] - max(per_class.values())) < 1e-9
+    neg = [negativity(p, gate_state(p, GateParams(0, c, 0))).value for c in classes]
+    assert np.array_equal(_sign_order(list(per_class.values())), _sign_order(neg))
+    if p == 5:
+        assert all(abs(e - 20 / 21) < 1e-9 for c, e in per_class.items() if c)
 
 
 def test_orbit_lp_evidence_over_every_p7_vertex():
