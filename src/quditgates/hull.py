@@ -709,14 +709,20 @@ def _neg_batch(p: int, thetas: np.ndarray) -> np.ndarray:
 
     For flat-amplitude states the Z-basis expectations are uniform, so the
     full-facet and edge-facet minima coincide; either reading is valid.
+    The per-basis minimum is a running ``np.minimum`` over the p moduli,
+    squared afterwards: squaring a non-negative float is monotone, so this
+    is bit for bit the minimum of the squared moduli.  A row's value
+    depends on that row alone, whatever the batch.
     """
     states = np.empty((thetas.shape[0], p), dtype=complex)
     states[:, 0] = 1.0
     states[:, 1:] = np.exp(1j * thetas)
     states /= np.sqrt(p)
-    amps = np.einsum("bkj,Bj->Bbk", mub_vectors(p).conj(), states)
-    q = np.abs(amps) ** 2
-    return np.maximum(0.0, -(q.min(axis=2).sum(axis=1) - 1.0) / p)
+    amps = np.abs(np.einsum("bkj,Bj->Bbk", mub_vectors(p).conj(), states))
+    low = amps[:, :, 0]
+    for k in range(1, p):
+        low = np.minimum(low, amps[:, :, k])
+    return np.maximum(0.0, -((low ** 2).sum(axis=1) - 1.0) / p)
 
 
 def _batched_coordinate_descent(p: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -726,7 +732,11 @@ def _batched_coordinate_descent(p: int, starts: np.ndarray) -> tuple[np.ndarray,
     refines it by 40 golden-section steps and a mid-point check.  All starts
     move together, one ``_neg_batch`` call per step, yet each row follows the
     arithmetic it would follow alone; a row that did not improve in a round
-    is frozen.
+    is frozen.  The golden section evaluates both interior points once and
+    then one new point per step: the surviving point is the other point of
+    the step before, the same float, so its carried value is the one a
+    fresh evaluation would give and the result is bit-identical to
+    evaluating both points on every step.
     Returns the polished thetas and their negativities.
     """
     rounds, grid = 4, 48
@@ -750,13 +760,19 @@ def _batched_coordinate_descent(p: int, starts: np.ndarray) -> tuple[np.ndarray,
             lo, hi = th[:, j] - 2 * np.pi / grid, th[:, j] + 2 * np.pi / grid
             x1, x2 = hi - gr * (hi - lo), lo + gr * (hi - lo)
             pair = np.repeat(th[:, None, :], 2, axis=1)
-            for _ in range(40):
-                pair[:, 0, j], pair[:, 1, j] = x1 % (2 * np.pi), x2 % (2 * np.pi)
-                v = _neg_batch(p, pair.reshape(-1, p - 1)).reshape(len(th), 2)
-                left = v[:, 0] > v[:, 1]
+            pair[:, 0, j], pair[:, 1, j] = x1 % (2 * np.pi), x2 % (2 * np.pi)
+            v1, v2 = _neg_batch(p, pair.reshape(-1, p - 1)).reshape(len(th), 2).T
+            probe = th.copy()
+            for step in range(40):
+                left = v1 > v2
                 lo, hi = np.where(left, lo, x1), np.where(left, x2, hi)
                 x1, x2 = (np.where(left, hi - gr * (hi - lo), x2),
                           np.where(left, x1, lo + gr * (hi - lo)))
+                if step == 39:
+                    break
+                probe[:, j] = np.where(left, x1, x2) % (2 * np.pi)
+                vn = _neg_batch(p, probe)
+                v1, v2 = np.where(left, vn, v2), np.where(left, v1, vn)
             mid = th.copy()
             mid[:, j] = (0.5 * (lo + hi)) % (2 * np.pi)
             v = _neg_batch(p, mid)
@@ -837,7 +853,9 @@ def optimize_equatorial(p: int, seed: int = 0, restarts: int = 24) -> Equatorial
     score rounded to 12 decimals, descending, then lattice index,
     ascending.  Every start is polished by coordinate descent with
     golden-section steps, all of them together; the first start with the
-    largest polished negativity wins.
+    largest polished negativity wins.  ``negativity`` recomputes the
+    winner's value from its state, which also gives the facet; the two
+    values must agree to 1e-12 (NumericalInstability otherwise).
     """
     check_dim(p)
     if restarts < 0:
@@ -851,5 +869,8 @@ def optimize_equatorial(p: int, seed: int = 0, restarts: int = 24) -> Equatorial
     i = int(np.argmax(vals))
     best_theta, best_val = thetas[i].copy(), float(vals[i])
     state = np.concatenate([[1.0], np.exp(1j * best_theta)]) / np.sqrt(p)
-    facet = negativity(p, state).facet[1:]
-    return EquatorialOptimum(theta=best_theta, negativity=best_val, facet=facet)
+    check = negativity(p, state)
+    if not abs(check.value - best_val) <= 1e-12:
+        raise NumericalInstability(
+            f"descent negativity {best_val!r} differs from the state's {check.value!r}")
+    return EquatorialOptimum(theta=best_theta, negativity=best_val, facet=check.facet[1:])

@@ -883,6 +883,57 @@ def test_optimizer_matches_serial_oracle(p, restarts):
         assert opt.facet == facet
 
 
+def _neg_batch_oracle(p, thetas):
+    """The per-basis minimum over squared moduli, as _neg_batch took it
+    before it took a running minimum over the moduli."""
+    states = np.empty((thetas.shape[0], p), dtype=complex)
+    states[:, 0] = 1.0
+    states[:, 1:] = np.exp(1j * thetas)
+    states /= np.sqrt(p)
+    amps = np.einsum("bkj,Bj->Bbk", hull.mub_vectors(p).conj(), states)
+    q = np.abs(amps) ** 2
+    return np.maximum(0.0, -(q.min(axis=2).sum(axis=1) - 1.0) / p)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_neg_batch_matches_squared_minimum_oracle(p):
+    rng = np.random.default_rng(300 + p)
+    starts = 32  # optimize_equatorial's default: 24 random and 8 lattice starts
+    for size in (1, 2 * starts, 48 * starts):
+        thetas = rng.uniform(0.0, 2 * np.pi, size=(size, p - 1))
+        assert np.array_equal(hull._neg_batch(p, thetas), _neg_batch_oracle(p, thetas))
+    if p <= 5:
+        # lattice points have tied per-basis minima
+        r = root_order(p)
+        lat = 2 * np.pi * np.indices((r,) * (p - 1)).reshape(p - 1, -1).T / r
+        assert np.array_equal(hull._neg_batch(p, lat), _neg_batch_oracle(p, lat))
+
+
+@pytest.mark.parametrize("p,calls,rows", [(5, 674, 37497), (7, 1010, 59133)])
+def test_descent_work_is_pinned(monkeypatch, p, calls, rows):
+    # one new golden-section point per step: two per step would give
+    # 53,721 rows at p = 5 and 83,703 at p = 7 for the same calls
+    seen = [0, 0]
+    neg_batch = hull._neg_batch
+
+    def counted(p, thetas):
+        seen[0] += 1
+        seen[1] += len(thetas)
+        return neg_batch(p, thetas)
+
+    monkeypatch.setattr(hull, "_neg_batch", counted)
+    optimize_equatorial(p, seed=0)
+    assert seen == [calls, rows]
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_optimizer_value_disagreeing_with_state_raises(monkeypatch, p):
+    neg_batch = hull._neg_batch
+    monkeypatch.setattr(hull, "_neg_batch", lambda p, thetas: neg_batch(p, thetas) + 1e-9)
+    with pytest.raises(NumericalInstability, match="differs"):
+        optimize_equatorial(p, seed=0, restarts=4)
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_orbit_scores_match_full_lattice(p):
     r = root_order(p)
