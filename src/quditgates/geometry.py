@@ -242,6 +242,17 @@ def negativity_exhaustive(p: int, state: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # edge-facet spectra
 
+# Stacks indexed by edge label or by Clifford ket (16,807 and 16,464 rows
+# at p = 7) are built and consumed this many rows at a time, never whole.
+_BLOCK_ROWS = 4096
+
+
+def _row_blocks(n: int, rows_per_item: int = 1):
+    """Slices covering items 0..n-1 in order, each of at most ``_BLOCK_ROWS``
+    rows (but at least one item) when an item stands for ``rows_per_item``."""
+    step = max(1, _BLOCK_ROWS // rows_per_item)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
 
 def _pauli_index_shifts(p: int) -> tuple:
     """(t_X, t_Z) with D Pi_j[k] D^dag = Pi_j[k + t_j] on each X-type basis j.
@@ -280,11 +291,17 @@ def _edge_orbit_representatives(p: int, index: np.ndarray) -> np.ndarray:
 def _edge_orbit_eigenvalues(p: int) -> np.ndarray:
     """Ascending eigenvalues of each orbit representative, one row per edge.
 
-    Cached, so a command that wants both the scan and the spectral classes
-    diagonalises the representatives once; one entry, so the spectra of at
-    most one prime stay in memory (0.9 MB at p = 7).
+    The representatives are built and diagonalised one block of
+    ``_BLOCK_ROWS`` at a time; each matrix is diagonalised alone, so the
+    rows do not depend on the block.  Cached, so a command that wants both
+    the scan and the spectral classes diagonalises the representatives
+    once; one entry, so the spectra of at most one prime stay in memory
+    (0.9 MB at p = 7).
     """
-    lam = np.linalg.eigvalsh(_edge_orbit_representatives(p, np.arange(p ** (p - 2))))
+    index = np.arange(p ** (p - 2))
+    lam = np.empty((len(index), p))
+    for rows in _row_blocks(len(index)):
+        lam[rows] = np.linalg.eigvalsh(_edge_orbit_representatives(p, index[rows]))
     lam.flags.writeable = False
     return lam
 
@@ -321,12 +338,15 @@ def edge_scan(p: int, target: float | None = None, window: float = 1e-4) -> Edge
     _pauli_index_shifts(p)
     lam1 = _edge_orbit_eigenvalues(p)[:, 0]
     mask = np.zeros(len(lam1), bool) if target is None else np.abs(lam1 - target) <= window
-    ops = _edge_orbit_representatives(p, np.flatnonzero(mask))
-    lead = np.abs(np.linalg.eigh(ops)[1][:, :, 0])
-    flat = np.sum(np.max(np.abs(lead - p ** -0.5), axis=1) <= 1e-6)
+    near = np.flatnonzero(mask)
+    flat = 0
+    for rows in _row_blocks(len(near)):
+        ops = _edge_orbit_representatives(p, near[rows])
+        lead = np.abs(np.linalg.eigh(ops)[1][:, :, 0])
+        flat += int(np.sum(np.max(np.abs(lead - p ** -0.5), axis=1) <= 1e-6))
     return EdgeScanResult(min_eigenvalue=float(lam1.min()), n_edges=p ** p,
                           window_count=p * p * int(mask.sum()),
-                          window_flat_count=p * p * int(flat))
+                          window_flat_count=p * p * flat)
 
 
 # ---------------------------------------------------------------------------

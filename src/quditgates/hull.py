@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MissingConfig, NumericalInstability, SymmetryViolation
-from .geometry import choi_ket, depolarized_choi, negativity
+from .geometry import _row_blocks, choi_ket, depolarized_choi, negativity
 from .hierarchy import GateParams, gate_matrix, root_order
 from .weylheis import (
     CliffordLabel,
@@ -47,7 +47,7 @@ from .weylheis import (
     mub_vectors,
     pauli_x,
     pauli_z,
-    sl2_matrices,
+    symplectic_unitaries,
     symplectic_unitary,
 )
 
@@ -129,14 +129,14 @@ class PolytopeSpec:
 
     def __init__(self, name: str, p: int, kets: np.ndarray, maps=()):
         kets = np.asarray(kets, dtype=complex)
-        if np.max(np.abs(np.linalg.norm(kets, axis=1) - 1.0)) > 1e-10:
+        if max(np.max(np.abs(np.linalg.norm(kets[r], axis=1) - 1.0))
+               for r in _row_blocks(len(kets))) > 1e-10:
             raise ValueError("polytope vertices must be unit kets")
         self.name = name
         self.p = p
         self.kets = kets
         self.dim = kets.shape[1]
         self.maps = tuple(maps)
-        self._system = None
 
     @property
     def n_vertices(self) -> int:
@@ -152,19 +152,17 @@ class PolytopeSpec:
         return (self.kets.T * w) @ self.kets.conj()
 
     def system(self) -> np.ndarray:
-        """Columns [vec(V_i); 1], cached.
+        """Columns [vec(V_i); 1], built anew on every call.
 
         No LP reads it: ``lp_threshold`` builds its own rows in the SVD
         basis of the vertex span.  It is kept for the benchmark's shape
         check and for the tests, which compare it with a dense build.
         """
-        if self._system is None:
-            system = np.ones((self.dim ** 2 + 1, self.n_vertices))
-            # 1024 projectors at a time: at p = 7 all of them take 632 MB.
-            for lo in range(0, self.n_vertices, 1024):
-                system[:-1, lo:lo + 1024] = herm_to_vec(_projectors(self.kets[lo:lo + 1024])).T
-            self._system = system
-        return self._system
+        system = np.ones((self.dim ** 2 + 1, self.n_vertices))
+        # 1024 projectors at a time: at p = 7 all of them take 632 MB.
+        for lo in range(0, self.n_vertices, 1024):
+            system[:-1, lo:lo + 1024] = herm_to_vec(_projectors(self.kets[lo:lo + 1024])).T
+        return system
 
 
 def _projectors(kets: np.ndarray) -> np.ndarray:
@@ -189,10 +187,11 @@ def equatorial_polytope(p: int) -> PolytopeSpec:
 def cliff_polytope(p: int) -> PolytopeSpec:
     """Hull of the Choi states of all p^3 (p^2 - 1) Clifford gates.
 
-    The gates D_chi V_F come from one broadcast product of the p^2
-    displacements, in (x, z) order, with the p (p^2 - 1) symplectic
-    unitaries, in ``sl2_matrices`` order: the ``clifford_labels`` order,
-    and entry for entry what ``clifford_unitary`` gives for each label.
+    The gates D_chi V_F are broadcast products of the p^2 displacements,
+    in (x, z) order, with the ``symplectic_unitaries`` stack, in
+    ``sl2_matrices`` order: the ``clifford_labels`` order, and entry for
+    entry what ``clifford_unitary`` gives for each label.  They are formed
+    and turned into kets at most ``_BLOCK_ROWS`` at a time.
     At p = 7 that is 16464 kets of length 49, 13 MB; the dense vertices
     would take 632 MB and the LP system 316 MB, so the depolarising-gate
     threshold reads neither (see ``threshold_depol_gate``).  Its maps are
@@ -204,11 +203,14 @@ def cliff_polytope(p: int) -> PolytopeSpec:
     """
     check_dim(p)
     ds = np.array([displacement(p, x, z) for x in range(p) for z in range(p)])
-    vs = np.array([symplectic_unitary(p, f) for f in sl2_matrices(p)])
-    us = np.matmul(ds[None], vs[:, None]).reshape(-1, p, p)
+    vs = symplectic_unitaries(p)
+    kets = np.empty((len(vs), len(ds), p * p), dtype=complex)
+    for rows in _row_blocks(len(vs), len(ds)):
+        kets[rows] = choi_ket(np.matmul(ds[None], vs[rows, None]))
     gens = (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
             symplectic_unitary(p, ((0, p - 1), (1, 0))))
-    return PolytopeSpec("CLIFF", p, choi_ket(us), [np.kron(s.T, s.conj().T) for s in gens])
+    return PolytopeSpec("CLIFF", p, kets.reshape(-1, p * p),
+                        [np.kron(s.T, s.conj().T) for s in gens])
 
 
 @dataclass(frozen=True)
@@ -402,10 +404,14 @@ def _fixes(g: np.ndarray, h: np.ndarray) -> bool:
 
 def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
                        witness: np.ndarray, floor: float = LP_TOL) -> float:
-    """Check the separating property; returns the separation margin."""
-    vals = ((spec.kets.conj() @ witness) * spec.kets).sum(1).real  # Tr[W V_i]
+    """Check the separating property; returns the separation margin.
+
+    Tr[W V_i] is formed one block of ``_BLOCK_ROWS`` kets at a time.
+    """
+    low = min(((spec.kets[r].conj() @ witness) * spec.kets[r]).sum(1).real.min()
+              for r in _row_blocks(spec.n_vertices))
     t_val = float(np.trace(witness @ target).real)
-    if vals.min() < -LP_TOL:
+    if low < -LP_TOL:
         raise NumericalInstability("certificate fails on a vertex")
     if t_val > -floor:
         raise NumericalInstability("certificate does not separate the target")
@@ -456,20 +462,29 @@ def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
     distinct kets: an image with no matching key, two images matched to one
     ket, or a match whose overlap falls short of 1 - 1e-9 raises
     SymmetryViolation, so a key collision fails one of these checks and
-    never passes.
+    never passes.  Keys, images and overlaps are formed one block of
+    ``_BLOCK_ROWS`` kets at a time; the bijection check runs over the whole
+    permutation.
     """
     n = len(kets)
-    keys = _phase_keys(kets)
+    blocks = list(_row_blocks(n))
+    keys = np.concatenate([_phase_keys(kets[rows]) for rows in blocks])
     order = np.argsort(keys)
     ranked = keys[order]
     perms = []
     for g in maps:
-        img = kets @ g.T
-        want = _phase_keys(img)
-        at = np.minimum(np.searchsorted(ranked, want), n - 1)
-        perm = np.where(ranked[at] == want, order[at], -1)
-        if (perm < 0).any() or np.bincount(perm, minlength=n).max() > 1 or np.min(
-                np.abs(np.einsum("ni,ni->n", kets[perm].conj(), img))) < 1.0 - 1e-9:
+        perm = np.empty(n, dtype=np.intp)
+        low = np.inf  # least overlap of an image with its matched ket
+        for rows in blocks:
+            img = kets[rows] @ g.T
+            want = _phase_keys(img)
+            at = np.minimum(np.searchsorted(ranked, want), n - 1)
+            part = perm[rows] = np.where(ranked[at] == want, order[at], -1)
+            if (part < 0).any():  # an image with no matching key
+                low = -np.inf
+                break
+            low = min(low, np.abs(np.einsum("ni,ni->n", kets[part].conj(), img)).min())
+        if low < 1.0 - 1e-9 or np.bincount(perm, minlength=n).max() > 1:
             raise SymmetryViolation("a generator does not permute the vertices")
         perms.append(perm)
     # Each vertex takes the least index it reaches; a finite permutation
@@ -519,13 +534,14 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     sizes = np.bincount(orbit)
     n = len(sizes)
     # Stable, so each orbit keeps its members in index order.
-    members = np.split(spec.kets[np.argsort(orbit, kind="stable")], np.cumsum(sizes)[:-1])
+    members = np.split(np.argsort(orbit, kind="stable"), np.cumsum(sizes)[:-1])
     # Orbit averages, start and end in one array, filled in place: with a
     # column per vertex it is the largest array the LP builds.  One column
     # at a time, as chunks of a few MB raised the p = 5 peak RSS by 20 MB
     # (freed blocks that size lift malloc's mmap threshold).
     m = np.empty((spec.dim ** 2, n + 2))
-    for o, k in enumerate(members):
+    for o, idx in enumerate(members):
+        k = spec.kets[idx]
         m[:, o] = herm_to_vec(k.T @ k.conj() / len(k))
     m[:, n], m[:, n + 1] = herm_to_vec(start), herm_to_vec(end)
     # A wide array has the column space and singular values of its square

@@ -120,29 +120,46 @@ class CliffordLabel:
 
 
 @lru_cache(maxsize=None)
-def symplectic_unitary(p: int, f: Mat2) -> np.ndarray:
-    """The unitary V_F implementing F in SL(2, Z_p).
+def symplectic_unitaries(p: int) -> np.ndarray:
+    """Every V_F, in ``sl2_matrices`` order, as one read-only (n, p, p) stack.
 
     For beta != 0:  V_F = p**-0.5 sum_{j,k} tau**(beta^-1 (alpha k^2 - 2jk
     + delta j^2)) |j><k|;  for beta == 0:  V_F = sum_k tau**(alpha gamma
     k^2) |alpha k><k|.  Exponents are integers reduced modulo the order of
-    tau, which keeps the p = 2 case honest.
+    tau, which keeps the p = 2 case honest, and index one table of the
+    powers of tau.
     """
     check_dim(p)
-    (alpha, beta), (gamma, delta) = f
-    v = np.zeros((p, p), dtype=complex)
-    if beta % p == 0:
-        for k in range(p):
-            v[(alpha * k) % p, k] = _tau_pow(p, alpha * gamma * k * k)
-    else:
-        inv_b = mod_inv(beta, p)
-        for j in range(p):
-            for k in range(p):
-                e = inv_b * (alpha * k * k - 2 * j * k + delta * j * j)
-                v[j, k] = _tau_pow(p, e)
-        v /= np.sqrt(p)
-    v.flags.writeable = False
-    return v
+    order = tau_order(p)
+    table = np.array([_tau_pow(p, e) for e in range(order)])
+    inv = np.array([mod_inv(b, p) if b else 0 for b in range(p)])
+    f = np.array(sl2_matrices(p)).reshape(-1, 4)
+    j, k = np.arange(p)[:, None], np.arange(p)
+    out = np.zeros((len(f), p, p), dtype=complex)
+    gen = f[:, 1] != 0
+    alpha, beta, delta = (f[gen, i, None, None] for i in (0, 1, 3))
+    e = inv[beta] * (alpha * k * k - 2 * j * k + delta * j * j)
+    out[gen] = table[e % order] / np.sqrt(p)
+    mono = np.flatnonzero(~gen)[:, None]
+    a, c = f[mono, 0], f[mono, 2]
+    out[mono, (a * k) % p, k] = table[(a * c * k * k) % order]
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sl2_index(p: int) -> dict:
+    return {f: i for i, f in enumerate(sl2_matrices(p))}
+
+
+def symplectic_unitary(p: int, f: Mat2) -> np.ndarray:
+    """The unitary V_F implementing F in SL(2, Z_p): its read-only row of
+    ``symplectic_unitaries``.  ShapeMismatch unless F is in SL(2, Z_p)."""
+    check_dim(p)
+    i = _sl2_index(p).get(tuple(tuple(int(x) % p for x in row) for row in f))
+    if i is None:
+        raise ShapeMismatch("F is not in SL(2, Z_p)")
+    return symplectic_unitaries(p)[i]
 
 
 def clifford_unitary(label: CliffordLabel) -> np.ndarray:

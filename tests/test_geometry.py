@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,34 @@ def test_orbit_representatives_are_the_zero_zero_labels():
     for i, tail in enumerate(itertools.product(range(p), repeat=p - 2)):
         label = (0, 0) + tail[::-1]
         assert np.max(np.abs(ops[i] - edge_facet(p, label))) < 1e-13
+
+
+@pytest.mark.parametrize("block", (None, 7))
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_blocked_edge_eigenvalues_equal_one_batch(monkeypatch, p, block):
+    """Each representative is built by the same additions and diagonalised
+    alone, so the blocked spectra equal one ``eigvalsh`` over all of them."""
+    whole = np.linalg.eigvalsh(geometry._edge_orbit_representatives(p, np.arange(p ** (p - 2))))
+    if block is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block)
+    geometry._edge_orbit_eigenvalues.cache_clear()
+    try:
+        assert np.array_equal(geometry._edge_orbit_eigenvalues(p), whole)
+    finally:
+        geometry._edge_orbit_eigenvalues.cache_clear()
+
+
+def test_edge_scan_working_set_stays_small():
+    """The p = 7 scan holds one block of representatives at a time (7.6 MB
+    traced); all 16,807 of them and their eigenvectors at once take 26.8 MB."""
+    geometry._edge_orbit_eigenvalues.cache_clear()
+    tracemalloc.start()
+    try:
+        edge_scan(7, target=-0.1202)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def _swap_two_projectors(projs):

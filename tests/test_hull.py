@@ -12,7 +12,7 @@ from quditgates.geometry import (
     phase_damped_state,
 )
 from quditgates.hierarchy import GateParams, gate_exponents, gate_matrix, root_order
-from quditgates import hull
+from quditgates import geometry, hull
 from quditgates.hull import (
     LP_TOL,
     RECORDED_PD_GATE,
@@ -255,6 +255,64 @@ def test_membership_fails_closed_on_a_key_collision(monkeypatch, images):
     monkeypatch.setattr(hull, "_phase_keys", _colliding_keys(images))
     with pytest.raises(SymmetryViolation, match="permute"):
         lp_membership(spec, target)
+
+
+def _blockwise_colliding_keys(n, images):
+    """A ``_phase_keys`` stand-in that follows the blocks: the true keys for
+    the ket blocks, which come first and cover n rows, then for each image
+    block the rows of ``images(ket_keys)`` it stands for."""
+    real = hull._phase_keys
+    ket_keys = []
+    done = 0  # rows keyed so far
+
+    def keys(kets):
+        nonlocal done
+        lo, done = done % n, done + len(kets)
+        if done <= n:
+            ket_keys.append(real(kets))
+            return ket_keys[-1]
+        return images(np.concatenate(ket_keys))[lo:lo + len(kets)]
+    return keys
+
+
+@pytest.mark.parametrize("images", [
+    # every image matches the first ket: not one to one, and most overlaps fail
+    pytest.param(lambda ket_keys: np.full_like(ket_keys, ket_keys[0]), id="one-ket"),
+    # a permutation, but onto the wrong kets: fails the overlap check
+    pytest.param(lambda ket_keys: np.roll(ket_keys, 1), id="keys-rolled"),
+])
+def test_blocked_orbits_fail_closed_on_a_key_collision(monkeypatch, images):
+    """With 7-row blocks the 24 CLIFF kets at p = 2 take four blocks; a
+    collision in any of them must still raise."""
+    monkeypatch.setattr(geometry, "_BLOCK_ROWS", 7)
+    spec = cliff_polytope(2)
+    target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
+    assert lp_membership(spec, target).orbits < spec.n_vertices
+    monkeypatch.setattr(hull, "_phase_keys", _blockwise_colliding_keys(spec.n_vertices, images))
+    with pytest.raises(SymmetryViolation, match="permute"):
+        lp_membership(spec, target)
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_results_do_not_depend_on_the_block(monkeypatch, p):
+    """7-row blocks split every Clifford-ket pass at p = 3 and 5 (one V_F
+    per block when p^2 > 7); kets, orbit labels and the depolarising-gate
+    threshold come out as with the default block, which holds them whole."""
+    u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
+    spec = cliff_polytope(p)
+    start = depolarized_choi(p, u, 0.0)
+    gate_maps = [np.kron(d.T, u @ d.conj().T @ u.conj().T) for d in (pauli_x(p), pauli_z(p))]
+    map_sets = (spec.maps, gate_maps + [g for g in spec.maps if hull._fixes(g, start)])
+    orbits = [hull._ket_orbits(spec.kets, maps) for maps in map_sets]
+    r = threshold_depol_gate(p, u)
+    monkeypatch.setattr(geometry, "_BLOCK_ROWS", 7)
+    assert np.array_equal(cliff_polytope(p).kets, spec.kets)
+    for maps, want in zip(map_sets, orbits):
+        assert np.array_equal(hull._ket_orbits(spec.kets, maps), want)
+    got = threshold_depol_gate(p, u)
+    assert (got.epsilon_star, got.pivots, got.orbits, got.margin) == (
+        r.epsilon_star, r.pivots, r.orbits, r.margin)
+    assert np.array_equal(got.weights, r.weights) and np.array_equal(got.witness, r.witness)
 
 
 def test_target_off_the_vertex_span_is_outside_at_distance_one():

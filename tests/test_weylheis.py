@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quditgates.errors import UnsupportedDim, ZeroLabel
+from quditgates.errors import ShapeMismatch, UnsupportedDim, ZeroLabel
 from quditgates.kernel import equal_up_to_global_phase
 from quditgates.weylheis import (
     SUPPORTED_PRIMES,
@@ -20,6 +20,7 @@ from quditgates.weylheis import (
     pauli_z,
     sl2_matrices,
     stabilizer_states,
+    symplectic_unitaries,
     symplectic_unitary,
     tau,
     tau_order,
@@ -71,6 +72,42 @@ def test_sl2_count(p):
     for f in mats[:20]:
         det = (f[0][0] * f[1][1] - f[0][1] * f[1][0]) % p
         assert det == 1
+
+
+def _entrywise_symplectic_unitary(p, f):
+    """V_F entry by entry, each phase tau(p) ** (e mod order) on its own."""
+    (alpha, beta), (gamma, delta) = f
+    v = np.zeros((p, p), dtype=complex)
+    if beta == 0:
+        for k in range(p):
+            v[(alpha * k) % p, k] = tau(p) ** ((alpha * gamma * k * k) % tau_order(p))
+        return v
+    inv_b = pow(beta, -1, p)
+    for j in range(p):
+        for k in range(p):
+            e = inv_b * (alpha * k * k - 2 * j * k + delta * j * j)
+            v[j, k] = tau(p) ** (e % tau_order(p))
+    v /= np.sqrt(p)
+    return v
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_symplectic_stack_matches_the_entrywise_formula(p):
+    """The one phase table, indexed by every exponent at once, gives each
+    V_F bit for bit; ``symplectic_unitary`` reads its row of the stack."""
+    stack = symplectic_unitaries(p)
+    assert not stack.flags.writeable
+    want = np.array([_entrywise_symplectic_unitary(p, f) for f in sl2_matrices(p)])
+    assert np.array_equal(stack, want)
+    for i, f in enumerate(sl2_matrices(p)):
+        assert np.array_equal(symplectic_unitary(p, f), stack[i])
+
+
+def test_symplectic_unitary_reduces_f_and_rejects_non_sl2():
+    assert np.array_equal(symplectic_unitary(5, ((1, 0), (-4, 6))),
+                          symplectic_unitary(5, ((1, 0), (1, 1))))
+    with pytest.raises(ShapeMismatch):
+        symplectic_unitary(3, ((1, 1), (1, 1)))
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
