@@ -127,13 +127,12 @@ class PolytopeSpec:
     phase, v -> g v; ``lp_threshold`` checks the claim whenever it uses one.
     """
 
-    def __init__(self, name: str, p: int, kets: np.ndarray, maps=()):
+    def __init__(self, name: str, kets: np.ndarray, maps=()):
         kets = np.asarray(kets, dtype=complex)
-        if max(np.max(np.abs(np.linalg.norm(kets[r], axis=1) - 1.0))
-               for r in _row_blocks(len(kets))) > 1e-10:
+        if not np.max([np.max(np.abs(np.linalg.norm(kets[r], axis=1) - 1.0))
+                       for r in _row_blocks(len(kets))]) <= 1e-10:
             raise ValueError("polytope vertices must be unit kets")
         self.name = name
-        self.p = p
         self.kets = kets
         self.dim = kets.shape[1]
         self.maps = tuple(maps)
@@ -172,7 +171,7 @@ def _projectors(kets: np.ndarray) -> np.ndarray:
 
 def stab_polytope(p: int) -> PolytopeSpec:
     """Hull of the p(p+1) single-qudit stabilizer states."""
-    return PolytopeSpec("STAB", p, mub_vectors(p).reshape(-1, p))
+    return PolytopeSpec("STAB", mub_vectors(p).reshape(-1, p))
 
 
 def equatorial_polytope(p: int) -> PolytopeSpec:
@@ -181,7 +180,7 @@ def equatorial_polytope(p: int) -> PolytopeSpec:
     plus = np.full(p, p ** -0.5, dtype=complex)
     kets = [clifford_unitary(CliffordLabel(p, ((1, 0), (gamma, 1)), (0, z))) @ plus
             for gamma in range(p) for z in range(p)]
-    return PolytopeSpec("EQ", p, np.array(kets))
+    return PolytopeSpec("EQ", np.array(kets))
 
 
 def cliff_polytope(p: int) -> PolytopeSpec:
@@ -209,7 +208,7 @@ def cliff_polytope(p: int) -> PolytopeSpec:
         kets[rows] = choi_ket(np.matmul(ds[None], vs[rows, None]))
     gens = (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
             symplectic_unitary(p, ((0, p - 1), (1, 0))))
-    return PolytopeSpec("CLIFF", p, kets.reshape(-1, p * p),
+    return PolytopeSpec("CLIFF", kets.reshape(-1, p * p),
                         [np.kron(s.T, s.conj().T) for s in gens])
 
 
@@ -225,139 +224,121 @@ class LPOutcome:
     orbits: int = 0                 # vertex columns of the LP, one per orbit
 
 
-def _basis_matrix(a, sign, basis):
-    """The basis columns of [diag(sign) A | I], Fortran-ordered for inv."""
-    n = a.shape[1]
-    bm = np.zeros((len(basis), len(basis)), order="F")
-    real = basis < n
-    bm[:, real] = a[:, basis[real]] * sign[:, None]
-    art = np.flatnonzero(~real)
-    bm[basis[art] - n, art] = 1.0
-    return bm
-
-
-def _pivot_loop(a, sign, rhs, cost, basis, binv, xb, forced):
-    """Revised-simplex pivots minimising ``cost`` from the given basis.
-
-    The columns are those of [diag(sign) A | I], with the artificial
-    columns n, n+1, ... last; ``cost`` covers both parts.  Artificials
-    never enter (they start basic and are retired once they leave), so
-    only the structural columns are priced, against ``a`` itself: the
-    rows of A are signed through the multipliers and the entering
-    column, never copied.  Multiplying by +-1 is exact, and with ``a``
-    C-ordered each dot product sums in the order it does over the dense
-    signed system, so the pivots are those of the dense loop bit for bit.
-
-    Refactorises the basis inverse every 100 pivots to keep roundoff in
-    check and updates it in place between, 64 rows at a time through one
-    buffer, so no m x m temporary is made; each entry is still the product
-    subtracted from it, as in the dense loop.  Pricing is Dantzig, falling
-    back to Bland's rule after a long degenerate run (anti-cycling).
-    With ``forced`` (phase 2) an artificial still basic is treated as
-    zero and leaves at ratio 0 whenever the entering column touches its
-    row, whatever the sign.  Updates ``basis`` in place; returns
-    (binv, xb, iters, refactorisations, bland).
-    """
-    m, n = a.shape
-    piv_tol = 1e-9
-    stall = 0
-    bland = False
-    refactorisations = 0
-    block = 64
-    buf = np.empty((block, m))
-    for it in range(10000 + 60 * m):
-        if it % 100 == 99:
-            binv = np.linalg.inv(_basis_matrix(a, sign, basis))
-            xb = np.maximum(binv @ rhs, 0.0)
-            refactorisations += 1
-        y = cost[basis] @ binv
-        rc = cost[:n] - (y * sign) @ a
-        rc[basis[basis < n]] = np.inf
-        if bland:
-            cand = np.flatnonzero(rc < -piv_tol)
-            if cand.size == 0:
-                break
-            j = int(cand[0])
-        else:
-            j = int(np.argmin(rc))
-            if rc[j] >= -piv_tol:
-                break
-        d = binv @ (a[:, j] * sign)
-        dmax = float(np.max(np.abs(d))) if d.size else 0.0
-        d_tol = 1e-9 * max(1.0, dmax)
-        pos = d > d_tol
-        ratios = np.full(m, np.inf)
-        ratios[pos] = xb[pos] / d[pos]
-        if forced:
-            ratios[(basis >= n) & (np.abs(d) > d_tol)] = 0.0
-        best = float(ratios.min())
-        if best == np.inf:
-            raise NumericalInstability("unbounded pivot column in the simplex")
-        ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))
-        r = int(ties[np.argmax(np.abs(d[ties]))])  # largest pivot for stability
-        step = ratios[r]
-        xb = np.maximum(xb - step * d, 0.0)
-        xb[r] = step
-        pivot_row = binv[r] / d[r]
-        for lo in range(0, m, block):
-            rows = binv[lo:lo + block]
-            part = buf[:len(rows)]
-            np.multiply(d[lo:lo + block, None], pivot_row, out=part)
-            np.subtract(rows, part, out=rows)
-        binv[r] = pivot_row
-        basis[r] = j
-        if step < 1e-13:
-            stall += 1
-            if stall > 8 * m:
-                bland = True
-        else:
-            stall = 0
-    else:
-        raise NumericalInstability(
-            f"phase-{2 if forced else 1} simplex did not terminate")
-    return binv, xb, it + 1, refactorisations, bland
-
-
 def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
-    """Minimise ``cost . w`` subject to A w = b, w >= 0, in two phases.
+    """Minimise ``cost . w`` subject to A w = b, w >= 0, by a two-phase
+    revised simplex.
 
     Rows with b_i < 0 are negated so that the all-artificial basis starts
-    feasible; ``a`` itself is read, never copied.  Keep it C-ordered: the
-    pivot path then matches, bit for bit, that of a dense loop over
-    [diag(sign) A | I], which the tests keep as an oracle.
-    Phase 1 minimises the artificial total from the all-artificial basis,
-    retiring artificial columns once they leave it; if that total stays
-    above LP_TOL there is no feasible point (NumericalInstability).
-    Phase 2 minimises ``cost . w`` from the phase-1 basis with every
-    artificial barred from entering.  Returns (w, y, iters,
-    refactorisations, bland), with y the phase-2 simplex multipliers in
-    the original row signs; the counters cover both phases, and ``bland``
-    tells whether either switched to Bland's rule.
+    feasible.  The columns are those of [diag(sign) A | I], with the
+    artificial columns n, n+1, ... last, but ``a`` itself is read, never
+    copied: artificials never enter (they start basic and are retired once
+    they leave), so only the structural columns are priced, against ``a``,
+    with the rows signed through the multipliers and the entering column.
+    Multiplying by +-1 is exact, and with ``a`` C-ordered each dot product
+    sums in the order it does over the dense signed system, so the pivots
+    are, bit for bit, those of a dense loop, which the tests keep as an
+    oracle.
+
+    Phase 1 minimises the artificial total from the all-artificial basis;
+    if that total stays above LP_TOL there is no feasible point
+    (NumericalInstability).  Phase 2 minimises ``cost . w`` from the
+    phase-1 basis; an artificial still basic is treated as zero and leaves
+    at ratio 0 whenever the entering column touches its row, whatever the
+    sign.  Both phases run the same pivots: Dantzig pricing, falling back
+    to Bland's rule after a long degenerate run (anti-cycling), and the
+    basis inverse updated in place, 64 rows at a time through one buffer,
+    so no m x m temporary is made; each entry is still the product
+    subtracted from it, as in the dense loop.  One routine refactorises
+    the inverse: every 100 pivots of a phase, to keep roundoff in check,
+    and at the end of each phase.  The stall count, the rule and that
+    schedule restart with each phase.
+
+    Returns (w, y, pivots, refactorisations, bland), with y the phase-2
+    simplex multipliers in the original row signs; the counters cover both
+    phases (the end-of-phase refactorisations are not counted), and
+    ``bland`` tells whether either phase switched to Bland's rule.
     """
     m, n = a.shape
     sign = np.where(b < 0.0, -1.0, 1.0)
     rhs = b * sign
-    phase_cost = np.concatenate([np.zeros(n), np.ones(m)])
     basis = np.arange(n, n + m)
-    binv, xb, iters, refactorisations, bland = _pivot_loop(
-        a, sign, rhs, phase_cost, basis, np.eye(m), rhs.copy(), forced=False)
+    binv, xb = np.eye(m), rhs.copy()
+    piv_tol = 1e-9
+    block = 64
+    buf = np.empty((block, m))
+    pivots = refactorisations = 0
+    used_bland = False
 
     def refactor():
-        binv = np.linalg.inv(_basis_matrix(a, sign, basis))
-        return binv, np.maximum(binv @ rhs, 0.0)
+        bm = np.zeros((m, m), order="F")  # Fortran-ordered for inv
+        real = basis < n
+        bm[:, real] = a[:, basis[real]] * sign[:, None]
+        art = np.flatnonzero(~real)
+        bm[basis[art] - n, art] = 1.0
+        inv = np.linalg.inv(bm)
+        return inv, np.maximum(inv @ rhs, 0.0)
 
-    binv, xb = refactor()
-    if phase_cost[basis] @ xb > LP_TOL:
-        raise NumericalInstability("no feasible point to start phase 2 from")
-    phase_cost = np.concatenate([cost, np.zeros(m)])
-    binv, xb, more, more_refactorisations, more_bland = _pivot_loop(
-        a, sign, rhs, phase_cost, basis, binv, xb, forced=True)
-    binv, xb = refactor()
+    for phase_cost, forced in ((np.concatenate([np.zeros(n), np.ones(m)]), False),
+                               (np.concatenate([cost, np.zeros(m)]), True)):
+        stall = 0
+        bland = False
+        for it in range(10000 + 60 * m):
+            if it % 100 == 99:
+                binv, xb = refactor()
+                refactorisations += 1
+            y = phase_cost[basis] @ binv
+            rc = phase_cost[:n] - (y * sign) @ a
+            rc[basis[basis < n]] = np.inf
+            if bland:
+                cand = np.flatnonzero(rc < -piv_tol)
+                if cand.size == 0:
+                    break
+                j = int(cand[0])
+            else:
+                j = int(np.argmin(rc))
+                if rc[j] >= -piv_tol:
+                    break
+            d = binv @ (a[:, j] * sign)
+            d_tol = 1e-9 * max(1.0, float(np.max(np.abs(d))))
+            pos = d > d_tol
+            ratios = np.full(m, np.inf)
+            ratios[pos] = xb[pos] / d[pos]
+            if forced:
+                ratios[(basis >= n) & (np.abs(d) > d_tol)] = 0.0
+            best = float(ratios.min())
+            if best == np.inf:
+                raise NumericalInstability("unbounded pivot column in the simplex")
+            ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))
+            r = int(ties[np.argmax(np.abs(d[ties]))])  # largest pivot for stability
+            step = ratios[r]
+            xb = np.maximum(xb - step * d, 0.0)
+            xb[r] = step
+            pivot_row = binv[r] / d[r]
+            for lo in range(0, m, block):
+                rows = binv[lo:lo + block]
+                part = buf[:len(rows)]
+                np.multiply(d[lo:lo + block, None], pivot_row, out=part)
+                np.subtract(rows, part, out=rows)
+            binv[r] = pivot_row
+            basis[r] = j
+            if step < 1e-13:
+                stall += 1
+                if stall > 8 * m:
+                    bland = True
+            else:
+                stall = 0
+        else:
+            raise NumericalInstability(
+                f"phase-{2 if forced else 1} simplex did not terminate")
+        pivots += it + 1
+        used_bland |= bland
+        binv, xb = refactor()
+        if not forced and phase_cost[basis] @ xb > LP_TOL:
+            raise NumericalInstability("no feasible point to start phase 2 from")
     w = np.zeros(n + m)
     w[basis] = xb
     y = (phase_cost[basis] @ binv) * sign
-    return (np.maximum(w[:n], 0.0), y, iters + more,
-            refactorisations + more_refactorisations, bland or more_bland)
+    return np.maximum(w[:n], 0.0), y, pivots, refactorisations, used_bland
 
 
 def _check_target(spec: PolytopeSpec, target: np.ndarray) -> np.ndarray:
@@ -365,15 +346,15 @@ def _check_target(spec: PolytopeSpec, target: np.ndarray) -> np.ndarray:
     if target.shape != (spec.dim, spec.dim):
         raise ValueError("target dimension does not match the polytope")
     # herm_to_vec reads only the upper triangle.
-    if np.max(np.abs(target - target.conj().T)) > 1e-10:
+    if not np.max(np.abs(target - target.conj().T)) <= 1e-10:
         raise ValueError("target must be Hermitian")
-    if abs(np.trace(target).real - 1.0) > 1e-8:
+    if not abs(np.trace(target).real - 1.0) <= 1e-8:
         raise ValueError("target must have unit trace")
     return target
 
 
 def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
-    """Decide whether ``target`` lies in the hull of ``spec.vertices``.
+    """Decide whether ``target`` lies in the hull of the kets' projectors.
 
     Runs ``lp_threshold`` from the target toward the vertex barycentre,
     which lies inside the hull, so the target is inside iff eps* = 0; eps*
@@ -408,12 +389,12 @@ def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
 
     Tr[W V_i] is formed one block of ``_BLOCK_ROWS`` kets at a time.
     """
-    low = min(((spec.kets[r].conj() @ witness) * spec.kets[r]).sum(1).real.min()
-              for r in _row_blocks(spec.n_vertices))
+    low = np.min([((spec.kets[r].conj() @ witness) * spec.kets[r]).sum(1).real.min()
+                  for r in _row_blocks(spec.n_vertices)])
     t_val = float(np.trace(witness @ target).real)
-    if low < -LP_TOL:
+    if not low >= -LP_TOL:
         raise NumericalInstability("certificate fails on a vertex")
-    if t_val > -floor:
+    if not t_val <= -floor:
         raise NumericalInstability("certificate does not separate the target")
     return -t_val
 
@@ -453,14 +434,14 @@ def _phase_keys(kets: np.ndarray) -> np.ndarray:
     return (grid.view(np.uint64) @ weights).view(np.int64)
 
 
-def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
-    """Orbit index of each ket under the group the unitary ``maps`` generate.
+def _ket_permutations(kets: np.ndarray, maps) -> list[np.ndarray]:
+    """For each unitary map g, the permutation taking i to the index of g v_i.
 
     Each map's images are matched to the kets by ``_phase_keys``, through
     one sort of the ket keys and a binary search per image.  Every map must
     send every ket to a ket of the list up to a phase, and distinct kets to
     distinct kets: an image with no matching key, two images matched to one
-    ket, or a match whose overlap falls short of 1 - 1e-9 raises
+    ket, or a match whose squared overlap falls short of 1 - 1e-9 raises
     SymmetryViolation, so a key collision fails one of these checks and
     never passes.  Keys, images and overlaps are formed one block of
     ``_BLOCK_ROWS`` kets at a time; the bijection check runs over the whole
@@ -474,7 +455,7 @@ def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
     perms = []
     for g in maps:
         perm = np.empty(n, dtype=np.intp)
-        low = np.inf  # least overlap of an image with its matched ket
+        low = np.inf  # least squared overlap of an image with its matched ket
         for rows in blocks:
             img = kets[rows] @ g.T
             want = _phase_keys(img)
@@ -483,10 +464,19 @@ def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
             if (part < 0).any():  # an image with no matching key
                 low = -np.inf
                 break
-            low = min(low, np.abs(np.einsum("ni,ni->n", kets[part].conj(), img)).min())
-        if low < 1.0 - 1e-9 or np.bincount(perm, minlength=n).max() > 1:
+            overlap = np.abs(np.einsum("ni,ni->n", kets[part].conj(), img)) ** 2
+            low = np.minimum(low, overlap.min())
+        if not low >= 1.0 - 1e-9 or np.bincount(perm, minlength=n).max() > 1:
             raise SymmetryViolation("a generator does not permute the vertices")
         perms.append(perm)
+    return perms
+
+
+def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
+    """Orbit index of each ket under the group the unitary ``maps`` generate,
+    which must permute the kets up to a phase (see ``_ket_permutations``)."""
+    n = len(kets)
+    perms = _ket_permutations(kets, maps)
     # Each vertex takes the least index it reaches; a finite permutation
     # group reaches its whole orbit by forward steps.
     orbit = np.arange(n)
@@ -561,7 +551,7 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     cost[-1] = 1.0
     x, y, pivots, refactorisations, bland = _simplex(a, b, cost)
     eps_star = float(x[-1])
-    if eps_star > hi + LP_TOL:
+    if not eps_star <= hi + LP_TOL:
         raise NumericalInstability(
             f"threshold {eps_star:.9g} lies beyond the path end {hi:.9g}")
     # Within LP_TOL of either end of the path is taken as that end.
@@ -572,7 +562,7 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
         return (1.0 - eps) * start + eps * end
 
     resid = spec.mixture(w) - target(eps_star)
-    if np.max(np.abs(resid)) > 10 * LP_TOL:
+    if not np.max(np.abs(resid)) <= 10 * LP_TOL:
         raise NumericalInstability("threshold weights fail to reproduce the target")
     if eps_star == 0.0:
         return ThresholdResult(0.0, 0.0, "lp", weights=w, pivots=pivots, orbits=n,
@@ -656,28 +646,33 @@ DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "data",
 
 def load_distill_config(path: str | None = None) -> dict:
     """Parse ``distill_threshold.<p> = <real>`` lines; '#' starts a comment.
-    A malformed line or a value outside [0, 1] raises ``MissingConfig``."""
+    A file that cannot be read, a malformed line, a value outside [0, 1] or
+    a key given twice raises ``MissingConfig``."""
     path = path or DEFAULT_CONFIG
-    if not os.path.exists(path):
-        raise MissingConfig(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise MissingConfig(f"cannot read config file: {exc}") from None
     out = {}
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise MissingConfig(f"malformed config line: {raw.rstrip()}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if not key.startswith("distill_threshold."):
-                raise MissingConfig(f"unknown config key: {key}")
-            try:
-                prime, value = int(key.split(".", 1)[1]), float(val)
-            except ValueError:
-                raise MissingConfig(f"malformed config line: {raw.rstrip()}") from None
-            if not 0.0 <= value <= 1.0:
-                raise MissingConfig(f"config line outside [0, 1]: {raw.rstrip()}")
-            out[prime] = value
+    for raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise MissingConfig(f"malformed config line: {raw.rstrip()}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if not key.startswith("distill_threshold."):
+            raise MissingConfig(f"unknown config key: {key}")
+        try:
+            prime, value = int(key.split(".", 1)[1]), float(val)
+        except ValueError:
+            raise MissingConfig(f"malformed config line: {raw.rstrip()}") from None
+        if not 0.0 <= value <= 1.0:
+            raise MissingConfig(f"config line outside [0, 1]: {raw.rstrip()}")
+        if prime in out:
+            raise MissingConfig(f"repeated key in config line: {raw.rstrip()}")
+        out[prime] = value
     return out
 
 
@@ -809,21 +804,17 @@ def _diagonal_clifford_shifts(p: int) -> np.ndarray:
     and fixes amplitude 0, so on the root-of-unity lattice of p >= 5 it
     adds that shift to ks_k.  Measured on every call: Z and diag(omega^(k^2))
     must map the rows of ``mub_vectors(p)``, up to a phase, one to one onto
-    rows, each basis onto one basis, so that they keep the negativity
-    (SymmetryViolation otherwise).  The p = 2 and 3 lattices are finer
+    rows (``_ket_permutations``), each basis onto one basis, so that they
+    keep the negativity (SymmetryViolation otherwise).  The p = 2 and 3 lattices are finer
     than Z_p and take the identity alone: one zero row.
     """
     if p < 5:
         return np.zeros((1, p - 1), dtype=int)
     vecs = mub_vectors(p).reshape(-1, p)
     k = np.arange(p)
-    for expo in (k, k * k):
-        image = vecs * np.exp(2j * np.pi * (expo % p) / p)
-        overlap = np.abs(vecs.conj() @ image.T) ** 2  # [row, image of row]
-        to = overlap.argmax(axis=0)
-        if (overlap[to, np.arange(len(to))].min() < 1 - 1e-9
-                or len(np.unique(to)) != len(to)
-                or np.ptp((to // p).reshape(p + 1, p), axis=1).any()):
+    maps = [np.diag(np.exp(2j * np.pi * (expo % p) / p)) for expo in (k, k * k)]
+    for perm in _ket_permutations(vecs, maps):
+        if np.ptp((perm // p).reshape(p + 1, p), axis=1).any():
             raise SymmetryViolation("a diagonal Clifford does not permute the MUB bases")
     a, b = np.divmod(np.arange(p * p), p)
     return (a[:, None] * k[1:] + b[:, None] * k[1:] ** 2) % p

@@ -137,6 +137,18 @@ def test_table3_malformed_config_is_config_error(capsys, tmp_path, line):
     assert captured.err.startswith("config error:") and line in captured.err
 
 
+def test_table3_repeated_key_or_unreadable_config_is_config_error(capsys, tmp_path):
+    """A second distill_threshold.3 used to override the first silently,
+    and a directory used to exit 2 as a domain error."""
+    path = tmp_path / "twice.cfg"
+    path.write_text("distill_threshold.3 = 0.3165\ndistill_threshold.3 = 0.9\n")
+    for config in (path, tmp_path):
+        rc = main(["table3", "--p", "3", "--config", str(config)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("config error:")
+
+
 def test_verify_identifies_gate(capsys, tmp_path):
     path = tmp_path / "u.txt"
     write_matrix(path, gate_matrix(3, GateParams(1, 2, 0)))

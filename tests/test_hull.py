@@ -221,7 +221,7 @@ def test_membership_rejects_a_map_that_does_not_permute_the_vertices():
     must raise rather than drop it."""
     spec = cliff_polytope(2)
     s = np.diag([1.0, np.exp(0.3j)])
-    bad = hull.PolytopeSpec("CLIFF", 2, spec.kets, spec.maps + (np.kron(s.T, s.conj().T),))
+    bad = hull.PolytopeSpec("CLIFF", spec.kets, spec.maps + (np.kron(s.T, s.conj().T),))
     target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
     assert lp_membership(spec, target).orbits < spec.n_vertices
     with pytest.raises(SymmetryViolation, match="permute"):
@@ -335,6 +335,25 @@ def test_non_hermitian_target_is_rejected_before_any_lp():
         lp_membership(spec, bad)
     with pytest.raises(ValueError, match="Hermitian"):
         lp_threshold(spec, bad, np.eye(2) / 2, 1.0)
+
+
+def test_nan_target_is_rejected_before_any_lp():
+    target = np.eye(3, dtype=complex) / 3
+    target[0, 1] = np.nan
+    with pytest.raises(ValueError, match="target must be Hermitian"):
+        lp_membership(stab_polytope(3), target)
+
+
+def test_nan_ket_is_rejected():
+    kets = stab_polytope(3).kets.copy()
+    kets[4, 1] = np.nan
+    with pytest.raises(ValueError, match="unit kets"):
+        hull.PolytopeSpec("STAB", kets)
+
+
+def test_nan_witness_does_not_pass_as_a_certificate():
+    with pytest.raises(NumericalInstability):
+        verify_certificate(stab_polytope(3), np.eye(3) / 3, np.full((3, 3), np.nan))
 
 
 def test_lp_agrees_with_facet_description():
@@ -750,6 +769,26 @@ def test_seeded_lp_matches_dense_oracle_through_refactorisations(monkeypatch, de
     assert all(m.flags.f_contiguous for m in inverses)
 
 
+@pytest.mark.parametrize("dense_cost", (False, True))
+def test_each_phase_restarts_its_refactorisation_schedule(monkeypatch, dense_cost):
+    """At 80 x 800 phase 1 takes 141 pivots and refactorises once; phase 2
+    must count its own 100 pivots before refactorising, as the oracle's
+    separate loops do."""
+    rng = np.random.default_rng(0)
+    a = np.vstack([rng.normal(size=(79, 800)), np.ones((1, 800))])
+    b = a @ rng.dirichlet(np.ones(800))
+    cost = rng.normal(size=800) if dense_cost else np.eye(800)[-1]
+    args = (a, b, cost)
+    inverses = []
+    real_inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda m: inverses.append(m) or real_inv(m))
+    got = hull._simplex(*args)
+    monkeypatch.undo()
+    _assert_matches_oracle(args, got)
+    assert got[3] == len(inverses) - 2
+    assert got[2:] == ((421, 3, False) if dense_cost else (142, 1, False))
+
+
 def test_systems_are_c_ordered(monkeypatch):
     """The pivot path depends on the layout of the rows ``lp_threshold``
     hands the simplex: full STAB, EQ and CLIFF at p=3 and the p=5 orbit LP."""
@@ -794,6 +833,11 @@ def test_load_distill_config_default_and_errors(tmp_path):
         bad.write_text(line + "\n")
         with pytest.raises(MissingConfig, match=f"config line.*{line}"):
             load_distill_config(str(bad))
+    bad.write_text("distill_threshold.3 = 0.3165\ndistill_threshold.03 = 0.9\n")
+    with pytest.raises(MissingConfig, match="repeated key in config line: distill_threshold.03"):
+        load_distill_config(str(bad))
+    with pytest.raises(MissingConfig, match="cannot read config file"):
+        load_distill_config(str(tmp_path))
 
 
 def test_uqc_bounds_all_dimensions():
