@@ -122,13 +122,18 @@ def vec_to_herm(v: np.ndarray) -> np.ndarray:
 class PolytopeSpec:
     """Hull of the pure states |v_i><v_i| given by unit kets v_i, shape (n, d).
 
-    Only the kets are stored; dense vertices are derived when read.
-    ``maps`` are d x d unitaries g claimed to permute the kets up to a
-    phase, v -> g v; ``lp_threshold`` checks the claim whenever it uses one.
+    Only the kets are stored; dense vertices are derived when read, each
+    in one allocation the size of the result (see ``_projectors`` and
+    ``system``).  ``maps`` are d x d unitaries g claimed to permute the
+    kets up to a phase, v -> g v; ``lp_threshold`` checks the claim
+    whenever it uses one.
     """
 
     def __init__(self, name: str, kets: np.ndarray, maps=()):
         kets = np.asarray(kets, dtype=complex)
+        if kets.ndim != 2 or kets.size == 0:
+            raise ValueError("polytope kets must be a non-empty (n, d) array, "
+                             f"got shape {kets.shape}")
         if not np.max([np.max(np.abs(np.linalg.norm(kets[r], axis=1) - 1.0))
                        for r in _row_blocks(len(kets))]) <= 1e-10:
             raise ValueError("polytope vertices must be unit kets")
@@ -153,20 +158,30 @@ class PolytopeSpec:
     def system(self) -> np.ndarray:
         """Columns [vec(V_i); 1], built anew on every call.
 
-        No LP reads it: ``lp_threshold`` builds its own rows in the SVD
-        basis of the vertex span.  It is kept for the benchmark's shape
-        check and for the tests, which compare it with a dense build.
+        The result is allocated once and filled one ``_row_blocks(n, d)``
+        block of kets at a time, each block's projectors (d rows per ket)
+        and their ``herm_to_vec`` rows made and dropped in turn, so no
+        second copy of the system exists.  No LP reads it:
+        ``lp_threshold`` builds its own rows in the SVD basis of the
+        vertex span.  It is kept for the benchmark's shape check and for
+        the tests, which compare it with a dense build.
         """
         system = np.ones((self.dim ** 2 + 1, self.n_vertices))
-        # 1024 projectors at a time: at p = 7 all of them take 632 MB.
-        for lo in range(0, self.n_vertices, 1024):
-            system[:-1, lo:lo + 1024] = herm_to_vec(_projectors(self.kets[lo:lo + 1024])).T
+        for rows in _row_blocks(self.n_vertices, self.dim):
+            system[:-1, rows] = herm_to_vec(_projectors(self.kets[rows])).T
         return system
 
 
 def _projectors(kets: np.ndarray) -> np.ndarray:
-    """|v><v| for each row v, with the entries np.outer(v, v.conj()) gives."""
-    return kets[:, :, None] * kets[:, None, :].conj()
+    """|v><v| for each row v, with the entries np.outer(v, v.conj()) gives.
+
+    Built in the result's own storage: the conjugates are broadcast into
+    it, then multiplied in place by the kets.  The operands stay in the
+    order ket x conj: conj x ket rounds some entries differently.
+    """
+    out = np.empty((len(kets), kets.shape[1], kets.shape[1]), dtype=complex)
+    np.conjugate(kets[:, None, :], out=out)
+    return np.multiply(kets[:, :, None], out, out=out)
 
 
 def stab_polytope(p: int) -> PolytopeSpec:
@@ -387,8 +402,16 @@ def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
                        witness: np.ndarray, floor: float = LP_TOL) -> float:
     """Check the separating property; returns the separation margin.
 
-    Tr[W V_i] is formed one block of ``_BLOCK_ROWS`` kets at a time.
+    Tr[W V_i] is formed one block of ``_BLOCK_ROWS`` kets at a time.  A
+    witness that is not d x d, or not Hermitian to 1e-10, raises
+    ValueError; a NaN witness fails the vertex check instead
+    (NumericalInstability), as a numerical failure of the LP.
     """
+    witness = np.asarray(witness)
+    if witness.shape != (spec.dim, spec.dim):
+        raise ValueError(f"witness must be {spec.dim} x {spec.dim}, got shape {witness.shape}")
+    if np.max(np.abs(witness - witness.conj().T)) > 1e-10:
+        raise ValueError("witness must be Hermitian")
     low = np.min([((spec.kets[r].conj() @ witness) * spec.kets[r]).sum(1).real.min()
                   for r in _row_blocks(spec.n_vertices)])
     t_val = float(np.trace(witness @ target).real)
@@ -514,8 +537,11 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     LP_TOL of 0 or of ``hi`` is taken as that end: a start already inside
     returns exactly 0.0 with no witness, and a target reached only at the
     end, such as one off the span of the vertices, returns ``hi``.  An
-    eps* farther beyond ``hi`` raises NumericalInstability.
+    eps* farther beyond ``hi`` raises NumericalInstability; a ``hi`` that
+    is negative or NaN raises ValueError before any LP runs.
     """
+    if not hi >= 0.0:
+        raise ValueError(f"path end hi must be a non-negative number, got {hi!r}")
     start = _check_target(spec, start)
     end = _check_target(spec, end)
     if not all(_fixes(g, h) for g in maps for h in (start, end)):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,63 @@ def test_vertices_are_ket_projectors(make, p):
     rng = np.random.default_rng(p)
     w = rng.uniform(size=spec.n_vertices)
     assert np.max(np.abs(spec.mixture(w) - np.einsum("n,nij->ij", w, spec.vertices))) < 1e-13
+
+
+# The formulas ``system()`` and ``vertices`` used before they were built in
+# their results' own storage: the projectors and their conjugates as two
+# whole stacks, 1024 kets at a time.
+
+def _stacked_projectors(kets):
+    return kets[:, :, None] * kets[:, None, :].conj()
+
+
+def _stacked_system(spec):
+    system = np.ones((spec.dim ** 2 + 1, spec.n_vertices))
+    for lo in range(0, spec.n_vertices, 1024):
+        system[:-1, lo:lo + 1024] = herm_to_vec(_stacked_projectors(spec.kets[lo:lo + 1024])).T
+    return system
+
+
+@pytest.mark.parametrize("make, p", [(cliff_polytope, 5), (equatorial_polytope, 7),
+                                     (stab_polytope, 7)])
+def test_blocked_system_and_vertices_equal_stacked_formulas(monkeypatch, make, p):
+    """With 7-row blocks ``system()`` fills its columns one ket at a time
+    (d >= 7 rows each); every entry, and every entry of ``vertices``, is
+    still the one the whole-stack formulas give."""
+    spec = make(p)
+    want_system, want_vertices = _stacked_system(spec), _stacked_projectors(spec.kets)
+    for block in (geometry._BLOCK_ROWS, 7):
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block)
+        assert np.array_equal(spec.system(), want_system)
+        assert np.array_equal(spec.vertices, want_vertices)
+
+
+def _traced_excess(build):
+    """Traced peak of ``build()`` above the size of what it returns."""
+    tracemalloc.start()
+    try:
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - out.nbytes
+
+
+def test_system_and_vertices_working_set_stays_small():
+    """At p = 5 ``system()`` (14.3 MiB) holds one 163-ket block of
+    projectors beside its result, 3.8 MiB traced above it; whole 1024-ket
+    stacks of projectors and their ``herm_to_vec`` temporaries took 24 MiB.
+    ``vertices`` (28.6 MiB) makes no conjugate stack beside it, 1.2 MB."""
+    spec = cliff_polytope(5)
+    assert _traced_excess(spec.system) < 6e6
+    assert _traced_excess(lambda: spec.vertices) < 0.5e6
+
+
+@pytest.mark.parametrize("kets", [np.empty((0, 3)), np.empty((3, 0)), np.array([1.0, 0.0])],
+                         ids=["no-kets", "zero-length", "one-dim"])
+def test_polytope_rejects_kets_not_a_non_empty_matrix(kets):
+    with pytest.raises(ValueError, match=r"\(n, d\) array, got shape"):
+        hull.PolytopeSpec("BAD", kets)
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -354,6 +413,33 @@ def test_nan_ket_is_rejected():
 def test_nan_witness_does_not_pass_as_a_certificate():
     with pytest.raises(NumericalInstability):
         verify_certificate(stab_polytope(3), np.eye(3) / 3, np.full((3, 3), np.nan))
+
+
+def test_witness_of_the_wrong_shape_is_rejected():
+    with pytest.raises(ValueError, match=r"witness must be 3 x 3, got shape \(2, 2\)"):
+        verify_certificate(stab_polytope(3), np.eye(3) / 3, np.eye(2))
+
+
+def test_non_hermitian_witness_is_rejected():
+    """A separating witness plus an anti-Hermitian part: its Hermitian part
+    still separates the pure non-stabilizer state, but the witness itself
+    must be refused, not judged by that part."""
+    spec = stab_polytope(3)
+    psi = np.exp(2j * np.pi / 9 * np.array([0, 1, -1])) / np.sqrt(3)
+    target = np.outer(psi, psi.conj())
+    witness = lp_membership(spec, target).certificate
+    assert verify_certificate(spec, target, witness) > 0.0
+    skew = np.zeros((3, 3))
+    skew[0, 1], skew[1, 0] = 1e-3, -1e-3
+    with pytest.raises(ValueError, match="witness must be Hermitian"):
+        verify_certificate(spec, target, witness + skew)
+
+
+@pytest.mark.parametrize("hi", (-0.5, np.nan))
+def test_lp_threshold_rejects_a_bad_path_end_before_any_lp(monkeypatch, hi):
+    monkeypatch.setattr(hull, "_simplex", lambda *args: pytest.fail("an LP ran"))
+    with pytest.raises(ValueError, match="path end hi"):
+        lp_threshold(stab_polytope(3), np.diag([1.0, 0.0, 0.0]), np.eye(3) / 3, hi)
 
 
 def test_lp_agrees_with_facet_description():
