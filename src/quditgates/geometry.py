@@ -242,14 +242,17 @@ def negativity_exhaustive(p: int, state: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # edge-facet spectra
 
-# Stacks indexed by edge label or by Clifford ket (16,807 and 16,464 rows
-# at p = 7) are built and consumed this many rows at a time, never whole.
+# Stacks indexed by edge label, Clifford ket (16,807 and 16,464 items at
+# p = 7) or equatorial state are built and consumed this many matrix rows at
+# a time, never whole.
 _BLOCK_ROWS = 4096
 
 
 def _row_blocks(n: int, rows_per_item: int = 1):
     """Slices covering items 0..n-1 in order, each of at most ``_BLOCK_ROWS``
-    rows (but at least one item) when an item stands for ``rows_per_item``."""
+    matrix rows (but at least one item), an item counting ``rows_per_item``
+    rows: a ket is 1 row, a d x d operator d rows, a state's (p+1) x p MUB
+    amplitudes p+1 rows, and the p^2 Clifford kets of one V_F p^2 rows."""
     step = max(1, _BLOCK_ROWS // rows_per_item)
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
@@ -292,15 +295,16 @@ def _edge_orbit_eigenvalues(p: int) -> np.ndarray:
     """Ascending eigenvalues of each orbit representative, one row per edge.
 
     The representatives are built and diagonalised one block of
-    ``_BLOCK_ROWS`` at a time; each matrix is diagonalised alone, so the
-    rows do not depend on the block.  Cached, so a command that wants both
+    ``_BLOCK_ROWS`` matrix rows at a time, each p x p operator counting p
+    rows (585 operators at p = 7); each matrix is diagonalised alone, so
+    the rows do not depend on the block.  Cached, so a command that wants both
     the scan and the spectral classes diagonalises the representatives
     once; one entry, so the spectra of at most one prime stay in memory
     (0.9 MB at p = 7).
     """
     index = np.arange(p ** (p - 2))
     lam = np.empty((len(index), p))
-    for rows in _row_blocks(len(index)):
+    for rows in _row_blocks(len(index), p):
         lam[rows] = np.linalg.eigvalsh(_edge_orbit_representatives(p, index[rows]))
     lam.flags.writeable = False
     return lam
@@ -340,7 +344,7 @@ def edge_scan(p: int, target: float | None = None, window: float = 1e-4) -> Edge
     mask = np.zeros(len(lam1), bool) if target is None else np.abs(lam1 - target) <= window
     near = np.flatnonzero(mask)
     flat = 0
-    for rows in _row_blocks(len(near)):
+    for rows in _row_blocks(len(near), p):
         ops = _edge_orbit_representatives(p, near[rows])
         lead = np.abs(np.linalg.eigh(ops)[1][:, :, 0])
         flat += int(np.sum(np.max(np.abs(lead - p ** -0.5), axis=1) <= 1e-6))

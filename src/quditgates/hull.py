@@ -403,10 +403,12 @@ def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
     """Check the separating property; returns the separation margin.
 
     Tr[W V_i] is formed one block of ``_BLOCK_ROWS`` kets at a time.  A
-    witness that is not d x d, or not Hermitian to 1e-10, raises
-    ValueError; a NaN witness fails the vertex check instead
-    (NumericalInstability), as a numerical failure of the LP.
+    target that ``lp_membership`` would refuse, or a witness that is not
+    d x d, or not Hermitian to 1e-10, raises ValueError; a NaN witness
+    fails the vertex check instead (NumericalInstability), as a numerical
+    failure of the LP.
     """
+    target = _check_target(spec, target)
     witness = np.asarray(witness)
     if witness.shape != (spec.dim, spec.dim):
         raise ValueError(f"witness must be {spec.dim} x {spec.dim}, got shape {witness.shape}")
@@ -749,17 +751,24 @@ def _neg_batch(p: int, thetas: np.ndarray) -> np.ndarray:
     The per-basis minimum is a running ``np.minimum`` over the p moduli,
     squared afterwards: squaring a non-negative float is monotone, so this
     is bit for bit the minimum of the squared moduli.  A row's value
-    depends on that row alone, whatever the batch.
+    depends on that row alone, whatever the batch, so the batch is
+    evaluated one block of ``_BLOCK_ROWS`` matrix rows at a time, a state's
+    (p+1) x p amplitudes counting p+1 rows (512 states at p = 7).
     """
-    states = np.empty((thetas.shape[0], p), dtype=complex)
-    states[:, 0] = 1.0
-    states[:, 1:] = np.exp(1j * thetas)
-    states /= np.sqrt(p)
-    amps = np.abs(np.einsum("bkj,Bj->Bbk", mub_vectors(p).conj(), states))
-    low = amps[:, :, 0]
-    for k in range(1, p):
-        low = np.minimum(low, amps[:, :, k])
-    return np.maximum(0.0, -((low ** 2).sum(axis=1) - 1.0) / p)
+    vecs = mub_vectors(p).conj()
+    out = np.empty(thetas.shape[0])
+    for rows in _row_blocks(len(out), p + 1):
+        th = thetas[rows]
+        states = np.empty((len(th), p), dtype=complex)
+        states[:, 0] = 1.0
+        states[:, 1:] = np.exp(1j * th)
+        states /= np.sqrt(p)
+        amps = np.abs(np.einsum("bkj,Bj->Bbk", vecs, states))
+        low = amps[:, :, 0]
+        for k in range(1, p):
+            low = np.minimum(low, amps[:, :, k])
+        out[rows] = np.maximum(0.0, -((low ** 2).sum(axis=1) - 1.0) / p)
+    return out
 
 
 def _batched_coordinate_descent(p: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -242,8 +242,9 @@ def test_blocked_edge_eigenvalues_equal_one_batch(monkeypatch, p, block):
 
 
 def test_edge_scan_working_set_stays_small():
-    """The p = 7 scan holds one block of representatives at a time (7.6 MB
-    traced); all 16,807 of them and their eigenvectors at once take 26.8 MB."""
+    """The p = 7 scan holds one block of 585 representatives at a time
+    (2.07 MB traced); all 16,807 of them and their eigenvectors at once
+    take 26.8 MB."""
     geometry._edge_orbit_eigenvalues.cache_clear()
     tracemalloc.start()
     try:
@@ -251,7 +252,7 @@ def test_edge_scan_working_set_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10e6
+    assert peak < 3e6
 
 
 def _swap_two_projectors(projs):

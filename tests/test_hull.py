@@ -420,6 +420,11 @@ def test_witness_of_the_wrong_shape_is_rejected():
         verify_certificate(stab_polytope(3), np.eye(3) / 3, np.eye(2))
 
 
+def test_target_of_the_wrong_shape_is_rejected():
+    with pytest.raises(ValueError, match="target dimension"):
+        verify_certificate(stab_polytope(3), np.eye(2) / 2, -np.eye(3))
+
+
 def test_non_hermitian_witness_is_rejected():
     """A separating witness plus an anti-Hermitian part: its Hermitian part
     still separates the pure non-stabilizer state, but the witness itself
@@ -1030,9 +1035,7 @@ def _full_lattice(p):
     r = root_order(p)
     ks = np.indices((r,) * (p - 1)).reshape(p - 1, -1).T
     lat = 2 * np.pi * ks / r
-    vals = np.concatenate([hull._neg_batch(p, chunk)
-                           for chunk in np.array_split(lat, max(1, len(lat) // 20000 + 1))])
-    return lat, vals
+    return lat, hull._neg_batch(p, lat)
 
 
 def _serial_optimize(p, seed, restarts):
@@ -1095,6 +1098,27 @@ def test_neg_batch_matches_squared_minimum_oracle(p):
         r = root_order(p)
         lat = 2 * np.pi * np.indices((r,) * (p - 1)).reshape(p - 1, -1).T / r
         assert np.array_equal(hull._neg_batch(p, lat), _neg_batch_oracle(p, lat))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_blocked_neg_batch_equals_default_block(monkeypatch, p):
+    thetas = np.random.default_rng(400 + p).uniform(0.0, 2 * np.pi, size=(1536, p - 1))
+    want = hull._neg_batch(p, thetas)
+    monkeypatch.setattr(geometry, "_BLOCK_ROWS", 7)
+    assert np.array_equal(hull._neg_batch(p, thetas), want)
+
+
+def test_equatorial_working_set_stays_small():
+    """The p = 7 descent scores 512 states per block (1.27 MB traced); the
+    whole 1,536-state grid calls and 2,401 lattice orbits took 3.73 MB."""
+    np.random.default_rng(0)  # imports numpy.random outside the trace
+    tracemalloc.start()
+    try:
+        optimize_equatorial(7, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 @pytest.mark.parametrize("p,calls,rows", [(5, 674, 37497), (7, 1010, 59133)])
