@@ -11,6 +11,11 @@ picks the exit code.  JSON output carries full doubles and a provenance
 tag per numeric cell; CSV rounds to 6 significant digits and appends the
 provenance in parentheses for anything that is not freshly computed.
 
+``build_parser`` is cached, so in-process ``main`` calls share one
+parser, which keeps no state between calls.  The depolarising-gate cells
+of ``table2``, ``table3`` and ``threshold`` all read
+``hull.threshold_depol_params``: one LP per (p, gate) per process.
+
 Exit codes: 0 ok, 1 usage or config error, 2 domain error, 3 self-check
 mismatch.
 """
@@ -21,6 +26,7 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,10 +43,8 @@ from .hierarchy import (
     GateParams,
     element_order,
     gate_exponents,
-    gate_matrix,
     group_structure,
     identify_third_level,
-    root_order,
 )
 from .hull import (
     PROV_COMPUTED,
@@ -54,7 +58,7 @@ from .hull import (
     dilution,
     dilution_inv,
     load_distill_config,
-    threshold_depol_gate,
+    threshold_depol_params,
     threshold_depol_state,
     threshold_pd_gate,
     uqc_bounds,
@@ -79,16 +83,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_params(text: str) -> GateParams:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("--params expects three comma-separated integers z,g,e")
-    return GateParams(*(int(s) for s in parts))
+    try:
+        z, g, e = (int(s) for s in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "--params expects three comma-separated integers z,g,e") from None
+    return GateParams(z, g, e)
 
 
 def _parse_tol(text: str) -> float:
-    tol = float(text)
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = np.nan  # fails the range check below
     if not 0.0 <= tol < np.inf:
-        raise ValueError("--tol expects a finite number >= 0")
+        raise argparse.ArgumentTypeError("--tol expects a finite number >= 0")
     return tol
 
 
@@ -226,7 +235,7 @@ def cmd_table2(args) -> tuple[dict, list]:
     for p in (args.p,) if args.p else SUPPORTED_PRIMES:
         g = ROBUST_GATE_PARAMS[p]
         psi = gate_state(p, g)
-        depol = 100 * threshold_depol_gate(p, gate_matrix(p, g)).epsilon_star
+        depol = 100 * threshold_depol_params(p, g).epsilon_star
         pd = 100 * threshold_pd_gate(p, psi).epsilon_star
         neg = negativity(p, psi).value
         rows.append({"p": p, "params": list(g.astuple()), "cells": {
@@ -318,7 +327,7 @@ def cmd_threshold(args) -> tuple[dict, list]:
     results = {
         "depol_state_pct": threshold_depol_state(args.p, psi),
         "pd_gate_pct": threshold_pd_gate(args.p, psi),
-        "depol_gate_pct": threshold_depol_gate(args.p, gate_matrix(args.p, g)),
+        "depol_gate_pct": threshold_depol_params(args.p, g),
     }
     out = {name: 100 * r.epsilon_star for name, r in results.items()}
     checks = []
@@ -395,6 +404,7 @@ def cmd_group(args) -> tuple[dict, list]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     parser = _Parser(prog="quditgates",
                      description="Diagonal third-level gates on prime qudits: "

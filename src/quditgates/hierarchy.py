@@ -82,8 +82,7 @@ def root_order(p: int) -> int:
 
 
 def _encode2(g: GateParams) -> int:
-    g = g.reduced(2)
-    return (2 * g.z + g.gamma + 4 * g.eps) % 8
+    return int(_exponents(2, *g.reduced(2).astuple())[1])
 
 
 def _decode2(k: int) -> GateParams:
@@ -94,21 +93,32 @@ def _decode2(k: int) -> GateParams:
     return GateParams(z, gamma, eps)
 
 
+def _exponents(p: int, z, gamma, eps) -> np.ndarray:
+    """Exponents modulo ``root_order(p)`` of the gates with residues
+    (z, gamma, eps) mod p: ints, or int arrays of one shape, giving one row
+    of p exponents per gate.  At p = 2 the second entry is the packed
+    k = 2z + g + 4e (mod 8)."""
+    z, gamma, eps = (np.asarray(x, dtype=np.int64)[..., None] for x in (z, gamma, eps))
+    if p == 2:
+        return np.concatenate([np.zeros_like(z), (2 * z + gamma + 4 * eps) % 8], axis=-1)
+    if p == 3:
+        return np.concatenate([np.zeros_like(z), (6 * z + 2 * gamma + 3 * eps) % 9,
+                               (6 * z + gamma + 6 * eps) % 9], axis=-1)
+    k = np.arange(p)
+    return (mod_inv(12, p) * k * (gamma + k * (6 * z + (2 * k - 3) * gamma)) + k * eps) % p
+
+
+def _order(root: int, exps: np.ndarray) -> np.ndarray:
+    """Multiplicative order of diag(exp(2 pi i exps / root)), along the last axis."""
+    return root // np.gcd.reduce(exps, axis=-1, initial=root)
+
+
 def gate_exponents(p: int, g: GateParams) -> DiagGateExact:
     """Exact exponent vector of the gate named by ``g``."""
     check_dim(p)
     g = g.reduced(p)
-    if p == 2:
-        return DiagGateExact(8, (0, _encode2(g)))
-    if p == 3:
-        u1 = (6 * g.z + 2 * g.gamma + 3 * g.eps) % 9
-        u2 = (6 * g.z + g.gamma + 6 * g.eps) % 9
-        return DiagGateExact(9, (0, u1, u2))
-    inv12 = mod_inv(12, p)
-    exps = tuple(
-        (inv12 * k * (g.gamma + k * (6 * g.z + (2 * k - 3) * g.gamma)) + k * g.eps) % p
-        for k in range(p))
-    return DiagGateExact(p, exps)
+    exps = _exponents(p, g.z, g.gamma, g.eps)
+    return DiagGateExact(root_order(p), tuple(exps.tolist()))
 
 
 def gate_matrix(p: int, g: GateParams) -> np.ndarray:
@@ -139,7 +149,7 @@ def compose_params(p: int, g1: GateParams, g2: GateParams) -> GateParams:
 def element_order(p: int, g: GateParams) -> int:
     """Multiplicative order of the gate, computed on exact exponents."""
     gate = gate_exponents(p, g)
-    return gate.root_order // math.gcd(gate.root_order, *gate.exps)
+    return int(_order(gate.root_order, np.array(gate.exps)))
 
 
 @dataclass(frozen=True)
@@ -166,15 +176,17 @@ def _invariant_factors(p: int, hist: dict) -> tuple[int, ...]:
 
 
 def group_structure(p: int) -> GroupReport:
-    """Classify the group generated by the whole gate family at fixed p."""
+    """Classify the group generated by the whole gate family at fixed p.
+
+    The orders of all p**3 triples come from one (p**3, p) exponent array;
+    at p = 2 that is the 8 packed k = 2z + g + 4e.
+    """
     check_dim(p)
-    hist: dict[int, int] = {}  # the p**3 triples; at p = 2, the 8 packed k = 2z + g + 4e
-    for t in product(range(p), repeat=3):
-        o = element_order(p, GateParams(*t))
-        hist[o] = hist.get(o, 0) + 1
+    orders = _order(root_order(p), _exponents(p, *np.indices((p, p, p)).reshape(3, -1)))
+    hist = {int(o): int(c) for o, c in zip(*np.unique(orders, return_counts=True))}
     parts = _invariant_factors(p, hist)
     name = " x ".join(f"Z{p ** e}" for e in parts)
-    return GroupReport(p=p, size=p ** 3, order_histogram=dict(sorted(hist.items())),
+    return GroupReport(p=p, size=p ** 3, order_histogram=hist,
                        group_name=name, min_generators=len(parts))
 
 

@@ -24,7 +24,8 @@ EQ carry no maps.  The state and dephasing thresholds follow from closed
 forms tied to facet geometry; the tests hold them against the LP.
 
 The depolarising-gate threshold is the LP over Clifford orbits, 66
-columns instead of 16464 vertices at p = 7.  Vertices are stored as kets;
+columns instead of 16464 vertices at p = 7; ``threshold_depol_params``
+solves it once per family gate and process.  Vertices are stored as kets;
 weights and witnesses are checked against every one.
 """
 
@@ -653,6 +654,24 @@ def threshold_depol_gate(p: int, u: np.ndarray) -> ThresholdResult:
     return lp_threshold(spec, start, end, 1.0, maps)
 
 
+def threshold_depol_params(p: int, g: GateParams) -> ThresholdResult:
+    """``threshold_depol_gate`` of the family gate named by ``g``, solved
+    once per (p, g mod p) in a process: Table 2, Table 3 and the
+    ``threshold`` command read one cached result, whose ``weights`` and
+    ``witness`` arrays are read-only."""
+    check_dim(p)
+    return _depol_params_threshold(p, g.reduced(p))
+
+
+@lru_cache(maxsize=None)
+def _depol_params_threshold(p: int, g: GateParams) -> ThresholdResult:
+    r = threshold_depol_gate(p, gate_matrix(p, g))
+    for a in (r.weights, r.witness):
+        if a is not None:
+            a.flags.writeable = False
+    return r
+
+
 def dilution(p: int, eps: float) -> float:
     """Effective state noise after the postselected gate-dilution circuit."""
     check_dim(p)
@@ -716,13 +735,14 @@ class UQCBounds:
 def uqc_bounds(p: int, config: dict | None = None) -> UQCBounds:
     """Lower/upper noise bounds for universal computation with the gate.
 
-    The upper bound is the robust gate's depolarising threshold, computed
-    by ``threshold_depol_gate``.  The lower bound
-    converts the configured distillation threshold back through the
+    The upper bound is the robust gate's depolarising threshold, read from
+    ``threshold_depol_params``, so it reuses the LP that Table 2 or the
+    ``threshold`` command already solved in this process.  The lower
+    bound converts the configured distillation threshold back through the
     dilution map; at p=2 it equals the upper bound.
     """
     check_dim(p)
-    upper = threshold_depol_gate(p, gate_matrix(p, ROBUST_GATE_PARAMS[p])).epsilon_star
+    upper = threshold_depol_params(p, ROBUST_GATE_PARAMS[p]).epsilon_star
     if p == 2:
         return UQCBounds(p, upper, PROV_COMPUTED, upper, PROV_COMPUTED)
     if config is None:

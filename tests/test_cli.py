@@ -337,6 +337,50 @@ def test_tol_must_be_finite_and_nonnegative(capsys, tol):
     assert "argument --tol" in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("gate", "--p", "3", "--params", "1,2"),
+     "argument --params: --params expects three comma-separated integers z,g,e"),
+    (("table2", "--p", "2", "--tol", "-1"),
+     "argument --tol: --tol expects a finite number >= 0"),
+])
+def test_bad_flag_value_prints_the_parsers_message(capsys, argv, message):
+    """The message names the flag, not the private function that parsed it."""
+    rc = main(list(argv))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.endswith(f": error: {message}\n") and "_parse" not in err
+
+
+def test_cached_parser_keeps_no_state(capsys, tmp_path):
+    """In one process, each command gives the payload and exit code it
+    gives after the parser cache is emptied."""
+    assert build_parser() is build_parser()
+
+    def outcome(argv):
+        rc = main(argv)
+        out = capsys.readouterr().out
+        payload = json.loads(out) if out else None
+        if payload:
+            payload.pop("wall_time_s")
+        return rc, payload
+
+    missing = str(tmp_path / "missing.cfg")
+    runs = {}
+    for first, second in [(["table2", "--p", "2", "--self-check"], ["table2", "--p", "2"]),
+                          (["table3", "--config", missing], ["table3"])]:
+        shared = [outcome(first), outcome(second)]
+        fresh = []
+        for argv in (first, second):
+            build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        runs[first[0]] = shared
+    (rc, _), (_, plain) = runs["table2"]
+    assert rc == 3 and plain["self_check"] == "off"
+    (rc, out), (rc_default, _) = runs["table3"]
+    assert (rc, out, rc_default) == (1, None, 0)
+
+
 def test_self_check_flags_nan_recorded_value(capsys, monkeypatch):
     monkeypatch.setitem(cli.RECORDED_NEGATIVITY, 3, float("nan"))
     rc = main(["negativity", "--p", "3", "--self-check"])

@@ -5,6 +5,7 @@ oracle that iterates the defining recurrence; the oracle is implemented
 here, in the tests, so the two routes share no code.
 """
 
+import json
 import math
 from itertools import product
 
@@ -113,6 +114,23 @@ def test_group_structure(p, name, hist, gens):
     assert rep.group_name == name
     assert rep.order_histogram == hist
     assert rep.min_generators == gens
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_group_histogram_matches_element_order_oracle(p):
+    """Table 1's one array pass against ``element_order`` on each triple,
+    itself held to the least n with n * exps = 0 mod the root order."""
+    root = root_order(p)
+    oracle = {}
+    for gp in all_params(p):
+        o = element_order(p, gp)
+        exps = gate_exponents(p, gp).exps
+        assert o == min(n for n in range(1, root + 1) if all(n * u % root == 0 for u in exps))
+        oracle[o] = oracle.get(o, 0) + 1
+    hist = group_structure(p).order_histogram
+    assert hist == oracle and list(hist) == sorted(oracle)
+    assert all(type(k) is int and type(v) is int for k, v in hist.items())
+    json.dumps(hist)
 
 
 @pytest.mark.parametrize("p,factors", [

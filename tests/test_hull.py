@@ -14,7 +14,7 @@ from quditgates.geometry import (
     phase_damped_state,
 )
 from quditgates.hierarchy import GateParams, gate_exponents, gate_matrix, root_order
-from quditgates import geometry, hull
+from quditgates import cli, geometry, hull
 from quditgates.hull import (
     LP_TOL,
     RECORDED_PD_GATE,
@@ -804,6 +804,24 @@ def _simplex_calls(monkeypatch, run):
     out = run()
     monkeypatch.undo()
     return calls, out
+
+
+def test_one_depol_gate_lp_per_gate_per_process(monkeypatch, capsys):
+    """``table2``, ``table3`` and ``threshold`` at p = 3 share one LP, and
+    the cached result's evidence arrays cannot be written."""
+    hull._depol_params_threshold.cache_clear()
+
+    def run():
+        return [cli.main([*argv, "--p", "3"]) for argv in (["table2"], ["table3"], ["threshold"])]
+
+    calls, codes = _simplex_calls(monkeypatch, run)
+    capsys.readouterr()
+    assert codes == [0, 0, 0] and len(calls) == 1
+    r = hull.threshold_depol_params(3, GateParams(4, 5, 3))  # the robust (1, 2, 0) mod 3
+    assert r is hull.threshold_depol_params(3, ROBUST_GATE_PARAMS[3])
+    for a in (r.weights, r.witness):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 @pytest.mark.parametrize("make", (stab_polytope, equatorial_polytope, cliff_polytope))
