@@ -23,19 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
 from .errors import ConvergenceFailure, NotDiagonal, NotUnitary, UnsupportedDim
 from .kernel import equal_up_to_global_phase, is_diagonal, is_unitary, mod_inv
-from .weylheis import (
-    CliffordLabel,
-    check_dim,
-    clifford_unitary,
-    displacement,
-    omega,
-)
+from .weylheis import CliffordLabel, check_dim, clifford_unitary, displacement
 
 
 @dataclass(frozen=True)
@@ -81,18 +74,6 @@ def root_order(p: int) -> int:
     return 8 if p == 2 else (9 if p == 3 else p)
 
 
-def _encode2(g: GateParams) -> int:
-    return int(_exponents(2, *g.reduced(2).astuple())[1])
-
-
-def _decode2(k: int) -> GateParams:
-    k %= 8
-    gamma = k % 2
-    z = ((k - gamma) // 2) % 2
-    eps = ((k - gamma - 2 * (z)) // 4) % 2
-    return GateParams(z, gamma, eps)
-
-
 def _exponents(p: int, z, gamma, eps) -> np.ndarray:
     """Exponents modulo ``root_order(p)`` of the gates with residues
     (z, gamma, eps) mod p: ints, or int arrays of one shape, giving one row
@@ -106,6 +87,14 @@ def _exponents(p: int, z, gamma, eps) -> np.ndarray:
                                (6 * z + gamma + 6 * eps) % 9], axis=-1)
     k = np.arange(p)
     return (mod_inv(12, p) * k * (gamma + k * (6 * z + (2 * k - 3) * gamma)) + k * eps) % p
+
+
+@lru_cache(maxsize=None)
+def _params_by_exps(p: int) -> dict[tuple[int, ...], GateParams]:
+    """The p**3 exponent rows of the family, each mapped to its residues."""
+    idx = np.indices((p, p, p)).reshape(3, -1)
+    return {tuple(row): GateParams(*map(int, zge))
+            for row, zge in zip(_exponents(p, *idx).tolist(), idx.T)}
 
 
 def _order(root: int, exps: np.ndarray) -> np.ndarray:
@@ -128,22 +117,13 @@ def gate_matrix(p: int, g: GateParams) -> np.ndarray:
 def compose_params(p: int, g1: GateParams, g2: GateParams) -> GateParams:
     """Parameters of the product gate; matrices multiply exactly.
 
-    Componentwise sums modulo p suffice for p > 3.  At p = 3 the mod-9
-    exponents force a carry: eps drops by one whenever the integer sum of
-    the two gamma entries reaches 3.  At p = 2 the family is the cyclic
-    group of the packed exponent, so composition is addition modulo 8.
+    The product's exponent row is the sum of the two rows modulo
+    ``root_order(p)``, looked up among the family's p**3 rows.  For p > 3
+    that is the componentwise sum of residues; at p = 3 eps carries -1 when
+    the two gammas sum past 2, and at p = 2 the packed k adds modulo 8.
     """
-    check_dim(p)
-    g1 = g1.reduced(p)
-    g2 = g2.reduced(p)
-    if p == 2:
-        return _decode2(_encode2(g1) + _encode2(g2))
-    if p == 3:
-        carry = -1 if g1.gamma + g2.gamma >= 3 else 0
-        return GateParams((g1.z + g2.z) % 3, (g1.gamma + g2.gamma) % 3,
-                          (g1.eps + g2.eps + carry) % 3)
-    return GateParams((g1.z + g2.z) % p, (g1.gamma + g2.gamma) % p,
-                      (g1.eps + g2.eps) % p)
+    row = np.add(gate_exponents(p, g1).exps, gate_exponents(p, g2).exps) % root_order(p)
+    return _params_by_exps(p)[tuple(row.tolist())]
 
 
 def element_order(p: int, g: GateParams) -> int:
@@ -190,17 +170,6 @@ def group_structure(p: int) -> GroupReport:
                        group_name=name, min_generators=len(parts))
 
 
-def conjugation_phase_factor(p: int, gamma: int) -> complex:
-    """Global factor in U D_(1|0) U^dag = factor * omega**eps * C_label.
-
-    Trivial except at p = 3, where the mod-9 exponents leave an exact
-    zeta_9**(2 gamma) behind.
-    """
-    if p == 3:
-        return np.exp(2j * np.pi * (2 * (gamma % 3)) / 9)
-    return 1.0 + 0.0j
-
-
 @dataclass(frozen=True)
 class ThirdLevelReport:
     """Outcome of classifying a diagonal unitary against the gate family."""
@@ -209,25 +178,17 @@ class ThirdLevelReport:
     params: GateParams | None
 
 
-@lru_cache(maxsize=None)
-def _conjugation_targets(p: int) -> tuple[tuple[GateParams, np.ndarray], ...]:
-    """Expected conjugates U D_(1|0) U^dag for every parameter triple."""
-    out = []
-    for z, gamma, eps in product(range(p), repeat=3):
-        lab = CliffordLabel(p, ((1, 0), (gamma, 1)), (1, z))
-        m = (conjugation_phase_factor(p, gamma) * omega(p) ** eps
-             * clifford_unitary(lab))
-        m.flags.writeable = False
-        out.append((GateParams(z, gamma, eps), m))
-    return tuple(out)
-
-
 def identify_third_level(p: int, u: np.ndarray, tol: float = 1e-9) -> ThirdLevelReport:
     """Classify a diagonal unitary: diagonal Clifford, third-level gate, or neither.
 
-    The test conjugates the shift displacement and matches the result
-    exactly against every candidate parameter triple; a stray global phase
-    on the input is harmless because conjugation cancels it.
+    The conjugate U D_(1|0) U^dag of the shift carries the p phase ratios
+    u_(k+1) conj(u_k), k cyclic, at its entries (k+1, k).  Each is rounded
+    to the nearest ``root_order(p)``-th root of unity, and the conjugate
+    must lie within ``max(tol, 1e-8)`` of those roots at those entries and
+    of 0 elsewhere.  The running sums of the roots' exponents are then the
+    gate's exponent row, which names the gate if it is one of the family's
+    p**3 rows.  The rule is the same at every p, and a stray global phase
+    on the input cancels in the ratios.
     """
     check_dim(p)
     u = np.asarray(u, dtype=complex)
@@ -237,19 +198,17 @@ def identify_third_level(p: int, u: np.ndarray, tol: float = 1e-9) -> ThirdLevel
         raise NotDiagonal("input must be diagonal")
     if not is_unitary(u, 1e-8):
         raise NotUnitary("input must be unitary")
-    if p == 2:
-        ratio = u[1, 1] / u[0, 0]
-        k = int(np.rint(np.angle(ratio) * 8 / (2 * np.pi))) % 8
-        if abs(ratio - np.exp(2j * np.pi * k / 8)) > max(tol, 1e-8):
-            return ThirdLevelReport("not_third_level", None)
-        g = _decode2(k)
-        return ThirdLevelReport("clifford" if g.gamma == 0 else "third_level", g)
+    r = root_order(p)
     t = u @ displacement(p, 1, 0) @ u.conj().T
-    for g, expected in _conjugation_targets(p):
-        if np.max(np.abs(t - expected)) <= max(tol, 1e-8):
-            kind = "clifford" if g.gamma == 0 else "third_level"
-            return ThirdLevelReport(kind, g)
-    return ThirdLevelReport("not_third_level", None)
+    steps = np.rint(np.angle(np.diagonal(np.roll(t, -1, axis=0))) * r / (2 * np.pi))
+    steps = steps.astype(np.int64) % r
+    lattice = np.roll(np.diag(np.exp(2j * np.pi * steps / r)), 1, axis=0)
+    # cumsum ends on the full cycle, which a family row closes at 0
+    row = tuple(np.roll(np.cumsum(steps) % r, 1).tolist())
+    g = _params_by_exps(p).get(row) if np.max(np.abs(t - lattice)) <= max(tol, 1e-8) else None
+    if g is None:
+        return ThirdLevelReport("not_third_level", None)
+    return ThirdLevelReport("clifford" if g.gamma == 0 else "third_level", g)
 
 
 def pauli_conjugation(p: int, g: GateParams, x: int, z: int):
@@ -298,12 +257,10 @@ class MagicGateReport:
 
 
 def magic_gate(p: int) -> MagicGateReport:
-    """Match the binomial phase gate to its (z, gamma, eps) parameters."""
+    """Name the binomial phase gate: ``identify_third_level`` reads its
+    (z, gamma, eps) from the exponent table, and the phase is the ratio of
+    the two matrices' first entries."""
     m = magic_gate_matrix(p)
-    for z, gamma, eps in product(range(p), repeat=3):
-        g = GateParams(z, gamma, eps)
-        eq, phase = equal_up_to_global_phase(gate_matrix(p, g), m, 1e-9)
-        if eq:
-            return MagicGateReport(params=g, gate=gate_exponents(p, g),
-                                   phase=complex(phase))
-    raise UnsupportedDim(f"no parameter triple matches the p = {p} binomial gate")
+    g = identify_third_level(p, m).params
+    gate = gate_exponents(p, g)
+    return MagicGateReport(params=g, gate=gate, phase=complex(gate.matrix()[0, 0] / m[0, 0]))

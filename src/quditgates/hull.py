@@ -41,6 +41,7 @@ from .errors import MissingConfig, NumericalInstability, SymmetryViolation
 from .geometry import _row_blocks, choi_ket, depolarized_choi, negativity
 from .hierarchy import GateParams, gate_matrix, root_order
 from .weylheis import (
+    SUPPORTED_PRIMES,
     CliffordLabel,
     check_dim,
     clifford_unitary,
@@ -693,8 +694,9 @@ DEFAULT_CONFIG = os.path.join(os.path.dirname(__file__), "data",
 
 def load_distill_config(path: str | None = None) -> dict:
     """Parse ``distill_threshold.<p> = <real>`` lines; '#' starts a comment.
-    A file that cannot be read, a malformed line, a value outside [0, 1] or
-    a key given twice raises ``MissingConfig``."""
+    A file that cannot be read, a malformed line, a prime outside
+    ``SUPPORTED_PRIMES``, a value outside [0, 1] or a key given twice
+    raises ``MissingConfig``."""
     path = path or DEFAULT_CONFIG
     try:
         with open(path) as fh:
@@ -715,6 +717,8 @@ def load_distill_config(path: str | None = None) -> dict:
             prime, value = int(key.split(".", 1)[1]), float(val)
         except ValueError:
             raise MissingConfig(f"malformed config line: {raw.rstrip()}") from None
+        if prime not in SUPPORTED_PRIMES:
+            raise MissingConfig(f"unsupported prime in config line: {raw.rstrip()}")
         if not 0.0 <= value <= 1.0:
             raise MissingConfig(f"config line outside [0, 1]: {raw.rstrip()}")
         if prime in out:

@@ -127,7 +127,8 @@ def test_table3_missing_config(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("line", ["distill_threshold.3 = abc", "distill_threshold.x = 0.3",
-                                  "distill_threshold.3 = 1.5", "distill_threshold.3 = nan"])
+                                  "distill_threshold.3 = 1.5", "distill_threshold.3 = nan",
+                                  "distill_threshold.4 = 0.2", "distill_threshold.-5 = 0.1"])
 def test_table3_malformed_config_is_config_error(capsys, tmp_path, line):
     path = tmp_path / "bad.cfg"
     path.write_text(line + "\n")

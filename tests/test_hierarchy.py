@@ -5,6 +5,7 @@ oracle that iterates the defining recurrence; the oracle is implemented
 here, in the tests, so the two routes share no code.
 """
 
+import functools
 import json
 import math
 from itertools import product
@@ -16,7 +17,6 @@ from quditgates.errors import UnsupportedDim
 from quditgates.hierarchy import (
     GateParams,
     compose_params,
-    conjugation_phase_factor,
     element_order,
     gate_exponents,
     gate_matrix,
@@ -29,7 +29,7 @@ from quditgates.hierarchy import (
     root_order,
 )
 from quditgates.kernel import equal_up_to_global_phase, mod_inv
-from quditgates.weylheis import clifford_unitary, displacement
+from quditgates.weylheis import CliffordLabel, clifford_unitary, displacement
 
 
 def oracle_exponents(p, z, g, e):
@@ -72,11 +72,16 @@ def test_p2_embedding():
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_composition_matches_matrix_product(p):
-    rng = np.random.default_rng(23 + p)
+    """Every pair at p = 2 and 3, where the mod-8 and mod-9 exponents make
+    composition more than a sum of residues; a seeded sample at p = 5, 7."""
     params = all_params(p)
-    for _ in range(60):
-        g1 = params[rng.integers(len(params))]
-        g2 = params[rng.integers(len(params))]
+    if p <= 3:
+        pairs = list(product(params, repeat=2))
+    else:
+        rng = np.random.default_rng(23 + p)
+        pairs = [(params[rng.integers(len(params))], params[rng.integers(len(params))])
+                 for _ in range(60)]
+    for g1, g2 in pairs:
         g12 = compose_params(p, g1, g2)
         left = gate_matrix(p, g1) @ gate_matrix(p, g2)
         assert np.max(np.abs(left - gate_matrix(p, g12))) < 1e-12, (g1, g2)
@@ -173,7 +178,7 @@ def test_magic_gate_identification(p, params):
     assert abs(phase - 1 / rep.phase) < 1e-9
 
 
-@pytest.mark.parametrize("p", (2, 3))
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_identify_third_level_round_trip(p):
     for gp in all_params(p):
         rep = identify_third_level(p, gate_matrix(p, gp))
@@ -211,8 +216,52 @@ def test_pauli_conjugation_rejects_p2():
         pauli_conjugation(2, GateParams(0, 1, 0), 1, 0)
 
 
-def test_qutrit_conjugation_factor():
-    z9 = np.exp(2j * np.pi / 9)
-    for gamma in range(3):
-        assert abs(conjugation_phase_factor(3, gamma) - z9 ** (2 * gamma)) < 1e-12
-    assert conjugation_phase_factor(5, 2) == 1
+@functools.lru_cache(maxsize=None)
+def conjugation_targets(p):
+    """zeta_9**(2 gamma) omega**eps C_([1,0; gamma,1] | (1, z)) for every
+    triple, the zeta_9 factor only at p = 3: the conjugate U D_(1|0) U^dag
+    of the gate (z, gamma, eps)."""
+    return np.array([
+        (np.exp(2j * np.pi * 2 * gp.gamma / 9) if p == 3 else 1.0)
+        * np.exp(2j * np.pi * gp.eps / p)
+        * clifford_unitary(CliffordLabel(p, ((1, 0), (gp.gamma, 1)), (1, gp.z)))
+        for gp in all_params(p)])
+
+
+def conjugation_oracle(p, u, tol=1e-9):
+    """Classify ``u`` by brute force: the first triple whose conjugate is
+    within max(tol, 1e-8) of U D_(1|0) U^dag, entry by entry."""
+    t = u @ displacement(p, 1, 0) @ u.conj().T
+    hits = np.flatnonzero(np.max(np.abs(t - conjugation_targets(p)), axis=(1, 2)) <= max(tol, 1e-8))
+    if not hits.size:
+        return "not_third_level", None
+    gp = all_params(p)[hits[0]]
+    return ("clifford" if gp.gamma == 0 else "third_level"), gp
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_identify_third_level_matches_conjugation_oracle(p):
+    """The exponent-table classifier against the brute-force conjugate
+    match: every family gate under a random global phase, then seeded gates
+    with phase noise and a small rotation, exactly unitary and off the
+    diagonal, spread across each tolerance."""
+    rng = np.random.default_rng(300 + p)
+    for gp in all_params(p):
+        u = np.exp(2j * np.pi * rng.random()) * gate_matrix(p, gp)
+        rep = identify_third_level(p, u)
+        want = "clifford" if gp.gamma == 0 else "third_level"
+        assert conjugation_oracle(p, u) == (rep.kind, rep.params) == (want, gp)
+    params = all_params(p)
+    kinds = set()
+    for tol in (0.0, 1e-9, 1e-8, 1e-7, 1e-6, 1e-3):
+        for _ in range(60):
+            u = gate_matrix(p, params[rng.integers(len(params))])
+            u = u @ np.diag(np.exp(1j * max(tol, 1e-8) * rng.uniform(0, 3) * rng.normal(size=p)))
+            g = rng.uniform(-1, 1, size=(p, p))
+            a = 0.45 * tol * rng.uniform() * (g - g.T)
+            u = np.linalg.solve(np.eye(p) - a / 2, np.eye(p) + a / 2) @ u  # Cayley: unitary
+            rep = identify_third_level(p, u, tol)
+            assert (rep.kind, rep.params) == conjugation_oracle(p, u, tol), (tol, u)
+            kinds.add((tol, rep.kind == "not_third_level"))
+    # each tolerance sees gates on both sides of its bound
+    assert len(kinds) == 12

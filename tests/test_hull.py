@@ -938,7 +938,8 @@ def test_load_distill_config_default_and_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     for line in ("not a key value line", "distill_threshold.3 = abc",
                  "distill_threshold.x = 0.3", "distill_threshold.3 = 1.5",
-                 "distill_threshold.3 = nan"):
+                 "distill_threshold.3 = nan", "distill_threshold.4 = 0.2",
+                 "distill_threshold.-5 = 0.1"):
         bad.write_text(line + "\n")
         with pytest.raises(MissingConfig, match=f"config line.*{line}"):
             load_distill_config(str(bad))
