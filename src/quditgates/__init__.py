@@ -37,7 +37,6 @@ from .weylheis import (
     pauli_projector,
     pauli_x,
     pauli_z,
-    stabilizer_states,
     symplectic_unitary,
 )
 from .hierarchy import (
@@ -77,7 +76,6 @@ from .geometry import (
     gate_state,
     inject_gate,
     negativity,
-    negativity_exhaustive,
     partial_trace,
     phase_damped_state,
     phase_damping_gate_channel,

@@ -31,7 +31,6 @@ from .errors import (
     NotTracePreserving,
     NotUnitary,
     SymmetryViolation,
-    UnsupportedDim,
 )
 from .hierarchy import (
     DiagGateExact,
@@ -224,19 +223,6 @@ def negativity(p: int, state: np.ndarray) -> NegativityResult:
     inside = minimum >= -1e-12
     return NegativityResult(value=0.0 if inside else -minimum,
                             minimum=minimum, facet=idx, inside=inside)
-
-
-def negativity_exhaustive(p: int, state: np.ndarray) -> float:
-    """Oracle: scan every facet operator explicitly (small p only)."""
-    if p > 3:
-        raise UnsupportedDim("exhaustive facet scan is for p <= 3")
-    rho = _as_density(p, state)
-    best = np.inf
-    from itertools import product as iproduct
-    for u in iproduct(range(p), repeat=p + 1):
-        val = float(np.trace(facet_operator(p, u) @ rho).real)
-        best = min(best, val)
-    return max(0.0, -best)
 
 
 # ---------------------------------------------------------------------------

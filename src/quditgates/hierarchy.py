@@ -185,18 +185,20 @@ def identify_third_level(p: int, u: np.ndarray, tol: float = 1e-9) -> ThirdLevel
     u_(k+1) conj(u_k), k cyclic, at its entries (k+1, k).  Each is rounded
     to the nearest ``root_order(p)``-th root of unity, and the conjugate
     must lie within ``max(tol, 1e-8)`` of those roots at those entries and
-    of 0 elsewhere.  The running sums of the roots' exponents are then the
-    gate's exponent row, which names the gate if it is one of the family's
-    p**3 rows.  The rule is the same at every p, and a stray global phase
-    on the input cancels in the ratios.
+    of 0 elsewhere; U must be diagonal and unitary within the same bound
+    (NotDiagonal, NotUnitary otherwise).  The running sums of the roots'
+    exponents are then the gate's exponent row, which names the gate if it
+    is one of the family's p**3 rows.  The rule is the same at every p, and
+    a stray global phase on the input cancels in the ratios.
     """
     check_dim(p)
     u = np.asarray(u, dtype=complex)
     if u.shape != (p, p):
         raise UnsupportedDim(f"expected a {p} x {p} matrix, got {u.shape}")
+    tol = max(tol, 1e-8)
     if not is_diagonal(u, tol):
         raise NotDiagonal("input must be diagonal")
-    if not is_unitary(u, 1e-8):
+    if not is_unitary(u, tol):
         raise NotUnitary("input must be unitary")
     r = root_order(p)
     t = u @ displacement(p, 1, 0) @ u.conj().T
@@ -205,7 +207,7 @@ def identify_third_level(p: int, u: np.ndarray, tol: float = 1e-9) -> ThirdLevel
     lattice = np.roll(np.diag(np.exp(2j * np.pi * steps / r)), 1, axis=0)
     # cumsum ends on the full cycle, which a family row closes at 0
     row = tuple(np.roll(np.cumsum(steps) % r, 1).tolist())
-    g = _params_by_exps(p).get(row) if np.max(np.abs(t - lattice)) <= max(tol, 1e-8) else None
+    g = _params_by_exps(p).get(row) if np.max(np.abs(t - lattice)) <= tol else None
     if g is None:
         return ThirdLevelReport("not_third_level", None)
     return ThirdLevelReport("clifford" if g.gamma == 0 else "third_level", g)

@@ -12,7 +12,9 @@ column per orbit of optional maps that fix the path and permute the
 vertices (with none, each vertex is its own orbit).  Its weights show the
 target inside at eps*, and its phase-2 dual gives a Hermitian witness
 separating it just below, which plays the role of the (unknown) facet
-description of the Clifford polytope.
+description of the Clifford polytope.  A map is a pair (L, R) of p x p
+unitaries, C -> L C R on the Clifford gates; only the Clifford polytope
+carries maps.
 
 Membership is that LP from the target toward the vertex barycentre: the
 target is inside iff eps* = 0, and otherwise the witness separates the
@@ -26,7 +28,9 @@ forms tied to facet geometry; the tests hold them against the LP.
 The depolarising-gate threshold is the LP over Clifford orbits, 66
 columns instead of 16464 vertices at p = 7; ``threshold_depol_params``
 solves it once per family gate and process.  Vertices are stored as kets;
-weights and witnesses are checked against every one.
+weights and witnesses are checked against every one.  An orbit search
+reads the SL(2) parts of L and R, which name the block of p^2 kets each
+image lies in, and matches the image to the block ket it overlaps most.
 """
 
 from __future__ import annotations
@@ -43,12 +47,14 @@ from .hierarchy import GateParams, gate_matrix, root_order
 from .weylheis import (
     SUPPORTED_PRIMES,
     CliffordLabel,
+    _sl2_index,
     check_dim,
     clifford_unitary,
     displacement,
     mub_vectors,
     pauli_x,
     pauli_z,
+    sl2_matrices,
     symplectic_unitaries,
     symplectic_unitary,
 )
@@ -126,9 +132,11 @@ class PolytopeSpec:
 
     Only the kets are stored; dense vertices are derived when read, each
     in one allocation the size of the result (see ``_projectors`` and
-    ``system``).  ``maps`` are d x d unitaries g claimed to permute the
-    kets up to a phase, v -> g v; ``lp_threshold`` checks the claim
-    whenever it uses one.
+    ``system``).  ``maps`` are pairs (L, R) of p x p unitaries, each the
+    map C -> L C R on the Clifford gates, claimed to permute the Clifford
+    Choi kets up to a phase, v -> (R^T x L) v; only the kets of
+    ``cliff_polytope``, in its order, take maps, and ``lp_threshold``
+    checks the claim whenever it uses one.
     """
 
     def __init__(self, name: str, kets: np.ndarray, maps=()):
@@ -211,8 +219,8 @@ def cliff_polytope(p: int) -> PolytopeSpec:
     At p = 7 that is 16464 kets of length 49, 13 MB; the dense vertices
     would take 632 MB and the LP system 316 MB, so the depolarising-gate
     threshold reads neither (see ``threshold_depol_gate``).  Its maps are
-    the Choi-space conjugations (S^T x S^dag), C -> S^dag C S, for S = X,
-    Z, and V_F for the shear F = [[1, 0], [1, 1]] and the Fourier matrix
+    the conjugations C -> S^dag C S, the pairs (S^dag, S), for S = X, Z,
+    and V_F for the shear F = [[1, 0], [1, 1]] and the Fourier matrix
     F = [[0, -1], [1, 0]]; they generate the Clifford group, so
     ``lp_membership`` decides any target over the orbits of the
     conjugations that fix it.
@@ -225,8 +233,7 @@ def cliff_polytope(p: int) -> PolytopeSpec:
         kets[rows] = choi_ket(np.matmul(ds[None], vs[rows, None]))
     gens = (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
             symplectic_unitary(p, ((0, p - 1), (1, 0))))
-    return PolytopeSpec("CLIFF", kets.reshape(-1, p * p),
-                        [np.kron(s.T, s.conj().T) for s in gens])
+    return PolytopeSpec("CLIFF", kets.reshape(-1, p * p), [(s.conj().T, s) for s in gens])
 
 
 @dataclass(frozen=True)
@@ -395,8 +402,15 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
     return LPOutcome(False, None, r.witness, r.epsilon_star, **counts)
 
 
-def _fixes(g: np.ndarray, h: np.ndarray) -> bool:
-    """Whether the ket map g fixes the operator h: g h g^dag = h to 1e-10."""
+def _ket_map(l: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """R^T x L, which takes the Choi ket of C to that of L C R."""
+    return (r.T[:, None, :, None] * l[None, :, None, :]).reshape(l.size, l.size)
+
+
+def _fixes(lr, h: np.ndarray) -> bool:
+    """Whether the map (L, R) fixes the operator h: g h g^dag = h to 1e-10,
+    g = R^T x L."""
+    g = _ket_map(*lr)
     return bool(np.max(np.abs(g @ h @ g.conj().T - h)) <= 1e-10)
 
 
@@ -444,66 +458,43 @@ class ThresholdResult:
     bland: bool = False                 # LP: whether the pivots switched to Bland's rule
 
 
-def _phase_keys(kets: np.ndarray) -> np.ndarray:
-    """One int64 key per ket, equal for kets equal up to a global phase.
+def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
+    """Orbit index of each ket under the group the maps (L, R) generate
+    (with none, each ket is its own orbit); (L, R) takes the Choi ket v_i
+    of C_i to that of L C_i R, (R^T x L) v_i.
 
-    The ket is turned so its first entry above 1e-6 in modulus is real
-    positive and rounded to a 1e-6 integer grid; the key hashes that grid
-    row by a dot product with fixed weights, wrapping mod 2^64.  Distinct
-    kets may share a key, so callers check every match.
+    With maps, the kets must be the p^3 (p^2 - 1) Clifford Choi kets in
+    ``clifford_labels`` order: p(p^2 - 1) blocks, one per F, of the p^2
+    kets D_chi V_F, which form an orthonormal basis.  F_L and F_R are the
+    SL(2) parts of the kets L and R overlap most, and the image of a ket
+    of block F is the ket of block F_L F F_R it overlaps most.  Its squared
+    overlap must reach 1 - 1e-9 and each map must permute the kets one to
+    one; otherwise, or on any other ket set, SymmetryViolation.  The
+    overlaps are formed one ``_row_blocks(n_F, p^2)`` block at a time.
     """
-    lead = kets[np.arange(len(kets)), np.argmax(np.abs(kets) > 1e-6, axis=1)]
-    kets = kets * (lead.conj() / np.abs(lead))[:, None]
-    grid = np.rint(np.concatenate([kets.real, kets.imag], axis=1) * 1e6).astype(np.int64)
-    # Powers of an odd constant: the same keys in every run, and no import
-    # of numpy.random, which adds about 5 MB to the resident set.
-    weights = np.cumprod(np.full(grid.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64))
-    return (grid.view(np.uint64) @ weights).view(np.int64)
-
-
-def _ket_permutations(kets: np.ndarray, maps) -> list[np.ndarray]:
-    """For each unitary map g, the permutation taking i to the index of g v_i.
-
-    Each map's images are matched to the kets by ``_phase_keys``, through
-    one sort of the ket keys and a binary search per image.  Every map must
-    send every ket to a ket of the list up to a phase, and distinct kets to
-    distinct kets: an image with no matching key, two images matched to one
-    ket, or a match whose squared overlap falls short of 1 - 1e-9 raises
-    SymmetryViolation, so a key collision fails one of these checks and
-    never passes.  Keys, images and overlaps are formed one block of
-    ``_BLOCK_ROWS`` kets at a time; the bijection check runs over the whole
-    permutation.
-    """
-    n = len(kets)
-    blocks = list(_row_blocks(n))
-    keys = np.concatenate([_phase_keys(kets[rows]) for rows in blocks])
-    order = np.argsort(keys)
-    ranked = keys[order]
+    n, d = kets.shape
+    if not maps:
+        return np.arange(n)
+    p = round(d ** 0.5)
+    if p * p != d or p not in SUPPORTED_PRIMES or n != p * d * (d - 1):
+        raise SymmetryViolation("maps act on the Clifford Choi kets alone")
+    f = np.array(sl2_matrices(p))
+    blocks = kets.reshape(len(f), d, d)
     perms = []
-    for g in maps:
-        perm = np.empty(n, dtype=np.intp)
-        low = np.inf  # least squared overlap of an image with its matched ket
-        for rows in blocks:
-            img = kets[rows] @ g.T
-            want = _phase_keys(img)
-            at = np.minimum(np.searchsorted(ranked, want), n - 1)
-            part = perm[rows] = np.where(ranked[at] == want, order[at], -1)
-            if (part < 0).any():  # an image with no matching key
-                low = -np.inf
-                break
-            overlap = np.abs(np.einsum("ni,ni->n", kets[part].conj(), img)) ** 2
-            low = np.minimum(low, overlap.min())
+    for lr in maps:
+        fl, fr = (f[np.argmax(np.abs(kets @ choi_ket(c).conj())) // d] for c in lr)
+        to = np.array([_sl2_index(p)[tuple(map(tuple, m))] for m in (fl @ f @ fr % p).tolist()])
+        g = _ket_map(*lr)
+        perm, low = np.empty(n, dtype=np.intp), np.inf  # low: least squared overlap
+        for rows in _row_blocks(len(f), d):
+            img = blocks[rows] @ g.T
+            # [F, block ket, image]
+            overlap = np.abs(blocks[to[rows]] @ np.conjugate(img, out=img).transpose(0, 2, 1)) ** 2
+            low = np.minimum(low, overlap.max(axis=1).min())
+            perm.reshape(-1, d)[rows] = to[rows, None] * d + np.argmax(overlap, axis=1)
         if not low >= 1.0 - 1e-9 or np.bincount(perm, minlength=n).max() > 1:
             raise SymmetryViolation("a generator does not permute the vertices")
         perms.append(perm)
-    return perms
-
-
-def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
-    """Orbit index of each ket under the group the unitary ``maps`` generate,
-    which must permute the kets up to a phase (see ``_ket_permutations``)."""
-    n = len(kets)
-    perms = _ket_permutations(kets, maps)
     # Each vertex takes the least index it reaches; a finite permutation
     # group reaches its whole orbit by forward steps.
     orbit = np.arange(n)
@@ -523,10 +514,12 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
 
         sum_i w_i vec(V_i) + eps vec(start - end) = vec(start),  sum_i w_i = 1,
 
-    with one column per orbit of the group the unitary ``maps`` generate
-    (Heinrich & Gross, arXiv:1807.10296); with no maps each vertex is its
-    own orbit.  Each map must permute the vertex kets up to a phase and fix
-    ``start`` and ``end`` (SymmetryViolation otherwise).  Averaging over the
+    with one column per orbit of the group the ``maps`` generate (Heinrich
+    & Gross, arXiv:1807.10296); with no maps each vertex is its own orbit.
+    Each map is a pair (L, R) of unitaries, C -> L C R, and must permute
+    the Clifford Choi kets of ``cliff_polytope`` up to a phase and fix
+    ``start`` and ``end`` (SymmetryViolation otherwise, and for maps on any
+    other polytope).  Averaging over the
     group then maps the hull onto the hull of the orbit averages and fixes
     the path, so the least eps is the same with one column per orbit.  The
     LP runs in an orthonormal basis of the span of the averages, start and
@@ -635,9 +628,9 @@ def threshold_pd_gate(p: int, state: np.ndarray) -> ThresholdResult:
 def threshold_depol_gate(p: int, u: np.ndarray) -> ThresholdResult:
     """Least depolarising rate putting the gate's Choi state inside CLIFF.
 
-    ``lp_threshold`` over the orbits of ket maps that fix J_U and I/p^2
-    and permute the Clifford Choi kets: (D^T x U D^dag U^dag) for D = X, Z,
-    i.e. C -> (U D^dag U^dag) C D, which permute them when U is a
+    ``lp_threshold`` over the orbits of maps that fix J_U and I/p^2 and
+    permute the Clifford Choi kets: the pairs (U D^dag U^dag, D) for D = X,
+    Z, i.e. C -> (U D^dag U^dag) C D, which permute them when U is a
     third-level gate, and those of ``cliff_polytope(p).maps`` that fix
     J_U.  For a diagonal U these include the conjugations by Z and by the
     shear V_F, F = [[1, 0], [1, 1]].  U must be diagonal, as the gates of
@@ -650,7 +643,7 @@ def threshold_depol_gate(p: int, u: np.ndarray) -> ThresholdResult:
         raise SymmetryViolation("the depolarising-gate threshold needs a diagonal gate")
     spec = cliff_polytope(p)
     start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
-    maps = [np.kron(d.T, u @ d.conj().T @ u.conj().T) for d in (pauli_x(p), pauli_z(p))]
+    maps = [(u @ d.conj().T @ u.conj().T, d) for d in (pauli_x(p), pauli_z(p))]
     maps += [g for g in spec.maps if _fixes(g, start) and _fixes(g, end)]
     return lp_threshold(spec, start, end, 1.0, maps)
 
@@ -862,18 +855,21 @@ def _diagonal_clifford_shifts(p: int) -> np.ndarray:
     Z^a diag(omega^(b k^2)) multiplies amplitude k by omega^(a k + b k^2)
     and fixes amplitude 0, so on the root-of-unity lattice of p >= 5 it
     adds that shift to ks_k.  Measured on every call: Z and diag(omega^(k^2))
-    must map the rows of ``mub_vectors(p)``, up to a phase, one to one onto
-    rows (``_ket_permutations``), each basis onto one basis, so that they
-    keep the negativity (SymmetryViolation otherwise).  The p = 2 and 3 lattices are finer
-    than Z_p and take the identity alone: one zero row.
+    must send each row of ``mub_vectors(p)`` to the row it overlaps most in
+    their Gram matrix, with squared overlap at least 1 - 1e-9, one to one,
+    each basis onto one basis, so that they keep the negativity
+    (SymmetryViolation otherwise).  The p = 2 and 3 lattices are finer than
+    Z_p and take the identity alone: one zero row.
     """
     if p < 5:
         return np.zeros((1, p - 1), dtype=int)
     vecs = mub_vectors(p).reshape(-1, p)
     k = np.arange(p)
-    maps = [np.diag(np.exp(2j * np.pi * (expo % p) / p)) for expo in (k, k * k)]
-    for perm in _ket_permutations(vecs, maps):
-        if np.ptp((perm // p).reshape(p + 1, p), axis=1).any():
+    for expo in (k, k * k):
+        overlap = np.abs(vecs.conj() @ (vecs * np.exp(2j * np.pi * (expo % p) / p)).T) ** 2
+        perm = np.argmax(overlap, axis=0)
+        if (not overlap.max(axis=0).min() >= 1.0 - 1e-9 or np.bincount(perm).max() > 1
+                or np.ptp((perm // p).reshape(p + 1, p), axis=1).any()):
             raise SymmetryViolation("a diagonal Clifford does not permute the MUB bases")
     a, b = np.divmod(np.arange(p * p), p)
     return (a[:, None] * k[1:] + b[:, None] * k[1:] ** 2) % p

@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ShapeMismatch, UnsupportedDim, ZeroLabel
-from .kernel import mod_inv
+from .kernel import equal_up_to_global_phase, mod_inv
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
@@ -178,8 +178,6 @@ def _metaplectic_defect(p: int, f1: Mat2, f2: Mat2) -> tuple[int, int]:
     """
     if p != 2:
         return (0, 0)
-    from .kernel import equal_up_to_global_phase
-
     (a1, b1), (c1, d1) = f1
     (a2, b2), (c2, d2) = f2
     f12 = (((a1 * a2 + b1 * c2) % p, (a1 * b2 + b1 * d2) % p),
@@ -277,10 +275,3 @@ def mub_vectors(p: int) -> np.ndarray:
             out[bi, k] = vec * (np.conj(lead) / abs(lead))
     out.flags.writeable = False
     return out
-
-
-@lru_cache(maxsize=None)
-def stabilizer_states(p: int) -> np.ndarray:
-    """The p(p+1) stabilizer pure states as an array (p(p+1), p, p)."""
-    projs = mub_projectors(p)
-    return projs.reshape(-1, p, p)

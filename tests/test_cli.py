@@ -168,6 +168,19 @@ def test_verify_identifies_clifford(capsys, tmp_path):
     assert payload["outputs"]["kind"] == "clifford"
 
 
+@pytest.mark.parametrize("tol, noise", [("0", 1e-10), ("1e-3", 1e-4)])
+def test_verify_applies_one_tolerance(capsys, tmp_path, tol, noise):
+    """Off-diagonal noise that the conjugate check accepts passes the
+    diagonal and unitary checks too: at --tol 0 all three allow 1e-8, at
+    --tol 1e-3 all three allow 1e-3."""
+    path = tmp_path / "u.txt"
+    write_matrix(path, gate_matrix(3, GateParams(1, 2, 0)) + noise * (1 - np.eye(3)))
+    rc, payload = run_json(capsys, "verify", "--p", "3", "--tol", tol, str(path))
+    assert rc == 0
+    assert payload["outputs"]["kind"] == "third_level"
+    assert payload["outputs"]["params"] == [1, 2, 0]
+
+
 def test_read_matrix_round_trip(tmp_path):
     path = tmp_path / "m.txt"
     m = np.array([[0.5 + 0.25j, -1.0], [0.0, 2.0 - 2.0j]])

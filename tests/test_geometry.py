@@ -21,7 +21,6 @@ from quditgates.geometry import (
     gate_state,
     inject_gate,
     negativity,
-    negativity_exhaustive,
     partial_trace,
     phase_damped_state,
     phase_damping_gate_channel,
@@ -65,6 +64,15 @@ def test_edge_facet_is_z_average_qutrit():
     for u in itertools.product(range(p), repeat=p):
         avg = sum(facet_operator(p, (u0,) + u) for u0 in range(p)) / p
         assert np.max(np.abs(avg - edge_facet(p, u))) < 1e-13
+
+
+def negativity_exhaustive(p, psi):
+    """Oracle: the least expectation of every one of the p^(p+1) facet
+    operators, scanned one by one."""
+    rho = np.outer(psi, psi.conj())
+    best = min(np.trace(facet_operator(p, u) @ rho).real
+               for u in itertools.product(range(p), repeat=p + 1))
+    return max(0.0, -best)
 
 
 @pytest.mark.parametrize("p", (2, 3))

@@ -42,6 +42,7 @@ from quditgates.weylheis import (
     clifford_unitary,
     pauli_x,
     pauli_z,
+    sl2_matrices,
 )
 
 
@@ -280,76 +281,98 @@ def test_membership_rejects_a_map_that_does_not_permute_the_vertices():
     must raise rather than drop it."""
     spec = cliff_polytope(2)
     s = np.diag([1.0, np.exp(0.3j)])
-    bad = hull.PolytopeSpec("CLIFF", spec.kets, spec.maps + (np.kron(s.T, s.conj().T),))
+    bad = hull.PolytopeSpec("CLIFF", spec.kets, spec.maps + ((s.conj().T, s),))
     target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
     assert lp_membership(spec, target).orbits < spec.n_vertices
     with pytest.raises(SymmetryViolation, match="permute"):
         lp_membership(bad, target)
 
 
-def _colliding_keys(images):
-    """A ``_phase_keys`` stand-in: the true keys for the first stack (the
-    kets), then ``images(ket_keys)`` for every image stack."""
-    real = hull._phase_keys
-    seen = []
-
-    def keys(kets):
-        seen.append(real(kets))
-        return seen[0] if len(seen) == 1 else images(seen[0])
-    return keys
+def _rolled_kets(spec):
+    return hull.PolytopeSpec("CLIFF", np.roll(spec.kets, 1, axis=0), spec.maps)
 
 
-@pytest.mark.parametrize("images", [
-    # every image matches the same ket: fails the bijection check
-    pytest.param(np.zeros_like, id="all-keys-equal"),
-    # a permutation, but onto the wrong kets: fails the overlap check
-    pytest.param(lambda ket_keys: np.roll(ket_keys, 1), id="keys-rolled"),
-])
-def test_membership_fails_closed_on_a_key_collision(monkeypatch, images):
-    """Keys are hashes, so matching an image to a ket can go wrong; the
-    bijection and overlap checks must then raise, not pass."""
+def _subset_of_kets(spec):
+    return hull.PolytopeSpec("CLIFF", spec.kets[:12], spec.maps)
+
+
+def _repeated_ket(spec):
+    """The ket of D_(1|1) replaced by that of X, under the conjugation by Z
+    alone, which fixes both up to a phase: every overlap passes, and only
+    the one-to-one check fails."""
+    x = 4 * sl2_matrices(2).index(((1, 0), (0, 1))) + 2  # chi = (1, 0), then (1, 1)
+    kets = spec.kets.copy()
+    kets[x + 1] = kets[x]
+    return hull.PolytopeSpec("CLIFF", kets, spec.maps[1:2])
+
+
+def _non_clifford_left_factor(spec):
+    """Conjugation by S = diag(1, e^0.3i), (L, R) = (S^dag, S): it fixes
+    every diagonal gate's Choi state, and L is not a Clifford."""
+    s = np.diag([1.0, np.exp(0.3j)])
+    return hull.PolytopeSpec("CLIFF", spec.kets, spec.maps + ((s.conj().T, s),))
+
+
+@pytest.mark.parametrize("corrupt", (_rolled_kets, _subset_of_kets, _repeated_ket,
+                                     _non_clifford_left_factor))
+@pytest.mark.parametrize("block", ("default", 7))
+def test_membership_fails_closed_on_a_broken_symmetry(monkeypatch, corrupt, block):
+    """Maps that do not permute the kets in ``clifford_labels`` order raise,
+    whether the images are matched in one block or, with 7-row blocks, one
+    V_F (four kets at p = 2) at a time: kets out of order, a ket list that
+    is not the whole polytope, a ket given twice, and a non-Clifford L."""
+    if block != "default":
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block)
     spec = cliff_polytope(2)
     target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
     assert lp_membership(spec, target).orbits < spec.n_vertices
-    monkeypatch.setattr(hull, "_phase_keys", _colliding_keys(images))
-    with pytest.raises(SymmetryViolation, match="permute"):
-        lp_membership(spec, target)
+    with pytest.raises(SymmetryViolation):
+        lp_membership(corrupt(spec), target)
 
 
-def _blockwise_colliding_keys(n, images):
-    """A ``_phase_keys`` stand-in that follows the blocks: the true keys for
-    the ket blocks, which come first and cover n rows, then for each image
-    block the rows of ``images(ket_keys)`` it stands for."""
-    real = hull._phase_keys
-    ket_keys = []
-    done = 0  # rows keyed so far
-
-    def keys(kets):
-        nonlocal done
-        lo, done = done % n, done + len(kets)
-        if done <= n:
-            ket_keys.append(real(kets))
-            return ket_keys[-1]
-        return images(np.concatenate(ket_keys))[lo:lo + len(kets)]
-    return keys
+def _threshold_maps(p, u):
+    """The maps ``threshold_depol_gate`` runs over for the diagonal gate u."""
+    spec = cliff_polytope(p)
+    start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
+    maps = [(u @ d.conj().T @ u.conj().T, d) for d in (pauli_x(p), pauli_z(p))]
+    return maps + [g for g in spec.maps if hull._fixes(g, start) and hull._fixes(g, end)]
 
 
-@pytest.mark.parametrize("images", [
-    # every image matches the first ket: not one to one, and most overlaps fail
-    pytest.param(lambda ket_keys: np.full_like(ket_keys, ket_keys[0]), id="one-ket"),
-    # a permutation, but onto the wrong kets: fails the overlap check
-    pytest.param(lambda ket_keys: np.roll(ket_keys, 1), id="keys-rolled"),
-])
-def test_blocked_orbits_fail_closed_on_a_key_collision(monkeypatch, images):
-    """With 7-row blocks the 24 CLIFF kets at p = 2 take four blocks; a
-    collision in any of them must still raise."""
-    monkeypatch.setattr(geometry, "_BLOCK_ROWS", 7)
-    spec = cliff_polytope(2)
-    target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
-    assert lp_membership(spec, target).orbits < spec.n_vertices
-    monkeypatch.setattr(hull, "_phase_keys", _blockwise_colliding_keys(spec.n_vertices, images))
-    with pytest.raises(SymmetryViolation, match="permute"):
-        lp_membership(spec, target)
+def _brute_force_orbits(kets, maps):
+    """Orbit labels from the full n x n overlap matrix: each image
+    (R^T x L) v_i, by ``np.kron``, is matched to the ket it overlaps most
+    among all n, and orbits are numbered by their least member."""
+    n = len(kets)
+    perms = []
+    for l, r in maps:
+        overlap = np.abs(kets.conj() @ (kets @ np.kron(r.T, l).T).T) ** 2
+        perm = np.argmax(overlap, axis=0)
+        assert np.array_equal(np.sort(perm), np.arange(n)) and overlap.max(axis=0).min() > 1 - 1e-9
+        perms.append(perm)
+    label = np.full(n, -1)
+    for i in np.arange(n):
+        if label[i] < 0:
+            label[i], todo = label.max() + 1, [i]
+            while todo:
+                j = todo.pop()
+                for perm in perms:
+                    if label[perm[j]] < 0:
+                        label[perm[j]] = label[i]
+                        todo.append(perm[j])
+    return label
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_ket_orbits_match_brute_force_overlaps(p):
+    """The block matcher gives the orbits of a search over all kets, for
+    the polytope's own maps and the threshold maps of every family gate;
+    the ket map of each pair is ``np.kron`` bit for bit."""
+    spec = cliff_polytope(p)
+    map_sets = [spec.maps] + [_threshold_maps(p, gate_matrix(p, GateParams(z, g, e)))
+                              for z in range(p) for g in range(p) for e in range(p)]
+    for maps in map_sets:
+        assert all(np.array_equal(hull._ket_map(l, r), np.kron(r.T, l)) for l, r in maps)
+        assert np.array_equal(hull._ket_orbits(spec.kets, maps), _brute_force_orbits(spec.kets, maps))
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -359,9 +382,7 @@ def test_results_do_not_depend_on_the_block(monkeypatch, p):
     threshold come out as with the default block, which holds them whole."""
     u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
     spec = cliff_polytope(p)
-    start = depolarized_choi(p, u, 0.0)
-    gate_maps = [np.kron(d.T, u @ d.conj().T @ u.conj().T) for d in (pauli_x(p), pauli_z(p))]
-    map_sets = (spec.maps, gate_maps + [g for g in spec.maps if hull._fixes(g, start)])
+    map_sets = (spec.maps, _threshold_maps(p, u))
     orbits = [hull._ket_orbits(spec.kets, maps) for maps in map_sets]
     r = threshold_depol_gate(p, u)
     monkeypatch.setattr(geometry, "_BLOCK_ROWS", 7)
@@ -688,12 +709,12 @@ def test_orbit_lp_rejects_gates_without_the_symmetry(p, u):
 
 
 def test_orbit_lp_rejects_a_map_that_moves_the_path():
-    """(X^T x X^dag) permutes the Clifford Choi kets but does not fix J_T."""
+    """C -> X^dag C X permutes the Clifford Choi kets but does not fix J_T."""
     t = gate_matrix(2, ROBUST_GATE_PARAMS[2])
     x = pauli_x(2)
     with pytest.raises(SymmetryViolation, match="moves the threshold path"):
         lp_threshold(cliff_polytope(2), choi_of_unitary(t), np.eye(4) / 4, 1.0,
-                     maps=[np.kron(x.T, x.conj().T)])
+                     maps=[(x.conj().T, x)])
 
 
 # The simplex before it priced against the structural matrix in place,
@@ -1190,7 +1211,20 @@ def _repeat_a_basis(vecs):
     vecs[1] = vecs[2]
 
 
-@pytest.mark.parametrize("corrupt", (_swap_rows_across_bases, _repeat_a_basis))
+def _repeat_a_vector(vecs):
+    """Z and diag(omega^(k^2)) fix the Z basis, so only the one-to-one
+    check fails."""
+    vecs[0, 1] = vecs[0, 0]
+
+
+def _tilt_a_vector(vecs):
+    """A unit ket off the MUBs that still overlaps its own image most, so
+    only the overlap check fails."""
+    vecs[0, 0] = np.array([1.0, 0.01] + [0.0] * (len(vecs[0, 0]) - 2)) / np.hypot(1.0, 0.01)
+
+
+@pytest.mark.parametrize("corrupt", (_swap_rows_across_bases, _repeat_a_basis, _repeat_a_vector,
+                                     _tilt_a_vector))
 def test_broken_diagonal_symmetry_raises(monkeypatch, corrupt):
     corrupted = {p: np.array(hull.mub_vectors(p)) for p in (5, 7)}
     for vecs in corrupted.values():

@@ -1,6 +1,6 @@
 """Static checks on the package source: no module-level import that its
-module never uses, and no module-level private function or class that
-nothing in the package references."""
+module never uses, no import inside a function, and no module-level private
+function or class that nothing in the package references."""
 
 import ast
 from collections import Counter
@@ -41,6 +41,18 @@ def test_no_unused_module_imports(module):
         if not names[alias.asname or alias.name.split(".")[0]]
     ]
     assert not unused, f"{module} imports but never uses {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_imports_inside_functions(module):
+    nested = sorted({
+        n.lineno
+        for fn in ast.walk(TREES[module])
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for n in ast.walk(fn)
+        if isinstance(n, (ast.Import, ast.ImportFrom))
+    })
+    assert not nested, f"{module} imports inside a function on lines {nested}"
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -19,7 +19,6 @@ from quditgates.weylheis import (
     pauli_x,
     pauli_z,
     sl2_matrices,
-    stabilizer_states,
     symplectic_unitaries,
     symplectic_unitary,
     tau,
@@ -210,7 +209,7 @@ def test_mub_projectors_resolve_identity(p):
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
 def test_stabilizer_state_count(p):
-    states = stabilizer_states(p)
+    states = mub_projectors(p).reshape(-1, p, p)
     assert states.shape == (p * (p + 1), p, p)
     traces = np.einsum("nii->n", states)
     assert np.max(np.abs(traces - 1.0)) < 1e-12
