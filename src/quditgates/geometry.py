@@ -184,25 +184,47 @@ def facet_operator(p: int, u) -> np.ndarray:
 
 
 def edge_facet(p: int, u) -> np.ndarray:
-    """Edge facet A_edge(u): Z basis averaged out, one index per X-type basis."""
+    """Edge facet A_edge(u), one index per X-type basis: the mean of the
+    full facets A(u_0, u) over the Z-basis index u_0."""
     check_dim(p)
-    u = tuple(int(x) % p for x in u)
+    u = tuple(u)
     if len(u) != p:
         raise BadLength(f"need {p} indices, got {len(u)}")
-    projs = mub_projectors(p)
-    acc = -((p - 1) / p) * np.eye(p, dtype=complex)
-    for j, k in enumerate(u):
-        acc = acc + projs[j + 1, k]
-    return acc / p
+    return np.mean([facet_operator(p, (u0, *u)) for u0 in range(p)], axis=0)
+
+
+def _check_density(rho, d: int, name: str) -> np.ndarray:
+    """``rho`` as a complex d x d matrix; ValueError naming the defect unless
+    it is Hermitian within 1e-10 and has unit trace within 1e-8."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (d, d):
+        raise ValueError(f"{name} dimension must be {d} x {d}, got shape {rho.shape}")
+    # Readers take it as Hermitian: herm_to_vec reads only the upper
+    # triangle, and basis_expectations only real parts.
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-10:
+        raise ValueError(f"{name} must be Hermitian")
+    if not abs(np.trace(rho).real - 1.0) <= 1e-8:
+        raise ValueError(f"{name} must have unit trace")
+    return rho
 
 
 def basis_expectations(p: int, state: np.ndarray) -> np.ndarray:
-    """Array (p+1, p) of eigenprojector expectation values in every basis."""
+    """Array (p+1, p) of eigenprojector expectation values in every basis.
+
+    ``state`` is a ket of shape (p,) and norm 1 within 1e-10, or a density
+    matrix of shape (p, p), Hermitian within 1e-10 and of unit trace within
+    1e-8; anything else raises ValueError naming the defect.
+    """
     check_dim(p)
     state = np.asarray(state, dtype=complex)
     if state.ndim == 1:
+        if state.shape != (p,):
+            raise ValueError(f"state vector must have shape ({p},), got {state.shape}")
+        if not abs(np.linalg.norm(state) - 1.0) <= 1e-10:  # NaN fails too
+            raise ValueError("state vector must have norm 1")
         amps = mub_vectors(p).conj() @ state
         return np.abs(amps) ** 2
+    state = _check_density(state, p, "density matrix")
     q = np.einsum("bkij,ji->bk", mub_projectors(p), state)
     return q.real
 
@@ -366,6 +388,15 @@ def clifford_eigenphase(p: int, g: GateParams):
     return k, r, phase
 
 
+def _injection_gadget(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index maps of the injection gadget on two-qudit vectors, index a p + b
+    for |a, b>: ``keep``, the indices of span{|aa>}, the omega^0 eigenspace
+    of Z x Z^(p-1), and ``to`` with to[a p + b] = a p + (b - a mod p), the
+    correction |a, b> -> |a, b - a>."""
+    a, b = np.divmod(np.arange(p * p), p)
+    return np.arange(p) * (p + 1), a * p + (b - a) % p
+
+
 @dataclass(frozen=True)
 class InjectionResult:
     state: np.ndarray       # two-qudit output (target register first)
@@ -378,7 +409,9 @@ def inject_gate(p: int, g: GateParams, psi_in: np.ndarray) -> InjectionResult:
     Both qudits are measured with the projector onto the omega^0 eigenspace
     of Z x Z^(p-1), i.e. span{|jj>}; on success the correction
     |a, b> -> |a, b - a mod p> leaves (U_g psi_in) x |0>.  Success
-    probability is exactly 1/p for any input.
+    probability is exactly 1/p for any input.  Projector and correction
+    are the index maps of ``_injection_gadget``, which the dilution circuit
+    (``simulate_dilution``) shares.
     """
     check_dim(p)
     psi_in = np.asarray(psi_in, dtype=complex)
@@ -388,15 +421,13 @@ def inject_gate(p: int, g: GateParams, psi_in: np.ndarray) -> InjectionResult:
         raise NotUnitary("input state must be normalised")
     resource = gate_state(p, g)
     joint = np.kron(resource, psi_in)
+    keep, to = _injection_gadget(p)
     projected = np.zeros_like(joint)
-    for j in range(p):
-        projected[j * p + j] = joint[j * p + j]
+    projected[keep] = joint[keep]
     prob = float(np.linalg.norm(projected) ** 2)
     projected /= np.sqrt(prob)
-    corrected = np.zeros_like(projected)
-    for a in range(p):
-        for b in range(p):
-            corrected[a * p + ((b - a) % p)] = projected[a * p + b]
+    corrected = np.empty_like(projected)
+    corrected[to] = projected
     return InjectionResult(state=corrected, success_prob=prob)
 
 
@@ -418,7 +449,8 @@ def simulate_dilution(p: int, g: GateParams, eps: float) -> DilutionResult:
     """Run the noisy gate on half of a maximally entangled pair, post-select.
 
     The depolarised gate's Choi state is measured with the span{|jj>}
-    projector and corrected exactly as in gate injection; the surviving
+    projector and corrected by the index maps of ``_injection_gadget``,
+    exactly as in gate injection (``inject_gate``); the surviving
     register carries (1 - eps') psi psi^dag + eps' I/p.  The returned
     eps_out is fitted from the off-diagonal scale and verified against the
     full output matrix (residual <= 1e-8).
@@ -428,16 +460,13 @@ def simulate_dilution(p: int, g: GateParams, eps: float) -> DilutionResult:
         raise ValueError("eps must lie in [0, 1]")
     u = gate_exponents(p, g).matrix()
     choi = choi_of_channel(depolarizing_gate_channel(p, u, eps))
-    mask = np.zeros(p * p, dtype=bool)
-    mask[::p + 1] = True
-    blocked = np.where(np.outer(mask, mask), choi, 0.0)
+    keep, to = _injection_gadget(p)
+    blocked = np.zeros_like(choi)
+    blocked[np.ix_(keep, keep)] = choi[np.ix_(keep, keep)]
     prob = float(np.trace(blocked).real)
     blocked /= prob
-    perm = np.zeros((p * p, p * p))
-    for a in range(p):
-        for b in range(p):
-            perm[a * p + ((b - a) % p), a * p + b] = 1.0
-    out = perm @ blocked @ perm.T
+    out = np.empty_like(blocked)
+    out[np.ix_(to, to)] = blocked
     sigma = partial_trace(out, p, keep=0)
     psi = gate_state(p, g)
     pure = np.outer(psi, psi.conj())

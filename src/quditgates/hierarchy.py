@@ -59,10 +59,6 @@ class DiagGateExact:
         object.__setattr__(self, "exps",
                            tuple(e % self.root_order for e in self.exps))
 
-    @property
-    def dim(self) -> int:
-        return len(self.exps)
-
     def matrix(self) -> np.ndarray:
         phases = np.exp(2j * np.pi * np.asarray(self.exps) / self.root_order)
         return np.diag(phases)

@@ -42,14 +42,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MissingConfig, NumericalInstability, SymmetryViolation
-from .geometry import _row_blocks, choi_ket, depolarized_choi, negativity
-from .hierarchy import GateParams, gate_matrix, root_order
+from .geometry import (_check_density, _row_blocks, choi_ket, depolarized_choi, gate_state,
+                       negativity)
+from .hierarchy import GateParams, _exponents, gate_matrix, root_order
 from .weylheis import (
     SUPPORTED_PRIMES,
-    CliffordLabel,
     _sl2_index,
     check_dim,
-    clifford_unitary,
     displacement,
     mub_vectors,
     pauli_x,
@@ -200,12 +199,15 @@ def stab_polytope(p: int) -> PolytopeSpec:
 
 
 def equatorial_polytope(p: int) -> PolytopeSpec:
-    """Hull of the p^2 diagonal-Clifford superposition states."""
+    """Hull of the p^2 diagonal-Clifford superposition states U |+>.
+
+    The diagonal Cliffords are the gamma = 0 gates of the family, so the
+    kets are the ``gate_state``s of (z, 0, eps), in (z, eps) order: the
+    equatorial stabilizer states.
+    """
     check_dim(p)
-    plus = np.full(p, p ** -0.5, dtype=complex)
-    kets = [clifford_unitary(CliffordLabel(p, ((1, 0), (gamma, 1)), (0, z))) @ plus
-            for gamma in range(p) for z in range(p)]
-    return PolytopeSpec("EQ", np.array(kets))
+    return PolytopeSpec("EQ", np.array([gate_state(p, GateParams(z, 0, e))
+                                        for z in range(p) for e in range(p)]))
 
 
 def cliff_polytope(p: int) -> PolytopeSpec:
@@ -214,9 +216,8 @@ def cliff_polytope(p: int) -> PolytopeSpec:
     The gates D_chi V_F are broadcast products of the p^2 displacements,
     in (x, z) order, with the ``symplectic_unitaries`` stack, in
     ``sl2_matrices`` order: the ``clifford_labels`` order, and entry for
-    entry what ``clifford_unitary`` gives for each label.  They are formed
-    and turned into kets at most ``_BLOCK_ROWS`` at a time.
-    At p = 7 that is 16464 kets of length 49, 13 MB; the dense vertices
+    entry the dense D_chi V_F of each label.  They are formed and turned
+    into kets at most ``_BLOCK_ROWS`` at a time.  At p = 7 that is 16464 kets of length 49, 13 MB; the dense vertices
     would take 632 MB and the LP system 316 MB, so the depolarising-gate
     threshold reads neither (see ``threshold_depol_gate``).  Its maps are
     the conjugations C -> S^dag C S, the pairs (S^dag, S), for S = X, Z,
@@ -365,18 +366,6 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     return np.maximum(w[:n], 0.0), y, pivots, refactorisations, used_bland
 
 
-def _check_target(spec: PolytopeSpec, target: np.ndarray) -> np.ndarray:
-    target = np.asarray(target, dtype=complex)
-    if target.shape != (spec.dim, spec.dim):
-        raise ValueError("target dimension does not match the polytope")
-    # herm_to_vec reads only the upper triangle.
-    if not np.max(np.abs(target - target.conj().T)) <= 1e-10:
-        raise ValueError("target must be Hermitian")
-    if not abs(np.trace(target).real - 1.0) <= 1e-8:
-        raise ValueError("target must have unit trace")
-    return target
-
-
 def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
     """Decide whether ``target`` lies in the hull of the kets' projectors.
 
@@ -390,7 +379,7 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
     short of eps*, and it is checked against the target itself, which lies
     farther out (NumericalInstability if the weights or the witness fail).
     """
-    target = _check_target(spec, target)
+    target = _check_density(target, spec.dim, "target")
     n = spec.n_vertices
     maps = [g for g in spec.maps if _fixes(g, target)]
     r = lp_threshold(spec, target, spec.mixture(np.full(n, 1.0 / n)), 1.0, maps)
@@ -424,7 +413,7 @@ def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
     fails the vertex check instead (NumericalInstability), as a numerical
     failure of the LP.
     """
-    target = _check_target(spec, target)
+    target = _check_density(target, spec.dim, "target")
     witness = np.asarray(witness)
     if witness.shape != (spec.dim, spec.dim):
         raise ValueError(f"witness must be {spec.dim} x {spec.dim}, got shape {witness.shape}")
@@ -539,8 +528,8 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     """
     if not hi >= 0.0:
         raise ValueError(f"path end hi must be a non-negative number, got {hi!r}")
-    start = _check_target(spec, start)
-    end = _check_target(spec, end)
+    start = _check_density(start, spec.dim, "target")
+    end = _check_density(end, spec.dim, "target")
     if not all(_fixes(g, h) for g in maps for h in (start, end)):
         raise SymmetryViolation("a generator moves the threshold path")
     orbit = _ket_orbits(spec.kets, maps)
@@ -850,43 +839,45 @@ def _batched_coordinate_descent(p: int, starts: np.ndarray) -> tuple[np.ndarray,
 
 
 def _diagonal_clifford_shifts(p: int) -> np.ndarray:
-    """Lattice shifts (a k + b k^2) mod p, k = 1..p-1, one row per (a, b).
+    """Lattice shifts u_k mod p, k = 1..p-1, of the p^2 diagonal Cliffords.
 
-    Z^a diag(omega^(b k^2)) multiplies amplitude k by omega^(a k + b k^2)
-    and fixes amplitude 0, so on the root-of-unity lattice of p >= 5 it
-    adds that shift to ks_k.  Measured on every call: Z and diag(omega^(k^2))
-    must send each row of ``mub_vectors(p)`` to the row it overlaps most in
-    their Gram matrix, with squared overlap at least 1 - 1e-9, one to one,
-    each basis onto one basis, so that they keep the negativity
-    (SymmetryViolation otherwise).  The p = 2 and 3 lattices are finer than
-    Z_p and take the identity alone: one zero row.
+    The diagonal Cliffords are the gamma = 0 gates of the family, one row
+    ``_exponents(p, z, 0, eps)`` per (z, eps) in (z, eps) order; for p >= 5
+    such a gate multiplies amplitude k by omega^(u_k) and fixes amplitude
+    0, so on the root-of-unity lattice it adds u to ks.  Measured on every
+    call: the generators (0, 0, 1), which is Z, and (2, 0, 0), which is
+    diag(omega^(k^2)), must send each row of ``mub_vectors(p)`` to the row
+    it overlaps most in their Gram matrix, with squared overlap at least
+    1 - 1e-9, one to one, each basis onto one basis, so that they keep the
+    negativity (SymmetryViolation otherwise).  The p = 2 and 3 lattices
+    are finer than Z_p and take the identity alone: one zero row.
     """
     if p < 5:
         return np.zeros((1, p - 1), dtype=int)
     vecs = mub_vectors(p).reshape(-1, p)
-    k = np.arange(p)
-    for expo in (k, k * k):
-        overlap = np.abs(vecs.conj() @ (vecs * np.exp(2j * np.pi * (expo % p) / p)).T) ** 2
+    for g in (GateParams(0, 0, 1), GateParams(2, 0, 0)):
+        overlap = np.abs(vecs.conj() @ (vecs * np.diagonal(gate_matrix(p, g))).T) ** 2
         perm = np.argmax(overlap, axis=0)
         if (not overlap.max(axis=0).min() >= 1.0 - 1e-9 or np.bincount(perm).max() > 1
                 or np.ptp((perm // p).reshape(p + 1, p), axis=1).any()):
             raise SymmetryViolation("a diagonal Clifford does not permute the MUB bases")
-    a, b = np.divmod(np.arange(p * p), p)
-    return (a[:, None] * k[1:] + b[:, None] * k[1:] ** 2) % p
+    z, e = np.divmod(np.arange(p * p), p)
+    return _exponents(p, z, 0, e)[:, 1:]
 
 
 def _lattice_starts(p: int) -> np.ndarray:
     """Indices of the 8 best points of the root-of-unity lattice.
 
     A point ks (theta_k = 2 pi ks_k / r, lattice index ks_1 ks_2 ... read
-    in base r) is scored through its orbit under the diagonal Cliffords
-    Z^a diag(omega^(b k^2)), which keep the negativity.  For p >= 5 the
-    action is free ((a, b) -> (a + b, 2a + 4b) has determinant 2), so each
-    orbit of p^2 points has one member with ks_1 = ks_2 = 0, and these are
-    the first p^(p-3) indices: 2,401 scored states instead of 117,649 at
-    p = 7, 25 at p = 5.  Only the best orbits are expanded to their
-    points.  The order is the score rounded to 12 decimals, descending,
-    then the lattice index, ascending.
+    in base r) is scored through its orbit under the diagonal Cliffords,
+    the family gates (z, 0, eps), which keep the negativity.  For p >= 5
+    the action is free ((z, eps) shifts (ks_1, ks_2) by (z/2 + eps,
+    2z + 2eps), a map of determinant -1), so each orbit of p^2 points has
+    one member with ks_1 = ks_2 = 0, and these are the first p^(p-3)
+    indices: 2,401 scored states instead of 117,649 at p = 7, 25 at p = 5.
+    Only the best orbits are expanded to their points.  The order is the
+    score rounded to 12 decimals, descending, then the lattice index,
+    ascending.
     """
     r = root_order(p)
     shifts = _diagonal_clifford_shifts(p)
@@ -907,8 +898,8 @@ def optimize_equatorial(p: int, seed: int = 0, restarts: int = 24) -> Equatorial
     Starts are ``restarts`` seeded uniform angles (``restarts`` >= 0, else
     ValueError) plus the 8 best points of the root-of-unity lattice
     matching the diagonal-gate family.  The lattice is scored once per
-    orbit of the diagonal Cliffords Z^a diag(omega^(b k^2)), 2,401 orbits
-    at p = 7 and 25 at p = 5 (point by point at p = 2 and 3), after
+    orbit of the diagonal Cliffords (z, 0, eps), 2,401 orbits at p = 7
+    and 25 at p = 5 (point by point at p = 2 and 3), after
     checking on every call that Z and diag(omega^(k^2)) permute the
     stabilizer bases (SymmetryViolation otherwise); see
     ``_lattice_starts``.  The lattice starts are the first 8 points by

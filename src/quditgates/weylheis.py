@@ -54,23 +54,19 @@ def _tau_pow(p: int, e: int) -> complex:
     return tau(p) ** (e % tau_order(p))
 
 
-@lru_cache(maxsize=None)
 def pauli_x(p: int) -> np.ndarray:
-    x = np.roll(np.eye(p, dtype=complex), 1, axis=0)
-    x.flags.writeable = False
-    return x
+    """The shift X |j> = |j + 1 mod p>: the read-only ``_xz_matrix(p, 1, 0)``."""
+    return _xz_matrix(p, 1, 0)
 
 
-@lru_cache(maxsize=None)
 def pauli_z(p: int) -> np.ndarray:
-    z = np.diag(omega(p) ** np.arange(p))
-    z.flags.writeable = False
-    return z
+    """The clock Z |j> = omega**j |j>: the read-only ``_xz_matrix(p, 0, 1)``."""
+    return _xz_matrix(p, 0, 1)
 
 
 @lru_cache(maxsize=None)
 def _xz_matrix(p: int, x: int, z: int) -> np.ndarray:
-    """X**x Z**z without the tau prefactor."""
+    """X**x Z**z without the tau prefactor, cached and read-only."""
     m = np.zeros((p, p), dtype=complex)
     w = omega(p)
     for j in range(p):

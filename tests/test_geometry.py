@@ -28,7 +28,7 @@ from quditgates.geometry import (
     state_from_diagonal,
 )
 from quditgates.hierarchy import GateParams, gate_exponents, root_order
-from quditgates.hull import ROBUST_GATE_PARAMS
+from quditgates.hull import ROBUST_GATE_PARAMS, threshold_depol_state
 from quditgates.weylheis import mub_projectors, pauli_x, pauli_z
 
 QUTRIT_SECOND_TYPE = sorted([
@@ -66,6 +66,18 @@ def test_edge_facet_is_z_average_qutrit():
         assert np.max(np.abs(avg - edge_facet(p, u))) < 1e-13
 
 
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_edge_facet_equals_direct_sum(p):
+    """The Z average of the full facets against the direct sum
+    (1/p) (sum_j Pi_XZ^(j-1)[u_j] - (p-1)/p I), for every label."""
+    projs = mub_projectors(p)
+    for u in itertools.product(range(p), repeat=p):
+        acc = -((p - 1) / p) * np.eye(p, dtype=complex)
+        for j, k in enumerate(u):
+            acc = acc + projs[j + 1, k]
+        assert np.max(np.abs(acc / p - edge_facet(p, u))) <= 1e-15
+
+
 def negativity_exhaustive(p, psi):
     """Oracle: the least expectation of every one of the p^(p+1) facet
     operators, scanned one by one."""
@@ -100,6 +112,28 @@ def test_negativity_stabilizer_state_inside():
     plus = np.full(3, 3 ** -0.5)
     res = negativity(3, plus)
     assert res.inside and res.value == 0.0
+
+
+@pytest.mark.parametrize("state, defect", [
+    (np.array([1, np.exp(2j), np.exp(1j)]), "norm 1"),
+    (np.array([1, 0, 0, 0]), r"shape \(3,\)"),
+    (np.array([np.nan, 0, 0]), "norm 1"),
+    (np.eye(3), "unit trace"),
+    (np.eye(2) / 2, r"3 x 3, got shape \(2, 2\)"),
+    (np.array([[0.5, 0.5j, 0], [0.5j, 0.5, 0], [0, 0, 0]]), "Hermitian"),
+    (np.full((3, 3, 3), 1 / 3), r"3 x 3, got shape \(3, 3, 3\)"),
+    (np.array(1.0), r"3 x 3, got shape \(\)"),
+])
+def test_negativity_rejects_what_is_not_a_state(state, defect):
+    """A ket must be a unit (p,) vector and a density matrix a Hermitian
+    p x p matrix of unit trace; negativity and the closed-form threshold
+    read basis_expectations, which refuses anything else."""
+    with pytest.raises(ValueError, match=defect):
+        basis_expectations(3, state)
+    with pytest.raises(ValueError, match=defect):
+        negativity(3, state)
+    with pytest.raises(ValueError, match=defect):
+        threshold_depol_state(3, state)
 
 
 def test_basis_expectations_pure_vs_density():
@@ -316,6 +350,61 @@ def test_injection(p):
         want = np.kron(u @ v, ket0)
         fidelity = abs(np.vdot(want, res.state)) ** 2
         assert fidelity > 1 - 1e-12
+
+
+def _inject_loops(p, g, psi_in):
+    """The injection circuit as index loops: project onto span{|jj>}, then
+    send |a, b> to |a, b - a mod p>."""
+    joint = np.kron(gate_state(p, g), psi_in)
+    projected = np.zeros_like(joint)
+    for j in range(p):
+        projected[j * p + j] = joint[j * p + j]
+    prob = float(np.linalg.norm(projected) ** 2)
+    projected /= np.sqrt(prob)
+    corrected = np.zeros_like(projected)
+    for a in range(p):
+        for b in range(p):
+            corrected[a * p + ((b - a) % p)] = projected[a * p + b]
+    return corrected, prob
+
+
+def _dilution_loops(p, g, eps):
+    """The dilution circuit with a dense correction permutation matrix,
+    built by loops; returns the corrected two-qudit output and the success
+    probability."""
+    u = gate_exponents(p, g).matrix()
+    choi = choi_of_channel(depolarizing_gate_channel(p, u, eps))
+    mask = np.zeros(p * p, dtype=bool)
+    mask[::p + 1] = True
+    blocked = np.where(np.outer(mask, mask), choi, 0.0)
+    prob = float(np.trace(blocked).real)
+    blocked /= prob
+    perm = np.zeros((p * p, p * p))
+    for a in range(p):
+        for b in range(p):
+            perm[a * p + ((b - a) % p), a * p + b] = 1.0
+    return perm @ blocked @ perm.T, prob
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_injection_gadget_equals_index_loops(monkeypatch, p):
+    """One pair of index maps serves both circuits; the injected state and
+    the corrected dilution output (read where it is traced out) equal the
+    loop builds' bit for bit, and so do the success probabilities."""
+    traced = []
+    monkeypatch.setattr(geometry, "partial_trace",
+                        lambda rho, d, keep: traced.append(rho) or partial_trace(rho, d, keep))
+    rng = np.random.default_rng(p)
+    for g in (GateParams(0, 1, 0), GateParams(1, 2, 3), ROBUST_GATE_PARAMS[p]):
+        v = rng.normal(size=p) + 1j * rng.normal(size=p)
+        v /= np.linalg.norm(v)
+        state, prob = _inject_loops(p, g, v)
+        res = inject_gate(p, g, v)
+        assert np.array_equal(res.state, state) and res.success_prob == prob
+        for eps in (0.0, 0.1, 0.37, 1.0):
+            out, prob = _dilution_loops(p, g, eps)
+            assert simulate_dilution(p, g, eps).success_prob == prob
+            assert np.array_equal(traced.pop(), out)
 
 
 def test_partial_trace():

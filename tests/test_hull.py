@@ -100,11 +100,10 @@ def _dense_cliff_vertices(p):
 
 
 def _dense_equatorial_vertices(p):
-    plus = np.full(p, p ** -0.5, dtype=complex)
     out = []
-    for gamma in range(p):
-        for z in range(p):
-            v = clifford_unitary(CliffordLabel(p, ((1, 0), (gamma, 1)), (0, z))) @ plus
+    for z in range(p):
+        for e in range(p):
+            v = gate_state(p, GateParams(z, 0, e))
             out.append(np.outer(v, v.conj()))
     return out
 
@@ -126,6 +125,20 @@ def test_cliff_system_equals_dense_construction(p):
 def test_equatorial_system_equals_dense_construction(p):
     assert np.array_equal(equatorial_polytope(p).system(),
                           _dense_system(_dense_equatorial_vertices(p)))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_equatorial_kets_are_the_diagonal_clifford_states(p):
+    """The gamma = 0 family states are, one to one, the Clifford-label
+    states D_(0|z) V_[[1,0],[gamma,1]] |+>; both sets have first amplitude
+    p^-1/2, so the kets match with no phase."""
+    plus = np.full(p, p ** -0.5, dtype=complex)
+    labelled = np.array([clifford_unitary(CliffordLabel(p, ((1, 0), (gamma, 1)), (0, z))) @ plus
+                         for gamma in range(p) for z in range(p)])
+    dist = np.max(np.abs(equatorial_polytope(p).kets[:, None] - labelled[None]), axis=2)
+    match = np.argmin(dist, axis=1)
+    assert np.array_equal(np.sort(match), np.arange(p * p))
+    assert dist[np.arange(p * p), match].max() <= 1e-12
 
 
 @pytest.mark.parametrize("make", (stab_polytope, equatorial_polytope, cliff_polytope))

@@ -51,6 +51,16 @@ def test_weyl_commutation(p):
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_pauli_x_and_z_equal_their_direct_builds(p):
+    """X and Z are the read-only X^1 Z^0 and X^0 Z^1 of the displacement
+    table, bit for bit the shifted identity and diag(omega^k)."""
+    x, z = pauli_x(p), pauli_z(p)
+    assert x.tobytes() == np.roll(np.eye(p, dtype=complex), 1, axis=0).tobytes()
+    assert z.tobytes() == np.diag(omega(p) ** np.arange(p)).tobytes()
+    assert not x.flags.writeable and not z.flags.writeable
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
 def test_displacement_composition_phase(p):
     """D_a D_b = tau^{symplectic form} D_{a+b}."""
     rng = np.random.default_rng(p)
