@@ -98,7 +98,6 @@ from .hull import (
     optimize_equatorial,
     stab_polytope,
     threshold_depol_gate,
-    threshold_depol_params,
     threshold_depol_state,
     threshold_pd_gate,
     uqc_bounds,

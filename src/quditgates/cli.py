@@ -14,7 +14,7 @@ provenance in parentheses for anything that is not freshly computed.
 ``build_parser`` is cached, so in-process ``main`` calls share one
 parser, which keeps no state between calls.  The depolarising-gate cells
 of ``table2``, ``table3`` and ``threshold`` all read
-``hull.threshold_depol_params``: one LP per (p, gate) per process.
+``hull.threshold_depol_gate``: one LP per (p, gate) per process.
 
 Exit codes: 0 ok, 1 usage or config error, 2 domain error, 3 self-check
 mismatch.
@@ -58,7 +58,7 @@ from .hull import (
     dilution,
     dilution_inv,
     load_distill_config,
-    threshold_depol_params,
+    threshold_depol_gate,
     threshold_depol_state,
     threshold_pd_gate,
     uqc_bounds,
@@ -235,7 +235,7 @@ def cmd_table2(args) -> tuple[dict, list]:
     for p in (args.p,) if args.p else SUPPORTED_PRIMES:
         g = ROBUST_GATE_PARAMS[p]
         psi = gate_state(p, g)
-        depol = 100 * threshold_depol_params(p, g).epsilon_star
+        depol = 100 * threshold_depol_gate(p, g).epsilon_star
         pd = 100 * threshold_pd_gate(p, psi).epsilon_star
         neg = negativity(p, psi).value
         rows.append({"p": p, "params": list(g.astuple()), "cells": {
@@ -327,7 +327,7 @@ def cmd_threshold(args) -> tuple[dict, list]:
     results = {
         "depol_state_pct": threshold_depol_state(args.p, psi),
         "pd_gate_pct": threshold_pd_gate(args.p, psi),
-        "depol_gate_pct": threshold_depol_params(args.p, g),
+        "depol_gate_pct": threshold_depol_gate(args.p, g),
     }
     out = {name: 100 * r.epsilon_star for name, r in results.items()}
     checks = []

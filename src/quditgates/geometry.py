@@ -147,27 +147,26 @@ def phase_damping_gate_channel(p: int, u: np.ndarray, eps: float) -> KrausChanne
 
 
 def depolarized_state(p: int, state: np.ndarray, eps: float) -> np.ndarray:
-    rho = _as_density(p, state)
+    """(1-eps) rho + eps I/p for a state that ``basis_expectations`` takes,
+    rho = psi psi^dag for a ket psi."""
+    rho = _check_state(p, state)
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
     return (1.0 - eps) * rho + eps * np.eye(p) / p
 
 
 def phase_damped_state(p: int, psi: np.ndarray, eps: float) -> np.ndarray:
-    """(1-eps) psi psi^dag + eps/(p-1) (I - psi psi^dag) for a pure psi."""
-    psi = np.asarray(psi, dtype=complex)
-    rho = np.outer(psi, psi.conj())
+    """(1-eps) rho + eps/(p-1) (I - rho) for a state that
+    ``basis_expectations`` takes, rho = psi psi^dag for a ket psi."""
+    rho = _check_state(p, psi)
+    if rho.ndim == 1:
+        rho = np.outer(rho, rho.conj())
     return (1.0 - eps) * rho + (eps / (p - 1)) * (np.eye(p) - rho)
 
 
 def depolarized_choi(p: int, u: np.ndarray, eps: float) -> np.ndarray:
     """Choi state of the depolarised gate: (1-eps) J_U + eps I / p^2."""
     return (1.0 - eps) * choi_of_unitary(u) + eps * np.eye(p * p) / p ** 2
-
-
-def _as_density(p: int, state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return np.outer(state, state.conj())
-    return state
 
 
 def facet_operator(p: int, u) -> np.ndarray:
@@ -208,6 +207,19 @@ def _check_density(rho, d: int, name: str) -> np.ndarray:
     return rho
 
 
+def _check_state(p: int, state) -> np.ndarray:
+    """``state`` as a complex array, if a state (see ``basis_expectations``);
+    ValueError naming the defect otherwise."""
+    state = np.asarray(state, dtype=complex)
+    if state.ndim != 1:
+        return _check_density(state, p, "density matrix")
+    if state.shape != (p,):
+        raise ValueError(f"state vector must have shape ({p},), got {state.shape}")
+    if not abs(np.linalg.norm(state) - 1.0) <= 1e-10:  # NaN fails too
+        raise ValueError("state vector must have norm 1")
+    return state
+
+
 def basis_expectations(p: int, state: np.ndarray) -> np.ndarray:
     """Array (p+1, p) of eigenprojector expectation values in every basis.
 
@@ -216,15 +228,10 @@ def basis_expectations(p: int, state: np.ndarray) -> np.ndarray:
     1e-8; anything else raises ValueError naming the defect.
     """
     check_dim(p)
-    state = np.asarray(state, dtype=complex)
+    state = _check_state(p, state)
     if state.ndim == 1:
-        if state.shape != (p,):
-            raise ValueError(f"state vector must have shape ({p},), got {state.shape}")
-        if not abs(np.linalg.norm(state) - 1.0) <= 1e-10:  # NaN fails too
-            raise ValueError("state vector must have norm 1")
         amps = mub_vectors(p).conj() @ state
         return np.abs(amps) ** 2
-    state = _check_density(state, p, "density matrix")
     q = np.einsum("bkij,ji->bk", mub_projectors(p), state)
     return q.real
 

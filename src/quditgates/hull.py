@@ -26,7 +26,7 @@ EQ carry no maps.  The state and dephasing thresholds follow from closed
 forms tied to facet geometry; the tests hold them against the LP.
 
 The depolarising-gate threshold is the LP over Clifford orbits, 66
-columns instead of 16464 vertices at p = 7; ``threshold_depol_params``
+columns instead of 16464 vertices at p = 7; ``threshold_depol_gate``
 solves it once per family gate and process.  Vertices are stored as kets;
 weights and witnesses are checked against every one.  An orbit search
 reads the SL(2) parts of L and R, which name the block of p^2 kets each
@@ -271,12 +271,11 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     at ratio 0 whenever the entering column touches its row, whatever the
     sign.  Both phases run the same pivots: Dantzig pricing, falling back
     to Bland's rule after a long degenerate run (anti-cycling), and the
-    basis inverse updated in place, 64 rows at a time through one buffer,
-    so no m x m temporary is made; each entry is still the product
-    subtracted from it, as in the dense loop.  One routine refactorises
-    the inverse: every 100 pivots of a phase, to keep roundoff in check,
-    and at the end of each phase.  The stall count, the rule and that
-    schedule restart with each phase.
+    basis inverse updated by one outer product, so each entry loses the
+    same product as in the dense loop.  One routine refactorises the
+    inverse: every 100 pivots of a phase, to keep roundoff in check, and
+    at the end of each phase.  The stall count, the rule and that schedule
+    restart with each phase.
 
     Returns (w, y, pivots, refactorisations, bland), with y the phase-2
     simplex multipliers in the original row signs; the counters cover both
@@ -289,8 +288,6 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     basis = np.arange(n, n + m)
     binv, xb = np.eye(m), rhs.copy()
     piv_tol = 1e-9
-    block = 64
-    buf = np.empty((block, m))
     pivots = refactorisations = 0
     used_bland = False
 
@@ -339,11 +336,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
             xb = np.maximum(xb - step * d, 0.0)
             xb[r] = step
             pivot_row = binv[r] / d[r]
-            for lo in range(0, m, block):
-                rows = binv[lo:lo + block]
-                part = buf[:len(rows)]
-                np.multiply(d[lo:lo + block, None], pivot_row, out=part)
-                np.subtract(rows, part, out=rows)
+            binv -= np.outer(d, pivot_row)
             binv[r] = pivot_row
             basis[r] = j
             if step < 1e-13:
@@ -382,7 +375,7 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
     target = _check_density(target, spec.dim, "target")
     n = spec.n_vertices
     maps = [g for g in spec.maps if _fixes(g, target)]
-    r = lp_threshold(spec, target, spec.mixture(np.full(n, 1.0 / n)), 1.0, maps)
+    r = lp_threshold(spec, target, spec.mixture(np.full(n, 1.0 / n)), maps)
     counts = dict(iterations=r.pivots, refactorisations=r.refactorisations,
                   bland=r.bland, orbits=r.orbits)
     if r.epsilon_star == 0.0:
@@ -496,7 +489,7 @@ def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
 
 
 def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
-                 hi: float, maps=()) -> ThresholdResult:
+                 maps=()) -> ThresholdResult:
     """Least eps putting (1 - eps) start + eps end in the hull, by one LP.
 
     Minimises eps over w >= 0, eps >= 0 subject to
@@ -519,17 +512,15 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     multipliers, mapped back to full coordinates as y = (vec G, y0), give
     W = -(G + y0 I) with Tr[W V_i] >= 0 on every vertex and
     Tr[W target(eps)] = eps - eps*; scaled to unit spectral radius, W must
-    pass ``verify_certificate`` at eps* - THRESHOLD_DELTA.  An eps* within
-    LP_TOL of 0 or of ``hi`` is taken as that end: a start already inside
-    returns exactly 0.0 with no witness, and a target reached only at the
-    end, such as one off the span of the vertices, returns ``hi``.  An
-    eps* farther beyond ``hi`` raises NumericalInstability; a ``hi`` that
-    is negative or NaN raises ValueError before any LP runs.
+    pass ``verify_certificate`` at eps* - THRESHOLD_DELTA.  The path ends
+    at eps = 1, and an eps* within LP_TOL of either end is taken as that
+    end: a start already inside returns exactly 0.0 with no witness, and a
+    target reached only at ``end``, such as one off the span of the
+    vertices, returns 1.0.  An eps* farther beyond 1 raises
+    NumericalInstability.
     """
-    if not hi >= 0.0:
-        raise ValueError(f"path end hi must be a non-negative number, got {hi!r}")
-    start = _check_density(start, spec.dim, "target")
-    end = _check_density(end, spec.dim, "target")
+    start = _check_density(start, spec.dim, "start")
+    end = _check_density(end, spec.dim, "end")
     if not all(_fixes(g, h) for g in maps for h in (start, end)):
         raise SymmetryViolation("a generator moves the threshold path")
     orbit = _ket_orbits(spec.kets, maps)
@@ -563,11 +554,10 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     cost[-1] = 1.0
     x, y, pivots, refactorisations, bland = _simplex(a, b, cost)
     eps_star = float(x[-1])
-    if not eps_star <= hi + LP_TOL:
-        raise NumericalInstability(
-            f"threshold {eps_star:.9g} lies beyond the path end {hi:.9g}")
+    if not eps_star <= 1.0 + LP_TOL:
+        raise NumericalInstability(f"threshold {eps_star:.9g} lies beyond the path end")
     # Within LP_TOL of either end of the path is taken as that end.
-    eps_star = 0.0 if eps_star <= LP_TOL else min(eps_star, hi)
+    eps_star = 0.0 if eps_star <= LP_TOL else min(eps_star, 1.0)
     w = x[orbit] / sizes[orbit]
 
     def target(eps):
@@ -607,48 +597,39 @@ def threshold_pd_gate(p: int, state: np.ndarray) -> ThresholdResult:
     """Phase-damping threshold of a diagonal gate via its superposition image.
 
     Closed form eps*_PD = (p-1)/p * eps*_D(psi).  The tests compare it with
-    ``lp_threshold`` tracking the phase-damped state against the p^2-vertex
-    equatorial polytope on [0, (p-1)/p], where the path reaches I/p.
+    (p-1)/p times ``lp_threshold`` over the p^2-vertex equatorial polytope
+    from psi to I/p, which the phase-damped path reaches at eps = (p-1)/p.
     """
     base = threshold_depol_state(p, state)
     return ThresholdResult((p - 1) / p * base.epsilon_star, 0.0, "closed-form")
 
 
-def threshold_depol_gate(p: int, u: np.ndarray) -> ThresholdResult:
-    """Least depolarising rate putting the gate's Choi state inside CLIFF.
+def threshold_depol_gate(p: int, g: GateParams) -> ThresholdResult:
+    """Least depolarising rate putting the Choi state of the family gate
+    named by ``g`` inside CLIFF, solved once per (p, g mod p) in a
+    process: Table 2, Table 3 and the ``threshold`` command read one
+    cached result, whose ``weights`` and ``witness`` arrays are read-only.
 
-    ``lp_threshold`` over the orbits of maps that fix J_U and I/p^2 and
-    permute the Clifford Choi kets: the pairs (U D^dag U^dag, D) for D = X,
-    Z, i.e. C -> (U D^dag U^dag) C D, which permute them when U is a
-    third-level gate, and those of ``cliff_polytope(p).maps`` that fix
-    J_U.  For a diagonal U these include the conjugations by Z and by the
-    shear V_F, F = [[1, 0], [1, 1]].  U must be diagonal, as the gates of
-    the tables are; a non-diagonal U, or a diagonal one outside the third
-    level, raises SymmetryViolation.
+    ``lp_threshold`` from J_U to I/p^2 over the orbits of maps that fix
+    both and permute the Clifford Choi kets: the pairs (U D^dag U^dag, D)
+    for D = X, Z, i.e. C -> (U D^dag U^dag) C D, which permute them as U
+    is a third-level gate, and those of ``cliff_polytope(p).maps`` that fix
+    J_U.  For the diagonal U of the family these include the conjugations
+    by Z and by the shear V_F, F = [[1, 0], [1, 1]].  A gate given as a
+    matrix is named by ``identify_third_level``.
     """
     check_dim(p)
-    u = np.asarray(u, dtype=complex)
-    if np.count_nonzero(u - np.diag(np.diag(u))):
-        raise SymmetryViolation("the depolarising-gate threshold needs a diagonal gate")
-    spec = cliff_polytope(p)
-    start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
-    maps = [(u @ d.conj().T @ u.conj().T, d) for d in (pauli_x(p), pauli_z(p))]
-    maps += [g for g in spec.maps if _fixes(g, start) and _fixes(g, end)]
-    return lp_threshold(spec, start, end, 1.0, maps)
-
-
-def threshold_depol_params(p: int, g: GateParams) -> ThresholdResult:
-    """``threshold_depol_gate`` of the family gate named by ``g``, solved
-    once per (p, g mod p) in a process: Table 2, Table 3 and the
-    ``threshold`` command read one cached result, whose ``weights`` and
-    ``witness`` arrays are read-only."""
-    check_dim(p)
-    return _depol_params_threshold(p, g.reduced(p))
+    return _depol_gate_threshold(p, g.reduced(p))
 
 
 @lru_cache(maxsize=None)
-def _depol_params_threshold(p: int, g: GateParams) -> ThresholdResult:
-    r = threshold_depol_gate(p, gate_matrix(p, g))
+def _depol_gate_threshold(p: int, g: GateParams) -> ThresholdResult:
+    u = gate_matrix(p, g)
+    spec = cliff_polytope(p)
+    start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
+    maps = [(u @ d.conj().T @ u.conj().T, d) for d in (pauli_x(p), pauli_z(p))]
+    maps += [m for m in spec.maps if _fixes(m, start) and _fixes(m, end)]
+    r = lp_threshold(spec, start, end, maps)
     for a in (r.weights, r.witness):
         if a is not None:
             a.flags.writeable = False
@@ -722,13 +703,13 @@ def uqc_bounds(p: int, config: dict | None = None) -> UQCBounds:
     """Lower/upper noise bounds for universal computation with the gate.
 
     The upper bound is the robust gate's depolarising threshold, read from
-    ``threshold_depol_params``, so it reuses the LP that Table 2 or the
+    ``threshold_depol_gate``, so it reuses the LP that Table 2 or the
     ``threshold`` command already solved in this process.  The lower
     bound converts the configured distillation threshold back through the
     dilution map; at p=2 it equals the upper bound.
     """
     check_dim(p)
-    upper = threshold_depol_params(p, ROBUST_GATE_PARAMS[p]).epsilon_star
+    upper = threshold_depol_gate(p, ROBUST_GATE_PARAMS[p]).epsilon_star
     if p == 2:
         return UQCBounds(p, upper, PROV_COMPUTED, upper, PROV_COMPUTED)
     if config is None:

@@ -201,8 +201,9 @@ def test_criterion_05_phase_damping_thresholds(verdict):
                        f"from the recorded {want}% (band 0.005pp)")
     for p in (2, 3):
         st = gate_state(p, ROBUST_GATE_PARAMS[p])
-        lp = 100 * lp_threshold(equatorial_polytope(p), phase_damped_state(p, st, 0.0),
-                                phase_damped_state(p, st, 1.0), (p - 1) / p).epsilon_star
+        # The dephasing path reaches I/p at eps = (p-1)/p.
+        lp = 100 * (p - 1) / p * lp_threshold(equatorial_polytope(p), phase_damped_state(p, st, 0.0),
+                                              np.eye(p) / p).epsilon_star
         if abs(lp - closed[p]) > 0.05:
             bad.append(f"p={p}: LP {lp:.4f}% vs closed {closed[p]:.4f}%")
     ok = not bad
@@ -225,8 +226,7 @@ def test_criterion_06_depolarising_gate_thresholds(verdict):
     got = {}
     for p, target, band in ((2, 45.32, 0.05), (3, 78.63, 0.05),
                             (5, 95.24, 0.005), (7, 97.63, 0.005)):
-        u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
-        got[p] = 100 * threshold_depol_gate(p, u).epsilon_star
+        got[p] = 100 * threshold_depol_gate(p, ROBUST_GATE_PARAMS[p]).epsilon_star
         if abs(got[p] - target) > band:
             bad.append(f"p={p}: {got[p]:.4f}% vs {target}% (band {band} pp)")
     if uqc_bounds(7).upper_provenance != "computed":

@@ -13,6 +13,7 @@ from quditgates.geometry import (
     choi_of_unitary,
     clifford_eigenphase,
     depolarized_choi,
+    depolarized_state,
     depolarizing_gate_channel,
     edge_facet,
     edge_scan,
@@ -114,7 +115,7 @@ def test_negativity_stabilizer_state_inside():
     assert res.inside and res.value == 0.0
 
 
-@pytest.mark.parametrize("state, defect", [
+NOT_QUTRIT_STATES = [
     (np.array([1, np.exp(2j), np.exp(1j)]), "norm 1"),
     (np.array([1, 0, 0, 0]), r"shape \(3,\)"),
     (np.array([np.nan, 0, 0]), "norm 1"),
@@ -123,7 +124,10 @@ def test_negativity_stabilizer_state_inside():
     (np.array([[0.5, 0.5j, 0], [0.5j, 0.5, 0], [0, 0, 0]]), "Hermitian"),
     (np.full((3, 3, 3), 1 / 3), r"3 x 3, got shape \(3, 3, 3\)"),
     (np.array(1.0), r"3 x 3, got shape \(\)"),
-])
+]
+
+
+@pytest.mark.parametrize("state, defect", NOT_QUTRIT_STATES)
 def test_negativity_rejects_what_is_not_a_state(state, defect):
     """A ket must be a unit (p,) vector and a density matrix a Hermitian
     p x p matrix of unit trace; negativity and the closed-form threshold
@@ -134,6 +138,25 @@ def test_negativity_rejects_what_is_not_a_state(state, defect):
         negativity(3, state)
     with pytest.raises(ValueError, match=defect):
         threshold_depol_state(3, state)
+
+
+@pytest.mark.parametrize("state, defect", NOT_QUTRIT_STATES)
+def test_noisy_state_builders_reject_what_is_not_a_state(state, defect):
+    """Both builders refuse what basis_expectations refuses: unchecked, the
+    unnormalised ket [1, e^{2i}, e^{i}] gives a matrix of trace 2.0
+    (depolarised) or 1.5 (phase-damped)."""
+    with pytest.raises(ValueError, match=defect):
+        depolarized_state(3, state, 0.5)
+    with pytest.raises(ValueError, match=defect):
+        phase_damped_state(3, state, 0.5)
+
+
+@pytest.mark.parametrize("builder", (depolarized_state, phase_damped_state))
+def test_noisy_state_builders_take_a_ket_or_its_density_matrix(builder):
+    psi = gate_state(5, ROBUST_GATE_PARAMS[5])
+    rho = builder(5, psi, 0.3)
+    assert np.array_equal(builder(5, np.outer(psi, psi.conj()), 0.3), rho)
+    assert abs(np.trace(rho) - 1.0) < 1e-12
 
 
 def test_basis_expectations_pure_vs_density():

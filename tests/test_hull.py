@@ -272,8 +272,7 @@ def test_cliff_membership_over_orbits_matches_full_lp(p, eps):
     spec = cliff_polytope(p)
     target = depolarized_choi(p, gate_matrix(p, ROBUST_GATE_PARAMS[p]), eps)
     out = lp_membership(spec, target)
-    full = lp_threshold(spec, target, spec.mixture(np.full(spec.n_vertices, 1 / spec.n_vertices)),
-                        1.0)
+    full = lp_threshold(spec, target, spec.mixture(np.full(spec.n_vertices, 1 / spec.n_vertices)))
     assert full.orbits == spec.n_vertices and out.orbits < spec.n_vertices
     assert out.feasible == (full.epsilon_star == 0.0) == (eps > {2: 0.4531, 3: 0.7863}[p])
     assert abs(out.distance - full.epsilon_star) < 1e-9
@@ -397,12 +396,13 @@ def test_results_do_not_depend_on_the_block(monkeypatch, p):
     spec = cliff_polytope(p)
     map_sets = (spec.maps, _threshold_maps(p, u))
     orbits = [hull._ket_orbits(spec.kets, maps) for maps in map_sets]
-    r = threshold_depol_gate(p, u)
+    r = threshold_depol_gate(p, ROBUST_GATE_PARAMS[p])
     monkeypatch.setattr(geometry, "_BLOCK_ROWS", 7)
     assert np.array_equal(cliff_polytope(p).kets, spec.kets)
     for maps, want in zip(map_sets, orbits):
         assert np.array_equal(hull._ket_orbits(spec.kets, maps), want)
-    got = threshold_depol_gate(p, u)
+    hull._depol_gate_threshold.cache_clear()
+    got = threshold_depol_gate(p, ROBUST_GATE_PARAMS[p])
     assert (got.epsilon_star, got.pivots, got.orbits, got.margin) == (
         r.epsilon_star, r.pivots, r.orbits, r.margin)
     assert np.array_equal(got.weights, r.weights) and np.array_equal(got.witness, r.witness)
@@ -426,8 +426,13 @@ def test_non_hermitian_target_is_rejected_before_any_lp():
     bad = np.array([[0.5, 0.5j], [0.5j, 0.5]])
     with pytest.raises(ValueError, match="Hermitian"):
         lp_membership(spec, bad)
-    with pytest.raises(ValueError, match="Hermitian"):
-        lp_threshold(spec, bad, np.eye(2) / 2, 1.0)
+    with pytest.raises(ValueError, match="start must be Hermitian"):
+        lp_threshold(spec, bad, np.eye(2) / 2)
+
+
+def test_non_hermitian_path_end_is_rejected_by_name():
+    with pytest.raises(ValueError, match="end must be Hermitian"):
+        lp_threshold(stab_polytope(2), np.eye(2) / 2, [[0.5, 0.5j], [0.5j, 0.5]])
 
 
 def test_nan_target_is_rejected_before_any_lp():
@@ -472,13 +477,6 @@ def test_non_hermitian_witness_is_rejected():
     skew[0, 1], skew[1, 0] = 1e-3, -1e-3
     with pytest.raises(ValueError, match="witness must be Hermitian"):
         verify_certificate(spec, target, witness + skew)
-
-
-@pytest.mark.parametrize("hi", (-0.5, np.nan))
-def test_lp_threshold_rejects_a_bad_path_end_before_any_lp(monkeypatch, hi):
-    monkeypatch.setattr(hull, "_simplex", lambda *args: pytest.fail("an LP ran"))
-    with pytest.raises(ValueError, match="path end hi"):
-        lp_threshold(stab_polytope(3), np.diag([1.0, 0.0, 0.0]), np.eye(3) / 3, hi)
 
 
 def test_lp_agrees_with_facet_description():
@@ -534,10 +532,12 @@ def test_pd_gate_closed_form(p, want_pct):
 
 @pytest.mark.parametrize("p", (2, 3))
 def test_pd_gate_lp_cross_check(p):
+    """The dephasing path reaches I/p at eps = (p-1)/p, so the LP runs to
+    I/p and its eps* is scaled by (p-1)/p."""
     psi = gate_state(p, ROBUST_GATE_PARAMS[p])
     closed = threshold_pd_gate(p, psi).epsilon_star
-    lp = lp_threshold(equatorial_polytope(p), phase_damped_state(p, psi, 0.0),
-                      phase_damped_state(p, psi, 1.0), (p - 1) / p).epsilon_star
+    lp = (p - 1) / p * lp_threshold(equatorial_polytope(p), phase_damped_state(p, psi, 0.0),
+                                    np.eye(p) / p).epsilon_star
     assert abs(closed - lp) < 1e-4
 
 
@@ -550,7 +550,7 @@ def test_pd_gate_choi_route(p):
     j = choi_of_unitary(gate_matrix(p, ROBUST_GATE_PARAMS[p]))
     zs = [np.kron(np.eye(p), np.linalg.matrix_power(pauli_z(p), k)) for k in range(p)]
     dephased = sum(z @ j @ z.conj().T for z in zs) / p
-    r = lp_threshold(cliff_polytope(p), j, dephased, hi=1.0)
+    r = lp_threshold(cliff_polytope(p), j, dephased)
     closed = threshold_pd_gate(p, gate_state(p, ROBUST_GATE_PARAMS[p])).epsilon_star
     assert abs((p - 1) / p * r.epsilon_star - closed) < 1e-6
     if p == 2:
@@ -559,18 +559,16 @@ def test_pd_gate_choi_route(p):
 
 
 def test_depol_gate_thresholds():
-    u2 = gate_exponents(2, ROBUST_GATE_PARAMS[2]).matrix()
-    r2 = threshold_depol_gate(2, u2)
+    r2 = threshold_depol_gate(2, ROBUST_GATE_PARAMS[2])
     assert abs(100 * r2.epsilon_star - 45.32) < 0.05
-    u3 = gate_exponents(3, ROBUST_GATE_PARAMS[3]).matrix()
-    r3 = threshold_depol_gate(3, u3)
+    r3 = threshold_depol_gate(3, ROBUST_GATE_PARAMS[3])
     assert abs(100 * r3.epsilon_star - 78.63) < 0.05
     assert r3.bracket <= 1e-4
 
 
 def test_depol_gate_clifford_is_inside():
     spec = cliff_polytope(2)
-    r = threshold_depol_gate(2, np.eye(2))
+    r = threshold_depol_gate(2, GateParams(0, 0, 0))
     assert r.epsilon_star == 0.0
     assert r.method == "lp" and r.witness is None and r.margin is None
     resid = np.einsum("n,nij->ij", r.weights, spec.vertices) - choi_of_unitary(np.eye(2))
@@ -583,7 +581,7 @@ def test_lp_threshold_two_sided_evidence(p):
     against every vertex, at eps* - bracket."""
     spec = cliff_polytope(p)
     u = gate_exponents(p, ROBUST_GATE_PARAMS[p]).matrix()
-    r = lp_threshold(spec, depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0), 1.0)
+    r = lp_threshold(spec, depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0))
     assert r.method == "lp" and r.pivots > 0 and r.orbits == spec.n_vertices
     assert 0.0 < r.bracket <= 1e-6
     w = r.weights
@@ -605,16 +603,18 @@ def test_stab_lp_route_matches_closed_form(p):
     rho = np.outer(psi, psi.conj())
     closed = threshold_depol_state(p, psi)
     lp = lp_threshold(stab_polytope(p), depolarized_state(p, rho, 0.0),
-                      depolarized_state(p, rho, 1.0), 1.0)
+                      depolarized_state(p, rho, 1.0))
     assert closed.method == "closed-form"
     assert lp.method == "lp" and lp.margin > 0.0 and lp.bracket <= 1e-6
     assert abs(lp.epsilon_star - closed.epsilon_star) < 1e-6
 
 
 def test_lp_threshold_beyond_path_end_raises():
+    """The path to the 30%-depolarised gate meets CLIFF only past its end,
+    at eps* = 1.51."""
     u = gate_exponents(2, ROBUST_GATE_PARAMS[2]).matrix()
-    with pytest.raises(NumericalInstability):
-        lp_threshold(cliff_polytope(2), choi_of_unitary(u), np.eye(4) / 4, 0.3)
+    with pytest.raises(NumericalInstability, match="beyond the path end"):
+        lp_threshold(cliff_polytope(2), choi_of_unitary(u), depolarized_choi(2, u, 0.3))
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -633,8 +633,8 @@ def test_lp_threshold_matches_highs(p):
     c[-1] = 1.0
     res = optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
     assert res.status == 0
-    full = lp_threshold(spec, start, end, 1.0).epsilon_star
-    orbit = threshold_depol_gate(p, u).epsilon_star
+    full = lp_threshold(spec, start, end).epsilon_star
+    orbit = threshold_depol_gate(p, ROBUST_GATE_PARAMS[p]).epsilon_star
     assert abs(full - res.fun) < 1e-7
     assert abs(orbit - res.fun) < 1e-7
 
@@ -643,9 +643,9 @@ def test_lp_threshold_matches_highs(p):
 def test_orbit_lp_matches_full_lp(p):
     """The full LP over every vertex is the oracle; at p=5 it takes ~20 s."""
     u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
-    orbit = threshold_depol_gate(p, u)
+    orbit = threshold_depol_gate(p, ROBUST_GATE_PARAMS[p])
     full = lp_threshold(cliff_polytope(p), depolarized_choi(p, u, 0.0),
-                        depolarized_choi(p, u, 1.0), 1.0)
+                        depolarized_choi(p, u, 1.0))
     assert abs(orbit.epsilon_star - full.epsilon_star) < 1e-9
     assert orbit.orbits < full.orbits == cliff_polytope(p).n_vertices
 
@@ -655,7 +655,7 @@ def test_orbit_lp_matches_full_lp(p):
 def test_orbit_lp_counts_and_values(p, orbits, pct):
     """The pivot counts pin the orbit LP's coordinates: another basis or
     column order takes another pivot path."""
-    r = threshold_depol_gate(p, gate_matrix(p, ROBUST_GATE_PARAMS[p]))
+    r = threshold_depol_gate(p, ROBUST_GATE_PARAMS[p])
     assert r.method == "lp" and r.orbits == orbits
     assert r.pivots == {2: 5, 3: 7, 5: 12, 7: 15}[p]
     assert abs(100 * r.epsilon_star - pct) < 1e-5
@@ -675,7 +675,7 @@ def test_robust_gate_is_the_most_robust_in_its_family(p):
     largest threshold, and the thresholds are ordered as the negativities
     of the gate states: at p=5 every gamma != 0 ties at 20/21."""
     def eps_star(g):
-        return threshold_depol_gate(p, gate_matrix(p, g)).epsilon_star
+        return threshold_depol_gate(p, g).epsilon_star
 
     classes = range(p // 2 + 1)
     if p <= 3:
@@ -701,7 +701,7 @@ def test_orbit_lp_evidence_over_every_p7_vertex():
     Clifford Choi states rather than against the orbit averages."""
     spec = cliff_polytope(7)
     u = gate_matrix(7, ROBUST_GATE_PARAMS[7])
-    r = threshold_depol_gate(7, u)
+    r = threshold_depol_gate(7, ROBUST_GATE_PARAMS[7])
     w = r.weights
     assert w.shape == (16464,) and w.min() >= 0.0 and abs(w.sum() - 1.0) < 1e-12
     resid = spec.mixture(w) - depolarized_choi(7, u, r.epsilon_star)
@@ -712,13 +712,14 @@ def test_orbit_lp_evidence_over_every_p7_vertex():
     assert margin == pytest.approx(r.margin) and margin > 0.0
 
 
-@pytest.mark.parametrize("p,u", [
-    (2, np.diag([1.0, np.exp(0.3j)])),                               # not third level
-    (3, np.exp(2j * np.pi / 3 * np.outer(np.arange(3), np.arange(3))) / np.sqrt(3)),  # Fourier
-])
+@pytest.mark.parametrize("p,u", [(2, np.diag([1.0, np.exp(0.3j)]))])  # not third level
 def test_orbit_lp_rejects_gates_without_the_symmetry(p, u):
-    with pytest.raises(SymmetryViolation):
-        threshold_depol_gate(p, u)
+    """C -> (U X^dag U^dag) C X fixes J_U and I/p^2 but permutes the
+    Clifford Choi kets only when U is third level."""
+    x = pauli_x(p)
+    with pytest.raises(SymmetryViolation, match="does not permute"):
+        lp_threshold(cliff_polytope(p), depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0),
+                     maps=[(u @ x.conj().T @ u.conj().T, x)])
 
 
 def test_orbit_lp_rejects_a_map_that_moves_the_path():
@@ -726,7 +727,7 @@ def test_orbit_lp_rejects_a_map_that_moves_the_path():
     t = gate_matrix(2, ROBUST_GATE_PARAMS[2])
     x = pauli_x(2)
     with pytest.raises(SymmetryViolation, match="moves the threshold path"):
-        lp_threshold(cliff_polytope(2), choi_of_unitary(t), np.eye(4) / 4, 1.0,
+        lp_threshold(cliff_polytope(2), choi_of_unitary(t), np.eye(4) / 4,
                      maps=[(x.conj().T, x)])
 
 
@@ -843,7 +844,7 @@ def _simplex_calls(monkeypatch, run):
 def test_one_depol_gate_lp_per_gate_per_process(monkeypatch, capsys):
     """``table2``, ``table3`` and ``threshold`` at p = 3 share one LP, and
     the cached result's evidence arrays cannot be written."""
-    hull._depol_params_threshold.cache_clear()
+    hull._depol_gate_threshold.cache_clear()
 
     def run():
         return [cli.main([*argv, "--p", "3"]) for argv in (["table2"], ["table3"], ["threshold"])]
@@ -851,8 +852,8 @@ def test_one_depol_gate_lp_per_gate_per_process(monkeypatch, capsys):
     calls, codes = _simplex_calls(monkeypatch, run)
     capsys.readouterr()
     assert codes == [0, 0, 0] and len(calls) == 1
-    r = hull.threshold_depol_params(3, GateParams(4, 5, 3))  # the robust (1, 2, 0) mod 3
-    assert r is hull.threshold_depol_params(3, ROBUST_GATE_PARAMS[3])
+    r = threshold_depol_gate(3, GateParams(4, 5, 3))  # the robust (1, 2, 0) mod 3
+    assert r is threshold_depol_gate(3, ROBUST_GATE_PARAMS[3])
     for a in (r.weights, r.witness):
         with pytest.raises(ValueError):
             a[0] = 0
@@ -885,7 +886,7 @@ def test_lp_threshold_pivots_match_dense_oracle(monkeypatch, p):
     """Phase 2 too: the full threshold LP over every CLIFF vertex."""
     u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
     calls, r = _simplex_calls(monkeypatch, lambda: lp_threshold(
-        cliff_polytope(p), depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0), 1.0))
+        cliff_polytope(p), depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)))
     ((args, got),) = calls
     _assert_matches_oracle(args, got)
     assert (r.pivots, r.refactorisations, r.bland) == tuple(got[2:])
@@ -935,13 +936,14 @@ def test_each_phase_restarts_its_refactorisation_schedule(monkeypatch, dense_cos
 def test_systems_are_c_ordered(monkeypatch):
     """The pivot path depends on the layout of the rows ``lp_threshold``
     hands the simplex: full STAB, EQ and CLIFF at p=3 and the p=5 orbit LP."""
+    hull._depol_gate_threshold.cache_clear()
     psi = gate_state(3, ROBUST_GATE_PARAMS[3])
     rho = np.outer(psi, psi.conj())
     j = choi_of_unitary(gate_matrix(3, ROBUST_GATE_PARAMS[3]))
     runs = [lambda: lp_membership(stab_polytope(3), rho),
             lambda: lp_membership(equatorial_polytope(3), rho),
             lambda: lp_membership(cliff_polytope(3), j),
-            lambda: threshold_depol_gate(5, gate_matrix(5, ROBUST_GATE_PARAMS[5]))]
+            lambda: threshold_depol_gate(5, ROBUST_GATE_PARAMS[5])]
     for run in runs:
         ((args, _),), _ = _simplex_calls(monkeypatch, run)
         assert args[0].flags.c_contiguous
