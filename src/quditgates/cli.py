@@ -10,6 +10,7 @@ robust gate by default, times the handler, adds ``wall_time_s`` (and
 picks the exit code.  JSON output carries full doubles and a provenance
 tag per numeric cell; CSV rounds to 6 significant digits and appends the
 provenance in parentheses for anything that is not freshly computed.
+Payloads are plain Python values, emitted as built with no fallback.
 
 ``build_parser`` is cached, so in-process ``main`` calls share one
 parser, which keeps no state between calls.  The depolarising-gate cells
@@ -122,14 +123,12 @@ def _fmt6(x) -> str:
 
 
 def _cell(value, provenance=PROV_COMPUTED) -> dict:
-    if not isinstance(value, (str, int)):
-        value = float(value)
     return {"value": value, "provenance": provenance}
 
 
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return
     # CSV: tables get a header + one line per row; single reports get
     # key,value lines.  Provenance rides along in parentheses.
@@ -162,25 +161,9 @@ def _emit(payload: dict, fmt: str) -> None:
         print(f"{key},{val}")
 
 
-def _json_ready(obj):
-    if isinstance(obj, (bool, np.bool_)):  # before int: True is an int
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_json_ready(x) for x in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _json_ready(v) for k, v in obj.items()}
-    return obj
-
-
 def _report(operation: str, inputs: dict, outputs: dict) -> dict:
-    return {"operation": operation, "inputs": _json_ready(inputs),
-            "outputs": _json_ready(outputs), "provenance": PROV_COMPUTED}
+    return {"operation": operation, "inputs": inputs, "outputs": outputs,
+            "provenance": PROV_COMPUTED}
 
 
 def _mismatches(checks) -> list:
@@ -302,7 +285,7 @@ def cmd_negativity(args) -> tuple[dict, list]:
     out = {"negativity": res.value, "facet": list(res.facet),
            "min_facet_value": res.minimum, "inside_stab": res.inside}
     checks = []
-    if g == ROBUST_GATE_PARAMS[args.p]:
+    if g.reduced(args.p) == ROBUST_GATE_PARAMS[args.p]:
         tol = args.tol if args.tol is not None else 5e-5
         checks.append((f"negativity p={args.p}", res.value,
                        RECORDED_NEGATIVITY[args.p], tol))
@@ -331,7 +314,7 @@ def cmd_threshold(args) -> tuple[dict, list]:
     }
     out = {name: 100 * r.epsilon_star for name, r in results.items()}
     checks = []
-    if g == ROBUST_GATE_PARAMS[args.p]:
+    if g.reduced(args.p) == ROBUST_GATE_PARAMS[args.p]:
         tol = args.tol if args.tol is not None else 0.005
         checks.append((f"threshold p={args.p} pd_gate_pct", out["pd_gate_pct"],
                        100 * RECORDED_PD_GATE[args.p], tol))
@@ -344,16 +327,19 @@ def cmd_threshold(args) -> tuple[dict, list]:
 
 
 def cmd_dilute(args) -> tuple[dict, list]:
+    # The circuit always runs at the gate noise: --eps, or its inverse image.
+    gate_eps = args.eps
     if args.invert:
-        out = {"eps": dilution_inv(args.p, args.eps)}
+        gate_eps = dilution_inv(args.p, args.eps)
+        out = {"eps": gate_eps}
     else:
         out = {"eps_prime": dilution(args.p, args.eps)}
     if args.simulate:
-        sim = simulate_dilution(args.p, args.params, args.eps)
+        sim = simulate_dilution(args.p, args.params, gate_eps)
         out["simulated_eps_prime"] = sim.eps_out
         out["success_prob"] = sim.success_prob
     return _report("dilute", {"p": args.p, "eps": args.eps,
-                              "invert": bool(args.invert)}, out), []
+                              "invert": args.invert}, out), []
 
 
 def cmd_inject(args) -> tuple[dict, list]:

@@ -21,7 +21,8 @@ packing k = 2z + g + 4e (mod 8), which reproduces the qubit pi/8 gate at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -33,11 +34,23 @@ from .weylheis import CliffordLabel, check_dim, clifford_unitary, displacement
 
 @dataclass(frozen=True)
 class GateParams:
-    """Residue triple (z, gamma, eps) naming one gate of the family."""
+    """Residue triple (z, gamma, eps) naming one gate of the family.
+
+    Each field is stored as a Python int; anything that is not an integer
+    (``operator.index`` fails on it, as on 1.5) raises ``ValueError``."""
 
     z: int
     gamma: int
     eps: int
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                object.__setattr__(self, f.name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"GateParams.{f.name} must be an integer, "
+                                 f"got {value!r}") from None
 
     def reduced(self, p: int) -> "GateParams":
         return GateParams(self.z % p, self.gamma % p, self.eps % p)
@@ -89,7 +102,7 @@ def _exponents(p: int, z, gamma, eps) -> np.ndarray:
 def _params_by_exps(p: int) -> dict[tuple[int, ...], GateParams]:
     """The p**3 exponent rows of the family, each mapped to its residues."""
     idx = np.indices((p, p, p)).reshape(3, -1)
-    return {tuple(row): GateParams(*map(int, zge))
+    return {tuple(row): GateParams(*zge)
             for row, zge in zip(_exponents(p, *idx).tolist(), idx.T)}
 
 

@@ -65,6 +65,32 @@ def test_dilute_invert(capsys):
     assert abs(payload["outputs"]["eps"] - 0.5815) < 5e-4
 
 
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+@pytest.mark.parametrize("eps", (0.1, 0.3165, 0.5))
+def test_dilute_invert_simulates_at_the_reported_gate_noise(capsys, p, eps):
+    """With --invert, --eps is the state noise; the circuit runs at the gate
+    noise the command reports, so its output state noise is --eps again."""
+    rc, payload = run_json(capsys, "dilute", "--p", str(p), "--eps", str(eps),
+                           "--invert", "--simulate")
+    assert rc == 0
+    assert abs(payload["outputs"]["simulated_eps_prime"] - eps) <= 1e-12
+
+
+@pytest.mark.parametrize("argv,spellings", [
+    (("threshold", "--p", "2"), ("0,1,0", "2,1,0")),
+    (("negativity", "--p", "3", "--tol", "0"), ("1,2,0", "4,5,3")),
+])
+def test_self_check_recognises_the_robust_gate_in_any_spelling(capsys, argv, spellings):
+    """--self-check compares the robust gate's cells whichever residues mod p
+    name it; these cells are off the record at this tolerance, so exit 3."""
+    errs = []
+    for params in spellings:
+        rc = main([*argv, "--params", params, "--self-check"])
+        assert rc == 3, params
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and errs[0]
+
+
 @pytest.mark.parametrize("argv,section,key,want", [
     (("negativity", "--p", "3"), "outputs", "inside_stab", False),
     (("dilute", "--p", "3", "--eps", "0.3165", "--invert"), "inputs", "invert", True),
@@ -411,18 +437,22 @@ def _subcommands() -> dict:
 @pytest.mark.parametrize("name", sorted(_subcommands()))
 def test_runner_contract(capsys, tmp_path, name):
     """Every subcommand reports ``wall_time_s``, reports ``self_check`` exactly
-    when it takes ``--self-check`` ("off" without the flag), and rejects an
-    unsupported dimension with exit code 2 and nothing on stdout."""
+    when it takes ``--self-check`` ("off" without the flag), emits JSON with
+    no NaN or infinity and non-empty CSV, and rejects an unsupported
+    dimension with exit code 2 and nothing on stdout."""
     path = tmp_path / "u.txt"
     write_matrix(path, gate_matrix(2, GateParams(1, 1, 0)))
     extra = {"dilute": ["--eps", "0.3"], "verify": [str(path)]}.get(name, [])
     takes_self_check = any(a.dest == "self_check" for a in _subcommands()[name]._actions)
     rc, payload = run_json(capsys, name, "--p", "2", *extra)
     assert rc == 0
+    json.dumps(payload, allow_nan=False)
     assert isinstance(payload["wall_time_s"], float)
     assert ("self_check" in payload) == takes_self_check
     if takes_self_check:
         assert payload["self_check"] == "off"
+    rc, out = run(capsys, name, "--p", "2", *extra, "--format", "csv")
+    assert rc == 0 and out.strip()
     rc, out = run(capsys, name, "--p", "4", *extra)
     assert rc == 2 and out == ""
 

@@ -56,6 +56,22 @@ def test_closed_form_matches_recurrence_oracle(p):
         assert exact.exps == want, gp
 
 
+@pytest.mark.parametrize("field,args", [
+    ("z", (1.5, 2, 0)), ("gamma", (1, 2.0, 0)), ("eps", (1, 2, "0")), ("z", (None, 2, 0)),
+])
+def test_gate_params_reject_what_is_not_an_integer(field, args):
+    """A non-integer residue is refused, not truncated to its int."""
+    with pytest.raises(ValueError, match=f"GateParams.{field} must be an integer"):
+        GateParams(*args)
+
+
+def test_gate_params_hold_python_ints():
+    g = GateParams(np.int64(1), np.int32(4), 0)
+    assert g == GateParams(1, 4, 0)
+    assert all(type(x) is int for x in g.astuple())
+    assert gate_exponents(5, g).exps == (0, 3, 4, 2, 1)
+
+
 def test_worked_exponent_examples():
     assert gate_exponents(5, GateParams(1, 4, 0)).exps == (0, 3, 4, 2, 1)
     assert gate_exponents(3, GateParams(1, 2, 0)).exps == (0, 1, 8)
