@@ -28,9 +28,9 @@ forms tied to facet geometry; the tests hold them against the LP.
 The depolarising-gate threshold is the LP over Clifford orbits, 66
 columns instead of 16464 vertices at p = 7; ``threshold_depol_gate``
 solves it once per family gate and process.  Vertices are stored as kets;
-weights and witnesses are checked against every one.  An orbit search
-reads the SL(2) parts of L and R, which name the block of p^2 kets each
-image lies in, and matches the image to the block ket it overlaps most.
+weights and witnesses are checked against every one.  The orbit search
+matches one image per block of p^2 Clifford kets, the rest by label
+arithmetic; only ``cliff_polytope``'s spec, of its own type, takes maps.
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ class PolytopeSpec:
     in one allocation the size of the result (see ``_projectors`` and
     ``system``).  ``maps`` are pairs (L, R) of p x p unitaries, each the
     map C -> L C R on the Clifford gates, claimed to permute the Clifford
-    Choi kets up to a phase, v -> (R^T x L) v; only the kets of
-    ``cliff_polytope``, in its order, take maps, and ``lp_threshold``
-    checks the claim whenever it uses one.
+    Choi kets up to a phase, v -> (R^T x L) v.  The type decides which kets
+    take maps: ``lp_threshold`` refuses them on any spec but the subclass
+    ``cliff_polytope`` returns, and checks the claim on that one.
     """
 
     def __init__(self, name: str, kets: np.ndarray, maps=()):
@@ -234,7 +234,11 @@ def cliff_polytope(p: int) -> PolytopeSpec:
         kets[rows] = choi_ket(np.matmul(ds[None], vs[rows, None]))
     gens = (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
             symplectic_unitary(p, ((0, p - 1), (1, 0))))
-    return PolytopeSpec("CLIFF", kets.reshape(-1, p * p), [(s.conj().T, s) for s in gens])
+    return _CliffordPolytope("CLIFF", kets.reshape(-1, p * p), [(s.conj().T, s) for s in gens])
+
+
+class _CliffordPolytope(PolytopeSpec):
+    """The type of ``cliff_polytope``'s spec, the one whose kets take maps."""
 
 
 @dataclass(frozen=True)
@@ -366,9 +370,9 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
     which lies inside the hull, so the target is inside iff eps* = 0; eps*
     is returned as ``distance``.  The LP takes one column per orbit of
     those ``spec.maps`` that fix the target (all columns when none does);
-    they must permute the kets and fix the barycentre (SymmetryViolation
-    otherwise).  Inside, the weights are those of the LP, spread over
-    every vertex.  Outside, the LP's witness separates the point just
+    they must be ``cliff_polytope``'s, permute its kets and fix the
+    barycentre (SymmetryViolation otherwise).  Inside, the weights are
+    those of the LP, spread over every vertex.  Outside, the LP's witness separates the point just
     short of eps*, and it is checked against the target itself, which lies
     farther out (NumericalInstability if the weights or the witness fail).
     """
@@ -445,36 +449,32 @@ def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
     (with none, each ket is its own orbit); (L, R) takes the Choi ket v_i
     of C_i to that of L C_i R, (R^T x L) v_i.
 
-    With maps, the kets must be the p^3 (p^2 - 1) Clifford Choi kets in
-    ``clifford_labels`` order: p(p^2 - 1) blocks, one per F, of the p^2
-    kets D_chi V_F, which form an orthonormal basis.  F_L and F_R are the
-    SL(2) parts of the kets L and R overlap most, and the image of a ket
-    of block F is the ket of block F_L F F_R it overlaps most.  Its squared
-    overlap must reach 1 - 1e-9 and each map must permute the kets one to
-    one; otherwise, or on any other ket set, SymmetryViolation.  The
-    overlaps are formed one ``_row_blocks(n_F, p^2)`` block at a time.
+    With maps, the kets are those of ``cliff_polytope``: p(p^2 - 1) blocks,
+    one per F, of the p^2 kets D_chi V_F, chi = (x, z) at x p + z.  F_L and
+    F_R are the SL(2) parts of the kets L and R overlap most.  Up to a
+    phase L D_chi V_F R = D_(F_L chi) L V_F R, so block F goes to block
+    F_L F F_R and ket chi to chi_0(F) + F_L chi (mod p): chi_0(F), which
+    absorbs all displacements and phases, names the ket there that the
+    image of V_F overlaps most.  That squared overlap must reach 1 - 1e-9
+    and each map must permute the kets one to one (SymmetryViolation).
     """
     n, d = kets.shape
     if not maps:
         return np.arange(n)
     p = round(d ** 0.5)
-    if p * p != d or p not in SUPPORTED_PRIMES or n != p * d * (d - 1):
-        raise SymmetryViolation("maps act on the Clifford Choi kets alone")
     f = np.array(sl2_matrices(p))
     blocks = kets.reshape(len(f), d, d)
+    xz = np.array(np.divmod(np.arange(d), p))
     perms = []
     for lr in maps:
         fl, fr = (f[np.argmax(np.abs(kets @ choi_ket(c).conj())) // d] for c in lr)
         to = np.array([_sl2_index(p)[tuple(map(tuple, m))] for m in (fl @ f @ fr % p).tolist()])
-        g = _ket_map(*lr)
-        perm, low = np.empty(n, dtype=np.intp), np.inf  # low: least squared overlap
-        for rows in _row_blocks(len(f), d):
-            img = blocks[rows] @ g.T
-            # [F, block ket, image]
-            overlap = np.abs(blocks[to[rows]] @ np.conjugate(img, out=img).transpose(0, 2, 1)) ** 2
-            low = np.minimum(low, overlap.max(axis=1).min())
-            perm.reshape(-1, d)[rows] = to[rows, None] * d + np.argmax(overlap, axis=1)
-        if not low >= 1.0 - 1e-9 or np.bincount(perm, minlength=n).max() > 1:
+        img = np.empty((len(f), d), dtype=complex)
+        img[to] = blocks[:, 0] @ _ket_map(*lr).T  # the image of V_F, filed under its block
+        overlap = np.abs(blocks @ img.conj()[:, :, None])[:, :, 0] ** 2  # [block, block ket]
+        x, z = (np.divmod(np.argmax(overlap, axis=1)[to, None], p) + (fl @ xz)[:, None]) % p
+        perm = (to[:, None] * d + x * p + z).ravel()
+        if not overlap.max(axis=1).min() >= 1.0 - 1e-9 or np.bincount(perm, minlength=n).max() > 1:
             raise SymmetryViolation("a generator does not permute the vertices")
         perms.append(perm)
     # Each vertex takes the least index it reaches; a finite permutation
@@ -501,24 +501,25 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     Each map is a pair (L, R) of unitaries, C -> L C R, and must permute
     the Clifford Choi kets of ``cliff_polytope`` up to a phase and fix
     ``start`` and ``end`` (SymmetryViolation otherwise, and for maps on any
-    other polytope).  Averaging over the
-    group then maps the hull onto the hull of the orbit averages and fixes
-    the path, so the least eps is the same with one column per orbit.  The
-    LP runs in an orthonormal basis of the span of the averages, start and
-    end.
+    spec ``cliff_polytope`` did not return).  Averaging over the group
+    then maps the hull onto the hull of the orbit averages and fixes the
+    path, so the least eps is the same with one column per orbit.  The LP
+    runs in an orthonormal basis of the span of the averages, start and end.
 
     Each orbit's weight is spread evenly over its members, which must
-    reproduce the target at eps* from all vertices.  The phase-2
-    multipliers, mapped back to full coordinates as y = (vec G, y0), give
-    W = -(G + y0 I) with Tr[W V_i] >= 0 on every vertex and
-    Tr[W target(eps)] = eps - eps*; scaled to unit spectral radius, W must
-    pass ``verify_certificate`` at eps* - THRESHOLD_DELTA.  The path ends
-    at eps = 1, and an eps* within LP_TOL of either end is taken as that
-    end: a start already inside returns exactly 0.0 with no witness, and a
-    target reached only at ``end``, such as one off the span of the
-    vertices, returns 1.0.  An eps* farther beyond 1 raises
-    NumericalInstability.
+    reproduce the target at eps* from all vertices, one ``_row_blocks``
+    block of kets at a time.  The phase-2 multipliers, mapped back to full
+    coordinates as y = (vec G, y0), give W = -(G + y0 I) with
+    Tr[W V_i] >= 0 on every vertex and Tr[W target(eps)] = eps - eps*;
+    scaled to unit spectral radius, W must pass ``verify_certificate`` at
+    eps* - THRESHOLD_DELTA.  The path ends at eps = 1, and an eps* within
+    LP_TOL of either end is taken as that end: a start already inside
+    returns exactly 0.0 with no witness, and a target reached only at
+    ``end``, such as one off the span of the vertices, returns 1.0.  An
+    eps* farther beyond 1 raises NumericalInstability.
     """
+    if maps and not isinstance(spec, _CliffordPolytope):
+        raise SymmetryViolation("maps permute the kets of cliff_polytope alone")
     start = _check_density(start, spec.dim, "start")
     end = _check_density(end, spec.dim, "end")
     if not all(_fixes(g, h) for g in maps for h in (start, end)):
@@ -563,7 +564,9 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     def target(eps):
         return (1.0 - eps) * start + eps * end
 
-    resid = spec.mixture(w) - target(eps_star)
+    resid = -target(eps_star)
+    for r in _row_blocks(len(w)):
+        resid += (spec.kets[r].T * w[r]) @ spec.kets[r].conj()
     if not np.max(np.abs(resid)) <= 10 * LP_TOL:
         raise NumericalInstability("threshold weights fail to reproduce the target")
     if eps_star == 0.0:

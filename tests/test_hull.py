@@ -310,8 +310,8 @@ def _subset_of_kets(spec):
 
 def _repeated_ket(spec):
     """The ket of D_(1|1) replaced by that of X, under the conjugation by Z
-    alone, which fixes both up to a phase: every overlap passes, and only
-    the one-to-one check fails."""
+    alone, which fixes both up to a phase: no overlap of an image could
+    tell, only the spec's type."""
     x = 4 * sl2_matrices(2).index(((1, 0), (0, 1))) + 2  # chi = (1, 0), then (1, 1)
     kets = spec.kets.copy()
     kets[x + 1] = kets[x]
@@ -327,19 +327,33 @@ def _non_clifford_left_factor(spec):
 
 @pytest.mark.parametrize("corrupt", (_rolled_kets, _subset_of_kets, _repeated_ket,
                                      _non_clifford_left_factor))
-@pytest.mark.parametrize("block", ("default", 7))
-def test_membership_fails_closed_on_a_broken_symmetry(monkeypatch, corrupt, block):
-    """Maps that do not permute the kets in ``clifford_labels`` order raise,
-    whether the images are matched in one block or, with 7-row blocks, one
-    V_F (four kets at p = 2) at a time: kets out of order, a ket list that
-    is not the whole polytope, a ket given twice, and a non-Clifford L."""
-    if block != "default":
-        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block)
+def test_membership_fails_closed_on_a_broken_symmetry(corrupt):
+    """Maps on hand-built kets raise: kets out of order, a ket list that is
+    not the whole polytope, a ket given twice, and a non-Clifford L."""
     spec = cliff_polytope(2)
     target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
     assert lp_membership(spec, target).orbits < spec.n_vertices
     with pytest.raises(SymmetryViolation):
         lp_membership(corrupt(spec), target)
+
+
+def test_maps_on_exact_kets_of_the_wrong_type_are_refused():
+    """Only the spec ``cliff_polytope`` returns takes maps, even against
+    a plain spec with the very same kets and maps."""
+    spec = cliff_polytope(2)
+    target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
+    with pytest.raises(SymmetryViolation, match="permute the kets of cliff_polytope alone"):
+        lp_membership(hull.PolytopeSpec("CLIFF", spec.kets, spec.maps), target)
+
+
+def test_per_map_check_rejects_a_non_clifford_left_factor():
+    """On the polytope's own spec, conjugation by S = diag(1, e^0.3i)
+    fixes the path from J_U to I/4 but sends V_F off the Clifford kets."""
+    s = np.diag([1.0, np.exp(0.3j)])
+    u = gate_matrix(2, ROBUST_GATE_PARAMS[2])
+    with pytest.raises(SymmetryViolation, match="does not permute"):
+        lp_threshold(cliff_polytope(2), choi_of_unitary(u), np.eye(4) / 4,
+                     maps=[(s.conj().T, s)])
 
 
 def _threshold_maps(p, u):
@@ -361,6 +375,34 @@ def _brute_force_orbits(kets, maps):
         perm = np.argmax(overlap, axis=0)
         assert np.array_equal(np.sort(perm), np.arange(n)) and overlap.max(axis=0).min() > 1 - 1e-9
         perms.append(perm)
+    return _orbit_labels(perms)
+
+
+def _per_ket_orbits(kets, maps):
+    """Orbit labels from a search over every ket: F_L and F_R are the SL(2)
+    parts of the kets L and R overlap most, and each image (R^T x L) v_i,
+    by ``np.kron``, is matched to the ket it overlaps most among the p^2
+    of block F_L F F_R."""
+    n, d = kets.shape
+    p = round(d ** 0.5)
+    f = np.array(sl2_matrices(p))
+    index = {m.tobytes(): i for i, m in enumerate(f)}
+    blocks = kets.reshape(len(f), d, d)
+    perms = []
+    for l, r in maps:
+        fl, fr = (f[np.argmax(np.abs(kets @ choi_ket(c).conj())) // d] for c in (l, r))
+        to = np.array([index[(fl @ m @ fr % p).tobytes()] for m in f])
+        img = (kets @ np.kron(r.T, l).T).reshape(len(f), d, d)
+        overlap = np.abs(np.einsum("fkx,fix->fik", blocks[to].conj(), img)) ** 2  # [F, ket, target]
+        perm = (to[:, None] * d + np.argmax(overlap, axis=2)).ravel()
+        assert np.array_equal(np.sort(perm), np.arange(n)) and overlap.max(axis=2).min() > 1 - 1e-9
+        perms.append(perm)
+    return _orbit_labels(perms)
+
+
+def _orbit_labels(perms):
+    """Orbit of each index under the permutations, numbered by least member."""
+    n = len(perms[0])
     label = np.full(n, -1)
     for i in np.arange(n):
         if label[i] < 0:
@@ -385,6 +427,16 @@ def test_ket_orbits_match_brute_force_overlaps(p):
     for maps in map_sets:
         assert all(np.array_equal(hull._ket_map(l, r), np.kron(r.T, l)) for l, r in maps)
         assert np.array_equal(hull._ket_orbits(spec.kets, maps), _brute_force_orbits(spec.kets, maps))
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_ket_orbits_match_a_per_ket_search(p):
+    """The orbits placed by label arithmetic from one image per block are
+    those of matching every image within its block, for the polytope's
+    own maps and the robust gate's threshold maps."""
+    spec = cliff_polytope(p)
+    for maps in (spec.maps, _threshold_maps(p, gate_matrix(p, ROBUST_GATE_PARAMS[p]))):
+        assert np.array_equal(hull._ket_orbits(spec.kets, maps), _per_ket_orbits(spec.kets, maps))
 
 
 @pytest.mark.parametrize("p", (3, 5))

@@ -1,8 +1,10 @@
 """Static checks on the package source: no module-level import that its
-module never uses, no import inside a function, and no module-level private
-function or class that nothing in the package references."""
+module never uses, no import inside a function, no import from outside the
+standard library but numpy, and no module-level private function or class
+that nothing in the package references."""
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -53,6 +55,19 @@ def test_no_imports_inside_functions(module):
         if isinstance(n, (ast.Import, ast.ImportFrom))
     })
     assert not nested, f"{module} imports inside a function on lines {nested}"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    """Every import names a module of the standard library, numpy or the
+    package itself."""
+    roots = {
+        (alias.name if isinstance(n, ast.Import) else n.module).split(".")[0]
+        for tree in TREES.values()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Import) or isinstance(n, ast.ImportFrom) and not n.level
+        for alias in n.names
+    }
+    assert not roots - set(sys.stdlib_module_names) - {"numpy", "quditgates"}, roots
 
 
 @pytest.mark.parametrize("module", MODULES)
