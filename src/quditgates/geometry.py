@@ -354,6 +354,8 @@ def edge_scan(p: int, target: float | None = None, window: float = 1e-4) -> Edge
     eigenvector with flat amplitude profile |v_i| = p**-0.5 to 1e-6 (the
     signature of a diagonal-gate +1 superposition image).
     """
+    if not 0.0 <= window < np.inf or not (target is None or abs(target) < np.inf):
+        raise ValueError("edge_scan needs a finite window >= 0 and a finite target")
     _pauli_index_shifts(p)
     lam1 = _edge_orbit_eigenvalues(p)[:, 0]
     mask = np.zeros(len(lam1), bool) if target is None else np.abs(lam1 - target) <= window

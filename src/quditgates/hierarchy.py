@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotDiagonal, NotUnitary, UnsupportedDim
+from .errors import ConvergenceFailure, NotDiagonal, NotUnitary, ShapeMismatch, UnsupportedDim
 from .kernel import equal_up_to_global_phase, is_diagonal, is_unitary, mod_inv
 from .weylheis import CliffordLabel, check_dim, clifford_unitary, displacement
 
@@ -194,16 +194,16 @@ def identify_third_level(p: int, u: np.ndarray, tol: float = 1e-9) -> ThirdLevel
     u_(k+1) conj(u_k), k cyclic, at its entries (k+1, k).  Each is rounded
     to the nearest ``root_order(p)``-th root of unity, and the conjugate
     must lie within ``max(tol, 1e-8)`` of those roots at those entries and
-    of 0 elsewhere; U must be diagonal and unitary within the same bound
-    (NotDiagonal, NotUnitary otherwise).  The running sums of the roots'
-    exponents are then the gate's exponent row, which names the gate if it
-    is one of the family's p**3 rows.  The rule is the same at every p, and
-    a stray global phase on the input cancels in the ratios.
+    of 0 elsewhere; U must be p x p, diagonal and unitary within the same
+    bound (ShapeMismatch, NotDiagonal, NotUnitary otherwise).  The running
+    sums of the roots' exponents are then the gate's exponent row, which names
+    the gate if it is one of the family's p**3 rows.  The rule is the same at
+    every p, and a stray global phase on the input cancels in the ratios.
     """
     check_dim(p)
     u = np.asarray(u, dtype=complex)
     if u.shape != (p, p):
-        raise UnsupportedDim(f"expected a {p} x {p} matrix, got {u.shape}")
+        raise ShapeMismatch(f"expected a {p} x {p} matrix, got {u.shape}")
     tol = max(tol, 1e-8)
     if not is_diagonal(u, tol):
         raise NotDiagonal("input must be diagonal")

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -161,8 +161,12 @@ class PolytopeSpec:
         return _projectors(self.kets)
 
     def mixture(self, w: np.ndarray) -> np.ndarray:
-        """sum_i w_i |v_i><v_i|."""
-        return (self.kets.T * w) @ self.kets.conj()
+        """sum_i w_i |v_i><v_i|, one weight per ket (ValueError otherwise), added by
+        ``_row_blocks`` from the first block: ``sum``'s int 0 would make -0.0 +0.0."""
+        k, w = self.kets, np.asarray(w)
+        if w.shape != (len(k),):
+            raise ValueError(f"expected {len(k)} weights, got shape {w.shape}")
+        return reduce(np.add, ((k[r].T * w[r]) @ k[r].conj() for r in _row_blocks(len(k))))
 
     def system(self) -> np.ndarray:
         """Columns [vec(V_i); 1], built anew on every call.
@@ -257,16 +261,13 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     """Minimise ``cost . w`` subject to A w = b, w >= 0, by a two-phase
     revised simplex.
 
-    Rows with b_i < 0 are negated so that the all-artificial basis starts
-    feasible.  The columns are those of [diag(sign) A | I], with the
-    artificial columns n, n+1, ... last, but ``a`` itself is read, never
-    copied: artificials never enter (they start basic and are retired once
-    they leave), so only the structural columns are priced, against ``a``,
-    with the rows signed through the multipliers and the entering column.
-    Multiplying by +-1 is exact, and with ``a`` C-ordered each dot product
-    sums in the order it does over the dense signed system, so the pivots
-    are, bit for bit, those of a dense loop, which the tests keep as an
-    oracle.
+    Rows with b_i < 0 are negated once, on entry, in a signed copy of ``a``
+    and ``b`` that the pricing, the entering column and the refactorisation
+    read, so that the all-artificial basis starts feasible.  The columns
+    are those of [diag(sign) A | I], artificials n, n+1, ... last; these
+    never enter (they start basic and are retired once they leave), so
+    only the structural columns are stored and priced.  The pivots are,
+    bit for bit, those of a dense loop, which the tests keep as an oracle.
 
     Phase 1 minimises the artificial total from the all-artificial basis;
     if that total stays above LP_TOL there is no feasible point
@@ -288,7 +289,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     """
     m, n = a.shape
     sign = np.where(b < 0.0, -1.0, 1.0)
-    rhs = b * sign
+    a, rhs = a * sign[:, None], b * sign
     basis = np.arange(n, n + m)
     binv, xb = np.eye(m), rhs.copy()
     piv_tol = 1e-9
@@ -298,7 +299,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     def refactor():
         bm = np.zeros((m, m), order="F")  # Fortran-ordered for inv
         real = basis < n
-        bm[:, real] = a[:, basis[real]] * sign[:, None]
+        bm[:, real] = a[:, basis[real]]
         art = np.flatnonzero(~real)
         bm[basis[art] - n, art] = 1.0
         inv = np.linalg.inv(bm)
@@ -313,7 +314,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
                 binv, xb = refactor()
                 refactorisations += 1
             y = phase_cost[basis] @ binv
-            rc = phase_cost[:n] - (y * sign) @ a
+            rc = phase_cost[:n] - y @ a
             rc[basis[basis < n]] = np.inf
             if bland:
                 cand = np.flatnonzero(rc < -piv_tol)
@@ -324,7 +325,7 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
                 j = int(np.argmin(rc))
                 if rc[j] >= -piv_tol:
                     break
-            d = binv @ (a[:, j] * sign)
+            d = binv @ a[:, j]
             d_tol = 1e-9 * max(1.0, float(np.max(np.abs(d))))
             pos = d > d_tol
             ratios = np.full(m, np.inf)
@@ -367,13 +368,13 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
     """Decide whether ``target`` lies in the hull of the kets' projectors.
 
     Runs ``lp_threshold`` from the target toward the vertex barycentre,
-    which lies inside the hull, so the target is inside iff eps* = 0; eps*
-    is returned as ``distance``.  The LP takes one column per orbit of
-    those ``spec.maps`` that fix the target (all columns when none does);
-    they must be ``cliff_polytope``'s, permute its kets and fix the
-    barycentre (SymmetryViolation otherwise).  Inside, the weights are
-    those of the LP, spread over every vertex.  Outside, the LP's witness separates the point just
-    short of eps*, and it is checked against the target itself, which lies
+    ``spec.mixture`` of uniform weights, which lies inside the hull, so the target
+    is inside iff eps* = 0; eps* is returned as ``distance``.  The LP takes one
+    column per orbit of those ``spec.maps`` that fix the target (all columns when
+    none does); they must be ``cliff_polytope``'s, permute its kets and fix the
+    barycentre (SymmetryViolation otherwise).  Inside, the weights are those of the
+    LP, spread over every vertex.  Outside, the LP's witness separates the point
+    just short of eps*, and it is checked against the target itself, which lies
     farther out (NumericalInstability if the weights or the witness fail).
     """
     target = _check_density(target, spec.dim, "target")
@@ -506,9 +507,9 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     path, so the least eps is the same with one column per orbit.  The LP
     runs in an orthonormal basis of the span of the averages, start and end.
 
-    Each orbit's weight is spread evenly over its members, which must
-    reproduce the target at eps* from all vertices, one ``_row_blocks``
-    block of kets at a time.  The phase-2 multipliers, mapped back to full
+    Each orbit's weight is spread evenly over its members, and
+    ``spec.mixture`` of these weights over all vertices must reproduce the
+    target at eps*.  The phase-2 multipliers, mapped back to full
     coordinates as y = (vec G, y0), give W = -(G + y0 I) with
     Tr[W V_i] >= 0 on every vertex and Tr[W target(eps)] = eps - eps*;
     scaled to unit spectral radius, W must pass ``verify_certificate`` at
@@ -564,10 +565,7 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     def target(eps):
         return (1.0 - eps) * start + eps * end
 
-    resid = -target(eps_star)
-    for r in _row_blocks(len(w)):
-        resid += (spec.kets[r].T * w[r]) @ spec.kets[r].conj()
-    if not np.max(np.abs(resid)) <= 10 * LP_TOL:
+    if not np.max(np.abs(spec.mixture(w) - target(eps_star))) <= 10 * LP_TOL:
         raise NumericalInstability("threshold weights fail to reproduce the target")
     if eps_star == 0.0:
         return ThresholdResult(0.0, 0.0, "lp", weights=w, pivots=pivots, orbits=n,
@@ -631,7 +629,7 @@ def _depol_gate_threshold(p: int, g: GateParams) -> ThresholdResult:
     spec = cliff_polytope(p)
     start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
     maps = [(u @ d.conj().T @ u.conj().T, d) for d in (pauli_x(p), pauli_z(p))]
-    maps += [m for m in spec.maps if _fixes(m, start) and _fixes(m, end)]
+    maps += [m for m in spec.maps if _fixes(m, start)]
     r = lp_threshold(spec, start, end, maps)
     for a in (r.weights, r.witness):
         if a is not None:
@@ -662,8 +660,8 @@ def load_distill_config(path: str | None = None) -> dict:
     """Parse ``distill_threshold.<p> = <real>`` lines; '#' starts a comment.
     A file that cannot be read, a malformed line, a prime outside
     ``SUPPORTED_PRIMES``, a value outside [0, 1] or a key given twice
-    raises ``MissingConfig``."""
-    path = path or DEFAULT_CONFIG
+    raises ``MissingConfig``; only ``None`` reads the shipped file."""
+    path = DEFAULT_CONFIG if path is None else path
     try:
         with open(path) as fh:
             lines = fh.readlines()

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 
@@ -166,10 +167,11 @@ def test_table3_malformed_config_is_config_error(capsys, tmp_path, line):
 
 def test_table3_repeated_key_or_unreadable_config_is_config_error(capsys, tmp_path):
     """A second distill_threshold.3 used to override the first silently,
-    and a directory used to exit 2 as a domain error."""
+    a directory used to exit 2 as a domain error, and an empty path used to
+    read the shipped file and exit 0."""
     path = tmp_path / "twice.cfg"
     path.write_text("distill_threshold.3 = 0.3165\ndistill_threshold.3 = 0.9\n")
-    for config in (path, tmp_path):
+    for config in (path, tmp_path, ""):
         rc = main(["table3", "--p", "3", "--config", str(config)])
         captured = capsys.readouterr()
         assert rc == 1 and captured.out == ""
@@ -212,6 +214,32 @@ def test_read_matrix_round_trip(tmp_path):
     m = np.array([[0.5 + 0.25j, -1.0], [0.0, 2.0 - 2.0j]])
     write_matrix(path, m)
     assert np.max(np.abs(read_matrix(str(path)) - m)) < 1e-10
+
+
+def test_read_matrix_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("# a comment\n\n1 0.5i\n  # indented comment\n0 -1\n")
+    assert np.array_equal(read_matrix(str(path)), np.array([[1, 0.5j], [0, -1]]))
+
+
+@pytest.mark.parametrize("text,message", [("# only a comment\n\n", "no matrix data"),
+                                          ("1 0\n0\n", "ragged rows")],
+                         ids=["empty", "ragged"])
+def test_read_matrix_refuses_an_empty_or_ragged_file(tmp_path, text, message):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_matrix(str(path))
+
+
+def test_verify_refuses_a_matrix_of_the_wrong_shape(capsys, tmp_path):
+    """A 2 x 2 matrix at p = 3 is a domain error (exit 2) naming the shape."""
+    path = tmp_path / "u.txt"
+    write_matrix(path, np.eye(2))
+    rc = main(["verify", "--p", "3", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "expected a 3 x 3 matrix" in captured.err
 
 
 def test_inject_reports_unit_fidelity(capsys):
@@ -455,6 +483,16 @@ def test_runner_contract(capsys, tmp_path, name):
     assert rc == 0 and out.strip()
     rc, out = run(capsys, name, "--p", "4", *extra)
     assert rc == 2 and out == ""
+
+
+def test_main_module_runs_in_process(capsys, monkeypatch):
+    """``python -m quditgates table1 --p 2``, run by ``runpy`` in this
+    process: ``__main__`` exits with ``main``'s code and prints its row."""
+    monkeypatch.setattr(sys, "argv", ["quditgates", "table1", "--p", "2", "--format", "csv"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("quditgates", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("2,")
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from quditgates import geometry
-from quditgates.errors import BadLength, NotDiagonal, SymmetryViolation
+from quditgates.errors import (BadLength, NotDiagonal, NotTracePreserving, NotUnitary,
+                               SymmetryViolation)
 from quditgates.geometry import (
     KrausChannel,
     basis_expectations,
@@ -44,6 +45,8 @@ def test_state_from_diagonal():
     assert np.allclose(psi, [1 / np.sqrt(2), 1j / np.sqrt(2)])
     with pytest.raises(NotDiagonal):
         state_from_diagonal(np.ones((2, 2)))
+    with pytest.raises(NotUnitary, match="unit modulus"):
+        state_from_diagonal(np.diag([1.0, 0.5]))
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
@@ -488,3 +491,36 @@ def test_choi_of_unitary_is_pure():
     j = choi_of_unitary(u)
     assert abs(np.trace(j) - 1.0) < 1e-12
     assert np.max(np.abs(j @ j - j)) < 1e-12
+
+
+@pytest.mark.parametrize("target,window", [(-0.1, -1.0), (-0.1, np.nan), (-0.1, np.inf),
+                                           (None, np.nan), (np.nan, 1e-4), (-np.inf, 1e-4)])
+def test_edge_scan_refuses_a_window_or_target_that_matches_nothing(target, window):
+    """A negative or NaN window, or a NaN target, used to give a window
+    count of 0 without a word."""
+    with pytest.raises(ValueError, match="finite window"):
+        edge_scan(3, target=target, window=window)
+
+
+def test_edge_scan_zero_window_counts_exact_matches():
+    low = edge_scan(3).min_eigenvalue
+    assert edge_scan(3, target=low, window=0.0).window_count > 0
+
+
+def test_kraus_channel_refuses_a_negative_weight():
+    with pytest.raises(NotTracePreserving, match="negative"):
+        KrausChannel(((-0.5, np.eye(2)), (1.5, np.eye(2))))
+
+
+def test_inject_gate_refuses_a_bad_input_state():
+    g = ROBUST_GATE_PARAMS[3]
+    with pytest.raises(BadLength):
+        inject_gate(3, g, np.ones(2) / np.sqrt(2))
+    with pytest.raises(NotUnitary, match="normalised"):
+        inject_gate(3, g, np.ones(3))
+
+
+@pytest.mark.parametrize("eps", [-0.1, 1.5, np.nan])
+def test_simulate_dilution_refuses_eps_outside_the_unit_interval(eps):
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        simulate_dilution(3, ROBUST_GATE_PARAMS[3], eps)

@@ -13,8 +13,9 @@ from itertools import product
 import numpy as np
 import pytest
 
-from quditgates.errors import UnsupportedDim
+from quditgates.errors import NotDiagonal, NotUnitary, ShapeMismatch, UnsupportedDim
 from quditgates.hierarchy import (
+    DiagGateExact,
     GateParams,
     compose_params,
     element_order,
@@ -281,3 +282,26 @@ def test_identify_third_level_matches_conjugation_oracle(p):
             kinds.add((tol, rep.kind == "not_third_level"))
     # each tolerance sees gates on both sides of its bound
     assert len(kinds) == 12
+
+
+@pytest.mark.parametrize("exps", [(), (1, 0, 0)], ids=["empty", "first-not-0"])
+def test_diag_gate_exact_must_start_at_exponent_0(exps):
+    with pytest.raises(ValueError, match="start at 0"):
+        DiagGateExact(3, exps)
+
+
+@pytest.mark.parametrize("u,error", [
+    (np.eye(2), ShapeMismatch),
+    (np.ones((3, 3)) / np.sqrt(3), NotDiagonal),
+    (np.diag([1.0, 1.0, 0.5]), NotUnitary),
+], ids=["wrong-shape", "not-diagonal", "not-unitary"])
+def test_identify_third_level_typed_errors(u, error):
+    """A matrix of the wrong shape is a shape error, not an unsupported
+    dimension: p = 3 is supported."""
+    with pytest.raises(error):
+        identify_third_level(3, u)
+
+
+def test_magic_gate_matrix_needs_odd_p():
+    with pytest.raises(UnsupportedDim, match="odd p"):
+        magic_gate_matrix(2)

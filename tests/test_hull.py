@@ -63,6 +63,11 @@ def test_vectorization_is_isometric():
                    - np.trace(a @ b).real) < 1e-12
 
 
+def test_vec_to_herm_refuses_a_length_that_is_not_a_square():
+    with pytest.raises(ValueError, match="perfect square"):
+        vec_to_herm(np.zeros(5))
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_polytope_vertex_counts(p):
     assert stab_polytope(p).n_vertices == p * (p + 1)
@@ -178,6 +183,41 @@ def test_blocked_system_and_vertices_equal_stacked_formulas(monkeypatch, make, p
         monkeypatch.setattr(geometry, "_BLOCK_ROWS", block)
         assert np.array_equal(spec.system(), want_system)
         assert np.array_equal(spec.vertices, want_vertices)
+
+
+def _one_product_mixture(spec, w):
+    return (spec.kets.T * w) @ spec.kets.conj()
+
+
+@pytest.mark.parametrize("make, p", [(cliff_polytope, 2), (cliff_polytope, 3),
+                                     (cliff_polytope, 5), (stab_polytope, 7),
+                                     (equatorial_polytope, 7)])
+def test_mixture_in_one_block_is_the_one_product(make, p):
+    """Up to ``_BLOCK_ROWS`` kets the blocked sum is one block, and so bit
+    for bit the one product over all kets."""
+    spec = make(p)
+    assert spec.n_vertices <= geometry._BLOCK_ROWS
+    w = np.random.default_rng(p).dirichlet(np.ones(spec.n_vertices))
+    assert np.array_equal(spec.mixture(w), _one_product_mixture(spec, w))
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_mixture_by_small_blocks_matches_the_one_product(monkeypatch, p):
+    """With 7-ket blocks (429 of them at p = 5) the sum moves only in its
+    last bits."""
+    spec = cliff_polytope(p)
+    w = np.random.default_rng(p).dirichlet(np.ones(spec.n_vertices))
+    want = _one_product_mixture(spec, w)
+    monkeypatch.setattr(geometry, "_BLOCK_ROWS", 7)
+    assert np.max(np.abs(spec.mixture(w) - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", (1, 5, 7))
+def test_mixture_takes_one_weight_per_ket(n):
+    """Six STAB kets at p = 2: a single weight used to broadcast over all
+    of them, and blocks cut at the kets would drop a seventh."""
+    with pytest.raises(ValueError, match="expected 6 weights"):
+        stab_polytope(2).mixture(np.ones(n))
 
 
 def _traced_excess(build):
@@ -1036,6 +1076,12 @@ def test_load_distill_config_default_and_errors(tmp_path):
         load_distill_config(str(bad))
     with pytest.raises(MissingConfig, match="cannot read config file"):
         load_distill_config(str(tmp_path))
+    bad.write_text("distill.3 = 0.3\n")
+    with pytest.raises(MissingConfig, match="unknown config key: distill.3"):
+        load_distill_config(str(bad))
+    # Only None reads the shipped file; "" used to read it too.
+    with pytest.raises(MissingConfig, match="cannot read config file"):
+        load_distill_config("")
 
 
 def test_uqc_bounds_all_dimensions():

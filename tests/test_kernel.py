@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from quditgates.errors import NotInvertible
+from quditgates.errors import NotInvertible, ShapeMismatch
 from quditgates.kernel import (
+    assert_square,
     equal_up_to_global_phase,
     is_diagonal,
     is_unitary,
@@ -41,3 +42,15 @@ def test_equal_up_to_global_phase():
     assert abs(c - np.exp(0.7j)) < 1e-9
     ok, _ = equal_up_to_global_phase(a + 0.1, a)
     assert not ok
+    # A zero b matches only a zero a, with no phase to report.
+    zero = np.zeros((3, 3))
+    assert equal_up_to_global_phase(zero, zero) == (True, None)
+    assert equal_up_to_global_phase(a, zero) == (False, None)
+    with pytest.raises(ShapeMismatch):
+        equal_up_to_global_phase(a, np.eye(2))
+
+
+@pytest.mark.parametrize("m", [np.ones(3), np.ones((2, 3))], ids=["vector", "wide"])
+def test_assert_square_refuses_a_non_square_array(m):
+    with pytest.raises(ShapeMismatch, match="square matrix"):
+        assert_square(m)

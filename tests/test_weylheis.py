@@ -226,3 +226,14 @@ def test_stabilizer_state_count(p):
     # each is a rank-one projector
     for s in states:
         assert np.max(np.abs(s @ s - s)) < 1e-12
+
+
+def test_clifford_label_refuses_f_outside_sl2():
+    with pytest.raises(ShapeMismatch, match="SL"):
+        CliffordLabel(3, ((1, 1), (1, 1)), (0, 0))
+
+
+def test_compose_cliffords_refuses_labels_of_two_dimensions():
+    one = ((1, 0), (0, 1))
+    with pytest.raises(ShapeMismatch, match="different dimensions"):
+        compose_cliffords(CliffordLabel(2, one, (0, 0)), CliffordLabel(3, one, (0, 0)))
