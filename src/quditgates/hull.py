@@ -129,12 +129,13 @@ def vec_to_herm(v: np.ndarray) -> np.ndarray:
 class PolytopeSpec:
     """Hull of the pure states |v_i><v_i| given by unit kets v_i, shape (n, d).
 
-    Only the kets are stored; dense vertices are derived when read, each
-    in one allocation the size of the result (see ``_projectors`` and
-    ``system``).  ``maps`` are pairs (L, R) of p x p unitaries, each the
-    map C -> L C R on the Clifford gates, claimed to permute the Clifford
-    Choi kets up to a phase, v -> (R^T x L) v.  The type decides which kets
-    take maps: ``lp_threshold`` refuses them on any spec but the subclass
+    Only the kets are stored; dense vertices and the LP system are derived
+    from them when read, one ``_row_blocks`` block of kets at a time into a
+    result allocated once (see ``_projectors`` and ``system``).  ``maps``
+    are pairs (L, R) of p x p unitaries, each the map C -> L C R on the
+    Clifford gates, claimed to permute the Clifford Choi kets up to a
+    phase, v -> (R^T x L) v.  The type decides which kets take maps:
+    ``lp_threshold`` refuses them on any spec but the subclass
     ``cliff_polytope`` returns, and checks the claim on that one.
     """
 
@@ -169,32 +170,51 @@ class PolytopeSpec:
         return reduce(np.add, ((k[r].T * w[r]) @ k[r].conj() for r in _row_blocks(len(k))))
 
     def system(self) -> np.ndarray:
-        """Columns [vec(V_i); 1], built anew on every call.
+        """Columns [vec(V_i); 1], built anew on every call, entry for entry
+        ``herm_to_vec`` of the ``_projectors`` rows.
 
-        The result is allocated once and filled one ``_row_blocks(n, d)``
-        block of kets at a time, each block's projectors (d rows per ket)
-        and their ``herm_to_vec`` rows made and dropped in turn, so no
-        second copy of the system exists.  No LP reads it:
-        ``lp_threshold`` builds its own rows in the SVD basis of the
-        vertex span.  It is kept for the benchmark's shape check and for
-        the tests, which compare it with a dense build.
+        Filled straight from the kets, one ``_row_blocks(n, d)`` block at a
+        time, with no projector: the diagonal and the ``_triu`` products
+        v_i conj(v_j).  Each product is formed in place, the conjugates
+        into a buffer that the kets then multiply.  With its output on an
+        input, numpy's complex multiply runs its scalar loop, as it does on
+        the broadcast operands of ``_projectors``; two contiguous operands
+        into fresh memory can take its SIMD loop, which rounds some entries
+        differently in the last bit (275,804 of the 900,000 upper entries
+        at p = 5).  No LP reads the system: ``lp_threshold`` builds its own
+        rows in the SVD basis of the vertex span.  It is kept for the
+        benchmark's shape check and for the tests, which compare it with a
+        dense build.
         """
-        system = np.ones((self.dim ** 2 + 1, self.n_vertices))
-        for rows in _row_blocks(self.n_vertices, self.dim):
-            system[:-1, rows] = herm_to_vec(_projectors(self.kets[rows])).T
+        d, n = self.dim, self.n_vertices
+        iu = _triu(d)
+        t = len(iu[0])
+        i, j = np.concatenate([np.arange(d), iu[0]]), np.concatenate([np.arange(d), iu[1]])
+        system = np.empty((d * d + 1, n))
+        system[-1] = 1.0
+        for rows in _row_blocks(n, d):
+            k = self.kets[rows].T
+            prod = k[j]
+            np.conjugate(prod, out=prod)
+            np.multiply(k[i], prod, out=prod)
+            system[:d, rows] = prod[:d].real
+            np.multiply(np.sqrt(2.0), prod[d:].real, out=system[d:d + t, rows])
+            np.multiply(np.sqrt(2.0), prod[d:].imag, out=system[d + t:-1, rows])
         return system
 
 
 def _projectors(kets: np.ndarray) -> np.ndarray:
     """|v><v| for each row v, with the entries np.outer(v, v.conj()) gives.
 
-    Built in the result's own storage: the conjugates are broadcast into
-    it, then multiplied in place by the kets.  The operands stay in the
-    order ket x conj: conj x ket rounds some entries differently.
+    Written into the result's own storage in one pass per ``_row_blocks(n,
+    d)`` block, the kets times the block's conjugates; only those
+    conjugates are made beside it.  The operands stay in the order ket x
+    conj: conj x ket rounds some entries differently.
     """
     out = np.empty((len(kets), kets.shape[1], kets.shape[1]), dtype=complex)
-    np.conjugate(kets[:, None, :], out=out)
-    return np.multiply(kets[:, :, None], out, out=out)
+    for r in _row_blocks(len(kets), kets.shape[1]):
+        np.multiply(kets[r, :, None], kets[r, None, :].conj(), out=out[r])
+    return out
 
 
 def stab_polytope(p: int) -> PolytopeSpec:
@@ -406,11 +426,13 @@ def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
     """Check the separating property; returns the separation margin.
 
     Tr[W V_i] is formed one block of ``_BLOCK_ROWS`` kets at a time.  A
-    target that ``lp_membership`` would refuse, or a witness that is not
-    d x d, or not Hermitian to 1e-10, raises ValueError; a NaN witness
-    fails the vertex check instead (NumericalInstability), as a numerical
-    failure of the LP.
+    target that ``lp_membership`` would refuse, a witness that is not
+    d x d, or not Hermitian to 1e-10, or a ``floor`` that is not finite
+    and >= 0 raises ValueError; a NaN witness fails the vertex check
+    instead (NumericalInstability), as a numerical failure of the LP.
     """
+    if not (np.isfinite(floor) and floor >= 0.0):
+        raise ValueError(f"floor must be finite and >= 0, got {floor!r}")
     target = _check_density(target, spec.dim, "target")
     witness = np.asarray(witness)
     if witness.shape != (spec.dim, spec.dim):
@@ -531,13 +553,21 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     # Stable, so each orbit keeps its members in index order.
     members = np.split(np.argsort(orbit, kind="stable"), np.cumsum(sizes)[:-1])
     # Orbit averages, start and end in one array, filled in place: with a
-    # column per vertex it is the largest array the LP builds.  One column
-    # at a time, as chunks of a few MB raised the p = 5 peak RSS by 20 MB
-    # (freed blocks that size lift malloc's mmap threshold).
-    m = np.empty((spec.dim ** 2, n + 2))
-    for o, idx in enumerate(members):
-        k = spec.kets[idx]
-        m[:, o] = herm_to_vec(k.T @ k.conj() / len(k))
+    # column per vertex it is the largest array the LP builds.  The averages
+    # are stacked and vectorised one ``_row_blocks(n, d^2)`` block at a time
+    # (6 orbits, 60 KB at p = 5): stacks of a few MB raised the p = 5 peak
+    # RSS by 20 MB (freed blocks that size lift malloc's mmap threshold),
+    # and 163-orbit stacks the traced peak of one membership from 3.0 to
+    # 5-6 MB.
+    d = spec.dim
+    m = np.empty((d * d, n + 2))
+    for cols in _row_blocks(n, d * d):
+        block = members[cols]
+        avg = np.empty((len(block), d, d), dtype=complex)
+        for a, idx in zip(avg, block):
+            k = spec.kets[idx]
+            np.divide(k.T @ k.conj(), len(k), out=a)
+        m[:, :n][:, cols] = herm_to_vec(avg).T  # the last cols may run past n
     m[:, n], m[:, n + 1] = herm_to_vec(start), herm_to_vec(end)
     # A wide array has the column space and singular values of its square
     # R factor, whose SVD needs no right factor as wide as the array.

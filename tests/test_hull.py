@@ -232,13 +232,29 @@ def _traced_excess(build):
 
 
 def test_system_and_vertices_working_set_stays_small():
-    """At p = 5 ``system()`` (14.3 MiB) holds one 163-ket block of
-    projectors beside its result, 3.8 MiB traced above it; whole 1024-ket
-    stacks of projectors and their ``herm_to_vec`` temporaries took 24 MiB.
-    ``vertices`` (28.6 MiB) makes no conjugate stack beside it, 1.2 MB."""
+    """At p = 5 ``system()`` (14.3 MiB) holds only the products of one
+    163-ket block beside its result, 1.7 MB traced above it; a 163-ket
+    block of projectors took 4.0 MB, and whole 1024-ket stacks of
+    projectors and their ``herm_to_vec`` temporaries 24 MiB.  ``vertices``
+    (28.6 MiB) makes no conjugate stack beside it, 0.3 MB."""
     spec = cliff_polytope(5)
-    assert _traced_excess(spec.system) < 6e6
+    assert _traced_excess(spec.system) < 3e6
     assert _traced_excess(lambda: spec.vertices) < 0.5e6
+
+
+def test_membership_working_set_stays_small():
+    """One p = 5 membership over 180 Clifford orbits, the polytope built
+    beforehand, peaks at 3.1 MB traced: its orbit averages are stacked 6 at
+    a time.  163-orbit stacks took it to 5-6 MB."""
+    spec = cliff_polytope(5)
+    target = depolarized_choi(5, gate_matrix(5, ROBUST_GATE_PARAMS[5]), 0.94)
+    tracemalloc.start()
+    try:
+        lp_membership(spec, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5e6
 
 
 @pytest.mark.parametrize("kets", [np.empty((0, 3)), np.empty((3, 0)), np.array([1.0, 0.0])],
@@ -500,6 +516,69 @@ def test_results_do_not_depend_on_the_block(monkeypatch, p):
     assert np.array_equal(got.weights, r.weights) and np.array_equal(got.witness, r.witness)
 
 
+def _factorised_lp_matrix(monkeypatch, run):
+    """The (d^2, n + 2) matrix of orbit averages, start and end that
+    ``lp_threshold`` factorises inside ``run()``: the argument of its SVD,
+    or, for a wide matrix, the transpose of that of its QR."""
+    seen = []
+    for name in ("qr", "svd"):
+        def record(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            seen.append((_name, np.array(a)))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, record)
+    run()
+    assert [name for name, _ in seen] in (["svd"], ["qr", "svd"])
+    name, a = seen[0]
+    return a.T if name == "qr" else a
+
+
+def _per_orbit_lp_matrix(spec, start, end, maps):
+    """One ``herm_to_vec`` of k.T @ k.conj() / len(k) per orbit, its kets k
+    in index order, then start and end."""
+    orbit = hull._ket_orbits(spec.kets, maps)
+    kets = (spec.kets[orbit == o] for o in range(orbit.max() + 1))
+    return np.column_stack([herm_to_vec(k.T @ k.conj() / len(k)) for k in kets]
+                           + [herm_to_vec(start), herm_to_vec(end)])
+
+
+def _membership_case(spec, target):
+    n = spec.n_vertices
+    maps = [g for g in spec.maps if hull._fixes(g, target)]
+    args = (spec, target, spec.mixture(np.full(n, 1.0 / n)), maps)
+    return (lambda: lp_membership(spec, target)), args
+
+
+def _lp_matrix_cases():
+    u5 = gate_matrix(5, ROBUST_GATE_PARAMS[5])
+    for eps in (0.94, 0.9675):
+        yield f"cliff5-{eps}", _membership_case(cliff_polytope(5), depolarized_choi(5, u5, eps))
+    u7 = gate_matrix(7, ROBUST_GATE_PARAMS[7])
+    path = (depolarized_choi(7, u7, 0.0), depolarized_choi(7, u7, 1.0))
+
+    def depol7():
+        hull._depol_gate_threshold.cache_clear()
+        threshold_depol_gate(7, ROBUST_GATE_PARAMS[7])
+    yield "depol7", (depol7, (cliff_polytope(7), *path, _threshold_maps(7, u7)))
+    psi = gate_state(5, ROBUST_GATE_PARAMS[5])
+    yield "stab5", _membership_case(stab_polytope(5), np.outer(psi, psi.conj()))
+
+
+@pytest.mark.parametrize("block", (None, 7), ids=["default-block", "block-7"])
+def test_lp_matrix_is_the_per_orbit_formula(monkeypatch, block):
+    """The orbit averages are vectorised a block at a time; every entry of
+    the matrix the LP factorises is still the one a ``herm_to_vec`` per
+    orbit gives, bit for bit: p = 5 memberships either side of 95.24%
+    (180 orbits), the p = 7 depolarising-gate threshold (66) and a STAB(5)
+    membership with no maps (30, a wide matrix)."""
+    if block is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_ROWS", block)
+    for name, (run, args) in _lp_matrix_cases():
+        with monkeypatch.context() as m:
+            got = _factorised_lp_matrix(m, run)
+        assert np.array_equal(got, _per_orbit_lp_matrix(*args)), name
+    hull._depol_gate_threshold.cache_clear()
+
+
 def test_target_off_the_vertex_span_is_outside_at_distance_one():
     """Every EQ vertex has a flat diagonal, so the path from |0><0| meets
     the hull only at its end, I/5."""
@@ -549,6 +628,15 @@ def test_nan_witness_does_not_pass_as_a_certificate():
 def test_witness_of_the_wrong_shape_is_rejected():
     with pytest.raises(ValueError, match=r"witness must be 3 x 3, got shape \(2, 2\)"):
         verify_certificate(stab_polytope(3), np.eye(3) / 3, np.eye(2))
+
+
+@pytest.mark.parametrize("floor", [-2.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+def test_verify_certificate_refuses_a_bad_floor(floor):
+    """The identity does not separate I/2 (Tr[W rho] = 1): a negative floor
+    used to pass it with margin -1, and a NaN or infinite one blamed the
+    certificate (NumericalInstability) for a bad argument."""
+    with pytest.raises(ValueError, match="floor must be finite and >= 0"):
+        verify_certificate(stab_polytope(2), np.eye(2) / 2, np.eye(2), floor=floor)
 
 
 def test_target_of_the_wrong_shape_is_rejected():
@@ -733,7 +821,8 @@ def test_lp_threshold_matches_highs(p):
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_orbit_lp_matches_full_lp(p):
-    """The full LP over every vertex is the oracle; at p=5 it takes ~20 s."""
+    """The full LP over every vertex is the oracle; at p=5 it takes 8.1-9.3 s
+    (one BLAS thread, shared 2-vCPU Xeon)."""
     u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
     orbit = threshold_depol_gate(p, ROBUST_GATE_PARAMS[p])
     full = lp_threshold(cliff_polytope(p), depolarized_choi(p, u, 0.0),
