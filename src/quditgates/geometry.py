@@ -18,6 +18,7 @@ p^2 edges with equal spectra and eigenvector moduli, and weight each p^2.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,10 +54,7 @@ from .weylheis import (
 
 def state_from_diagonal(u) -> np.ndarray:
     """psi_U = U |+> for a diagonal unitary U (matrix or DiagGateExact)."""
-    if isinstance(u, DiagGateExact):
-        d = np.exp(2j * np.pi * np.asarray(u.exps) / u.root_order)
-        return d / np.sqrt(len(d))
-    u = np.asarray(u, dtype=complex)
+    u = np.asarray(u.matrix() if isinstance(u, DiagGateExact) else u, dtype=complex)
     if not is_diagonal(u):
         raise NotDiagonal("state_from_diagonal expects a diagonal unitary")
     d = np.diag(u)
@@ -170,9 +168,13 @@ def depolarized_choi(p: int, u: np.ndarray, eps: float) -> np.ndarray:
 
 
 def facet_operator(p: int, u) -> np.ndarray:
-    """Full facet A(u); ``u`` has one eigenvalue index per basis (p+1 entries)."""
+    """Full facet A(u); ``u`` has one eigenvalue index per basis (p+1
+    integers, else ValueError)."""
     check_dim(p)
-    u = tuple(int(x) % p for x in u)
+    try:
+        u = tuple(operator.index(x) % p for x in u)
+    except TypeError:
+        raise ValueError(f"facet_operator: u must hold integer indices, got {u!r}") from None
     if len(u) != p + 1:
         raise BadLength(f"need {p + 1} indices, got {len(u)}")
     projs = mub_projectors(p)

@@ -195,12 +195,15 @@ def identify_third_level(p: int, u: np.ndarray, tol: float = 1e-9) -> ThirdLevel
     to the nearest ``root_order(p)``-th root of unity, and the conjugate
     must lie within ``max(tol, 1e-8)`` of those roots at those entries and
     of 0 elsewhere; U must be p x p, diagonal and unitary within the same
-    bound (ShapeMismatch, NotDiagonal, NotUnitary otherwise).  The running
+    bound (ShapeMismatch, NotDiagonal, NotUnitary otherwise; ValueError
+    unless ``tol`` is finite and >= 0).  The running
     sums of the roots' exponents are then the gate's exponent row, which names
     the gate if it is one of the family's p**3 rows.  The rule is the same at
     every p, and a stray global phase on the input cancels in the ratios.
     """
     check_dim(p)
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     u = np.asarray(u, dtype=complex)
     if u.shape != (p, p):
         raise ShapeMismatch(f"expected a {p} x {p} matrix, got {u.shape}")

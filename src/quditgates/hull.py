@@ -35,6 +35,7 @@ arithmetic; only ``cliff_polytope``'s spec, of its own type, takes maps.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -642,12 +643,12 @@ def threshold_depol_gate(p: int, g: GateParams) -> ThresholdResult:
     cached result, whose ``weights`` and ``witness`` arrays are read-only.
 
     ``lp_threshold`` from J_U to I/p^2 over the orbits of maps that fix
-    both and permute the Clifford Choi kets: the pairs (U D^dag U^dag, D)
-    for D = X, Z, i.e. C -> (U D^dag U^dag) C D, which permute them as U
-    is a third-level gate, and those of ``cliff_polytope(p).maps`` that fix
-    J_U.  For the diagonal U of the family these include the conjugations
-    by Z and by the shear V_F, F = [[1, 0], [1, 1]].  A gate given as a
-    matrix is named by ``identify_third_level``.
+    both and permute the Clifford Choi kets: (U X^dag U^dag, X), i.e.
+    C -> (U X^dag U^dag) C X, which permutes them as U is a third-level
+    gate, and those of ``cliff_polytope(p).maps`` that fix J_U.  For the
+    diagonal U of the family these include the conjugations by Z, which
+    is (U Z^dag U^dag, Z), and by the shear V_F, F = [[1, 0], [1, 1]].
+    A gate given as a matrix is named by ``identify_third_level``.
     """
     check_dim(p)
     return _depol_gate_threshold(p, g.reduced(p))
@@ -658,7 +659,7 @@ def _depol_gate_threshold(p: int, g: GateParams) -> ThresholdResult:
     u = gate_matrix(p, g)
     spec = cliff_polytope(p)
     start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
-    maps = [(u @ d.conj().T @ u.conj().T, d) for d in (pauli_x(p), pauli_z(p))]
+    maps = [(u @ pauli_x(p).conj().T @ u.conj().T, pauli_x(p))]
     maps += [m for m in spec.maps if _fixes(m, start)]
     r = lp_threshold(spec, start, end, maps)
     for a in (r.weights, r.witness):
@@ -907,7 +908,7 @@ def _lattice_starts(p: int) -> np.ndarray:
 def optimize_equatorial(p: int, seed: int = 0, restarts: int = 24) -> EquatorialOptimum:
     """Maximise negativity over equatorial states by local search.
 
-    Starts are ``restarts`` seeded uniform angles (``restarts`` >= 0, else
+    Starts are ``restarts`` seeded uniform angles (an integer >= 0, else
     ValueError) plus the 8 best points of the root-of-unity lattice
     matching the diagonal-gate family.  The lattice is scored once per
     orbit of the diagonal Cliffords (z, 0, eps), 2,401 orbits at p = 7
@@ -923,6 +924,10 @@ def optimize_equatorial(p: int, seed: int = 0, restarts: int = 24) -> Equatorial
     values must agree to 1e-12 (NumericalInstability otherwise).
     """
     check_dim(p)
+    try:
+        restarts = operator.index(restarts)
+    except TypeError:
+        raise ValueError(f"restarts must be an integer, got {restarts!r}") from None
     if restarts < 0:
         raise ValueError("restarts must be >= 0")
     rng = np.random.default_rng(seed)

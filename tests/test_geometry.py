@@ -62,6 +62,15 @@ def test_facet_operator_trace(p):
         edge_facet(p, (0,) * (p + 1))
 
 
+@pytest.mark.parametrize("u", [(0.5, 1, 2, 0), ("1", 1, 2, 0)], ids=["half", "string"])
+def test_facet_operator_refuses_non_integer_indices(u):
+    """An index is read as ``GateParams`` reads its residues: 0.5 is not
+    taken as 0, nor the string "1" as 1."""
+    with pytest.raises(ValueError, match="u must hold integer indices"):
+        facet_operator(3, u)
+    assert np.array_equal(facet_operator(3, np.array([0, 1, 2, 0])), facet_operator(3, (0, 1, 2, 0)))
+
+
 def test_edge_facet_is_z_average_qutrit():
     """A_edge(u) must equal the average of A(u0, u) over the Z index."""
     p = 3

@@ -30,7 +30,7 @@ from quditgates.hierarchy import (
     root_order,
 )
 from quditgates.kernel import equal_up_to_global_phase, mod_inv
-from quditgates.weylheis import CliffordLabel, clifford_unitary, displacement
+from quditgates.weylheis import CliffordLabel, clifford_unitary, displacement, pauli_x
 
 
 def oracle_exponents(p, z, g, e):
@@ -300,6 +300,20 @@ def test_identify_third_level_typed_errors(u, error):
     dimension: p = 3 is supported."""
     with pytest.raises(error):
         identify_third_level(3, u)
+
+
+@pytest.mark.parametrize("tol,u", [
+    (np.nan, gate_matrix(3, GateParams(1, 2, 0))),
+    (np.inf, pauli_x(3)),
+    (-1.0, gate_matrix(3, GateParams(1, 2, 0))),
+], ids=["nan", "inf", "negative"])
+def test_identify_third_level_refuses_a_bad_tol(tol, u):
+    """``tol`` must be finite and >= 0, as ``--tol`` must: NaN fails every
+    comparison and would call the diagonal robust gate non-diagonal, inf
+    would name the shift X the identity Clifford, and a negative tol would
+    run silently at 1e-8."""
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        identify_third_level(3, u, tol)
 
 
 def test_magic_gate_matrix_needs_odd_p():

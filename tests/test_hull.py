@@ -412,11 +412,15 @@ def test_per_map_check_rejects_a_non_clifford_left_factor():
                      maps=[(s.conj().T, s)])
 
 
-def _threshold_maps(p, u):
-    """The maps ``threshold_depol_gate`` runs over for the diagonal gate u."""
+def _threshold_maps(p, u, gate_pairs=(pauli_x,)):
+    """The maps ``threshold_depol_gate`` runs over for the diagonal gate u:
+    the pairs (U D^dag U^dag, D) for D in ``gate_pairs``, then the maps of
+    ``cliff_polytope(p)`` that fix both ends of the path.  With D = X, Z it
+    gives the four-map rule the tests hold the threshold's orbits to; its
+    Z pair is, for a diagonal U, the polytope's own conjugation by Z."""
     spec = cliff_polytope(p)
     start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
-    maps = [(u @ d.conj().T @ u.conj().T, d) for d in (pauli_x(p), pauli_z(p))]
+    maps = [(u @ d(p).conj().T @ u.conj().T, d(p)) for d in gate_pairs]
     return maps + [g for g in spec.maps if hull._fixes(g, start) and hull._fixes(g, end)]
 
 
@@ -493,6 +497,62 @@ def test_ket_orbits_match_a_per_ket_search(p):
     spec = cliff_polytope(p)
     for maps in (spec.maps, _threshold_maps(p, gate_matrix(p, ROBUST_GATE_PARAMS[p]))):
         assert np.array_equal(hull._ket_orbits(spec.kets, maps), _per_ket_orbits(spec.kets, maps))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_ket_orbits_depend_only_on_the_generated_group(p):
+    """Orbits are numbered by their least member, so reversing the maps or
+    giving one of them twice leaves every label as it was, for the
+    polytope's own maps and the robust gate's threshold maps."""
+    spec = cliff_polytope(p)
+    for maps in (list(spec.maps), _threshold_maps(p, gate_matrix(p, ROBUST_GATE_PARAMS[p]))):
+        want = hull._ket_orbits(spec.kets, maps)
+        assert want.max() > 0 and want.max() + 1 < spec.n_vertices
+        for same_group in (maps[::-1], maps + maps[:1], maps[1:] + maps):
+            assert np.array_equal(hull._ket_orbits(spec.kets, same_group), want)
+
+
+def _threshold_gates(p):
+    """Every family gate at p = 2 and 3; the robust gate and one gate per
+    +-gamma class at p = 5 and 7."""
+    if p <= 3:
+        return [GateParams(z, g, e) for z in range(p) for g in range(p) for e in range(p)]
+    return [ROBUST_GATE_PARAMS[p]] + [GateParams(0, g, 1) for g in range((p + 1) // 2)]
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_threshold_passes_each_symmetry_once(monkeypatch, p):
+    """``threshold_depol_gate`` hands ``lp_threshold`` the maps of
+    ``_threshold_maps``: one map fewer than the rule with the pairs for
+    both X and Z, and the same orbits.  For a gamma != 0 gate no two of
+    its maps permute the kets alike; a gate Z^e, such as (0, 0, 1), keeps
+    an X pair equal to the polytope's X conjugation."""
+    seen = []
+
+    def capture(spec, start, end, maps=()):
+        seen.append(list(maps))
+        raise _Captured
+
+    monkeypatch.setattr(hull, "lp_threshold", capture)
+    spec = cliff_polytope(p)
+    for g in _threshold_gates(p):
+        hull._depol_gate_threshold.cache_clear()
+        with pytest.raises(_Captured):
+            threshold_depol_gate(p, g)
+        maps, u = seen.pop(), gate_matrix(p, g)
+        mirror, four = _threshold_maps(p, u), _threshold_maps(p, u, (pauli_x, pauli_z))
+        assert len(maps) == len(mirror) == len(four) - 1, g
+        assert all(np.array_equal(a, b) for m, w in zip(maps, mirror) for a, b in zip(m, w)), g
+        assert np.array_equal(hull._ket_orbits(spec.kets, maps),
+                              hull._ket_orbits(spec.kets, four)), g
+        if g.gamma % p:  # maps with other orbits of their own permute the kets apart
+            alone = {hull._ket_orbits(spec.kets, [m]).tobytes() for m in maps}
+            assert len(alone) == len(maps), g
+    hull._depol_gate_threshold.cache_clear()
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -1215,6 +1275,12 @@ def test_optimizer_deterministic():
     b = optimize_equatorial(3, seed=5, restarts=6)
     assert np.array_equal(a.theta, b.theta)
     assert a.negativity == b.negativity
+
+
+@pytest.mark.parametrize("restarts", (2.5, "2"))
+def test_optimizer_refuses_a_non_integer_restart_count(restarts):
+    with pytest.raises(ValueError, match="restarts must be an integer"):
+        optimize_equatorial(3, restarts=restarts)
 
 
 def test_optimizer_rejects_empty_starts():
