@@ -132,15 +132,15 @@ class PolytopeSpec:
 
     Only the kets are stored; dense vertices and the LP system are derived
     from them when read, one ``_row_blocks`` block of kets at a time into a
-    result allocated once (see ``_projectors`` and ``system``).  ``maps``
-    are pairs (L, R) of p x p unitaries, each the map C -> L C R on the
-    Clifford gates, claimed to permute the Clifford Choi kets up to a
-    phase, v -> (R^T x L) v.  The type decides which kets take maps:
-    ``lp_threshold`` refuses them on any spec but the subclass
-    ``cliff_polytope`` returns, and checks the claim on that one.
+    result allocated once (see ``vertices`` and ``system``).  ``maps`` are
+    the symmetries ``lp_membership`` runs over: none on a plain spec; the
+    spec ``cliff_polytope`` returns, of a type of its own, carries the
+    Clifford conjugations (see ``lp_threshold``).
     """
 
-    def __init__(self, name: str, kets: np.ndarray, maps=()):
+    maps = ()
+
+    def __init__(self, kets: np.ndarray):
         kets = np.asarray(kets, dtype=complex)
         if kets.ndim != 2 or kets.size == 0:
             raise ValueError("polytope kets must be a non-empty (n, d) array, "
@@ -148,10 +148,8 @@ class PolytopeSpec:
         if not np.max([np.max(np.abs(np.linalg.norm(kets[r], axis=1) - 1.0))
                        for r in _row_blocks(len(kets))]) <= 1e-10:
             raise ValueError("polytope vertices must be unit kets")
-        self.name = name
         self.kets = kets
         self.dim = kets.shape[1]
-        self.maps = tuple(maps)
 
     @property
     def n_vertices(self) -> int:
@@ -159,8 +157,19 @@ class PolytopeSpec:
 
     @property
     def vertices(self) -> np.ndarray:
-        """Dense (n, d, d) stack of the projectors |v_i><v_i|."""
-        return _projectors(self.kets)
+        """Dense (n, d, d) stack of the projectors |v_i><v_i|, with the
+        entries np.outer(v, v.conj()) gives.
+
+        Written into the result's own storage in one pass per
+        ``_row_blocks(n, d)`` block, the kets times the block's conjugates;
+        only those conjugates are made beside it.  The operands stay in the
+        order ket x conj: conj x ket rounds some entries differently.
+        """
+        k = self.kets
+        out = np.empty((self.n_vertices, self.dim, self.dim), dtype=complex)
+        for r in _row_blocks(self.n_vertices, self.dim):
+            np.multiply(k[r, :, None], k[r, None, :].conj(), out=out[r])
+        return out
 
     def mixture(self, w: np.ndarray) -> np.ndarray:
         """sum_i w_i |v_i><v_i|, one weight per ket (ValueError otherwise), added by
@@ -172,14 +181,14 @@ class PolytopeSpec:
 
     def system(self) -> np.ndarray:
         """Columns [vec(V_i); 1], built anew on every call, entry for entry
-        ``herm_to_vec`` of the ``_projectors`` rows.
+        ``herm_to_vec`` of the ``vertices``.
 
         Filled straight from the kets, one ``_row_blocks(n, d)`` block at a
         time, with no projector: the diagonal and the ``_triu`` products
         v_i conj(v_j).  Each product is formed in place, the conjugates
         into a buffer that the kets then multiply.  With its output on an
         input, numpy's complex multiply runs its scalar loop, as it does on
-        the broadcast operands of ``_projectors``; two contiguous operands
+        the broadcast operands of ``vertices``; two contiguous operands
         into fresh memory can take its SIMD loop, which rounds some entries
         differently in the last bit (275,804 of the 900,000 upper entries
         at p = 5).  No LP reads the system: ``lp_threshold`` builds its own
@@ -204,23 +213,9 @@ class PolytopeSpec:
         return system
 
 
-def _projectors(kets: np.ndarray) -> np.ndarray:
-    """|v><v| for each row v, with the entries np.outer(v, v.conj()) gives.
-
-    Written into the result's own storage in one pass per ``_row_blocks(n,
-    d)`` block, the kets times the block's conjugates; only those
-    conjugates are made beside it.  The operands stay in the order ket x
-    conj: conj x ket rounds some entries differently.
-    """
-    out = np.empty((len(kets), kets.shape[1], kets.shape[1]), dtype=complex)
-    for r in _row_blocks(len(kets), kets.shape[1]):
-        np.multiply(kets[r, :, None], kets[r, None, :].conj(), out=out[r])
-    return out
-
-
 def stab_polytope(p: int) -> PolytopeSpec:
     """Hull of the p(p+1) single-qudit stabilizer states."""
-    return PolytopeSpec("STAB", mub_vectors(p).reshape(-1, p))
+    return PolytopeSpec(mub_vectors(p).reshape(-1, p))
 
 
 def equatorial_polytope(p: int) -> PolytopeSpec:
@@ -231,8 +226,8 @@ def equatorial_polytope(p: int) -> PolytopeSpec:
     equatorial stabilizer states.
     """
     check_dim(p)
-    return PolytopeSpec("EQ", np.array([gate_state(p, GateParams(z, 0, e))
-                                        for z in range(p) for e in range(p)]))
+    return PolytopeSpec(np.array([gate_state(p, GateParams(z, 0, e))
+                                  for z in range(p) for e in range(p)]))
 
 
 def cliff_polytope(p: int) -> PolytopeSpec:
@@ -242,11 +237,12 @@ def cliff_polytope(p: int) -> PolytopeSpec:
     in (x, z) order, with the ``symplectic_unitaries`` stack, in
     ``sl2_matrices`` order: the ``clifford_labels`` order, and entry for
     entry the dense D_chi V_F of each label.  They are formed and turned
-    into kets at most ``_BLOCK_ROWS`` at a time.  At p = 7 that is 16464 kets of length 49, 13 MB; the dense vertices
-    would take 632 MB and the LP system 316 MB, so the depolarising-gate
-    threshold reads neither (see ``threshold_depol_gate``).  Its maps are
-    the conjugations C -> S^dag C S, the pairs (S^dag, S), for S = X, Z,
-    and V_F for the shear F = [[1, 0], [1, 1]] and the Fourier matrix
+    into kets at most ``_BLOCK_ROWS`` at a time.  At p = 7 that is 16464
+    kets of length 49, 13 MB; the dense vertices would take 632 MB and the
+    LP system 316 MB, so the depolarising-gate threshold reads neither
+    (see ``threshold_depol_gate``).  The spec's ``maps`` are the
+    conjugations C -> S^dag C S, the pairs (S^dag, S), for S = X, Z, and
+    V_F for the shear F = [[1, 0], [1, 1]] and the Fourier matrix
     F = [[0, -1], [1, 0]]; they generate the Clifford group, so
     ``lp_membership`` decides any target over the orbits of the
     conjugations that fix it.
@@ -259,7 +255,9 @@ def cliff_polytope(p: int) -> PolytopeSpec:
         kets[rows] = choi_ket(np.matmul(ds[None], vs[rows, None]))
     gens = (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
             symplectic_unitary(p, ((0, p - 1), (1, 0))))
-    return _CliffordPolytope("CLIFF", kets.reshape(-1, p * p), [(s.conj().T, s) for s in gens])
+    spec = _CliffordPolytope(kets.reshape(-1, p * p))
+    spec.maps = tuple((s.conj().T, s) for s in gens)
+    return spec
 
 
 class _CliffordPolytope(PolytopeSpec):
@@ -392,11 +390,11 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
     ``spec.mixture`` of uniform weights, which lies inside the hull, so the target
     is inside iff eps* = 0; eps* is returned as ``distance``.  The LP takes one
     column per orbit of those ``spec.maps`` that fix the target (all columns when
-    none does); they must be ``cliff_polytope``'s, permute its kets and fix the
-    barycentre (SymmetryViolation otherwise).  Inside, the weights are those of the
-    LP, spread over every vertex.  Outside, the LP's witness separates the point
-    just short of eps*, and it is checked against the target itself, which lies
-    farther out (NumericalInstability if the weights or the witness fail).
+    none does, or when the spec, unlike ``cliff_polytope``'s, carries none).
+    Inside, the weights are those of the LP, spread over every vertex.  Outside,
+    the LP's witness separates the point just short of eps*, and it is checked
+    against the target itself, which lies farther out (NumericalInstability if
+    the weights or the witness fail).  Both are read-only.
     """
     target = _check_density(target, spec.dim, "target")
     n = spec.n_vertices
@@ -536,11 +534,12 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     coordinates as y = (vec G, y0), give W = -(G + y0 I) with
     Tr[W V_i] >= 0 on every vertex and Tr[W target(eps)] = eps - eps*;
     scaled to unit spectral radius, W must pass ``verify_certificate`` at
-    eps* - THRESHOLD_DELTA.  The path ends at eps = 1, and an eps* within
-    LP_TOL of either end is taken as that end: a start already inside
-    returns exactly 0.0 with no witness, and a target reached only at
-    ``end``, such as one off the span of the vertices, returns 1.0.  An
-    eps* farther beyond 1 raises NumericalInstability.
+    eps* - THRESHOLD_DELTA; both arrays are returned read-only.  The path
+    ends at eps = 1, and an eps* within LP_TOL of either end is taken as
+    that end: a start already inside returns exactly 0.0 with no witness,
+    and a target reached only at ``end``, such as one off the span of the
+    vertices, returns 1.0.  An eps* farther beyond 1 raises
+    NumericalInstability.
     """
     if maps and not isinstance(spec, _CliffordPolytope):
         raise SymmetryViolation("maps permute the kets of cliff_polytope alone")
@@ -592,6 +591,7 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     # Within LP_TOL of either end of the path is taken as that end.
     eps_star = 0.0 if eps_star <= LP_TOL else min(eps_star, 1.0)
     w = x[orbit] / sizes[orbit]
+    w.flags.writeable = False
 
     def target(eps):
         return (1.0 - eps) * start + eps * end
@@ -606,6 +606,7 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     wit = -(vec_to_herm(basis @ y[:-1]) + y[-1] * np.eye(spec.dim))
     scale = float(np.max(np.abs(np.linalg.eigvalsh(wit))))
     wit /= scale
+    wit.flags.writeable = False
     delta = min(THRESHOLD_DELTA, eps_star)
     margin = verify_certificate(spec, target(eps_star - delta), wit,
                                 floor=min(LP_TOL, 0.5 * delta / scale))
@@ -661,11 +662,7 @@ def _depol_gate_threshold(p: int, g: GateParams) -> ThresholdResult:
     start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
     maps = [(u @ pauli_x(p).conj().T @ u.conj().T, pauli_x(p))]
     maps += [m for m in spec.maps if _fixes(m, start)]
-    r = lp_threshold(spec, start, end, maps)
-    for a in (r.weights, r.witness):
-        if a is not None:
-            a.flags.writeable = False
-    return r
+    return lp_threshold(spec, start, end, maps)
 
 
 def dilution(p: int, eps: float) -> float:

@@ -10,8 +10,9 @@ commits on one host can be compared line for line:
     diff parent.txt head.txt
 
 The bits depend on the BLAS kernel, so the first line names numpy, the
-machine and ``OPENBLAS_CORETYPE``; compare only fingerprints taken under
-the same first line.  The objects are the depolarising-gate thresholds
+machine, ``OPENBLAS_CORETYPE`` and the core that numpy's OpenBLAS runs
+(``default`` names none, whatever OpenBLAS picked); compare only
+fingerprints taken under the same first line.  The objects are the depolarising-gate thresholds
 at p = 2, 3, 5, 7 for three gates each, the p = 5 and 7 CLIFF and one
 STAB(5) membership, the full-vertex CLIFF LP at p = 3, the equatorial
 optimum at p = 5 and 7 with its work counts, the p = 7 edge scan, and
@@ -20,6 +21,7 @@ the JSON output of ``table1/2/3`` and ``threshold`` without
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -40,6 +42,16 @@ from quditgates.hull import (
     stab_polytope,
     threshold_depol_gate,
 )
+
+
+def openblas_core() -> str:
+    """The core name of numpy's bundled OpenBLAS, ``unknown`` without one."""
+    get = getattr(ctypes.CDLL(np._core._multiarray_umath.__file__),
+                  "scipy_openblas_get_corename64_", None)
+    if get is None:
+        return "unknown"
+    get.restype = ctypes.c_char_p
+    return get().decode()
 
 
 def md5(a) -> str:
@@ -67,7 +79,8 @@ def membership_line(out) -> str:
 
 def lines():
     yield (f"numpy {np.__version__} machine {platform.machine()} "
-           f"OPENBLAS_CORETYPE {os.environ.get('OPENBLAS_CORETYPE', 'default')}")
+           f"OPENBLAS_CORETYPE {os.environ.get('OPENBLAS_CORETYPE', 'default')} "
+           f"core {openblas_core()}")
     for p in (2, 3, 5, 7):
         for g in (ROBUST_GATE_PARAMS[p], GateParams(1, 1, 0), GateParams(0, 1, 1)):
             yield f"threshold_depol_gate p={p} {g.astuple()}: " + threshold_line(

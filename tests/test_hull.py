@@ -43,6 +43,7 @@ from quditgates.weylheis import (
     pauli_x,
     pauli_z,
     sl2_matrices,
+    symplectic_unitary,
 )
 
 
@@ -261,7 +262,7 @@ def test_membership_working_set_stays_small():
                          ids=["no-kets", "zero-length", "one-dim"])
 def test_polytope_rejects_kets_not_a_non_empty_matrix(kets):
     with pytest.raises(ValueError, match=r"\(n, d\) array, got shape"):
-        hull.PolytopeSpec("BAD", kets)
+        hull.PolytopeSpec(kets)
 
 
 @pytest.mark.parametrize("p", (2, 3))
@@ -334,6 +335,19 @@ def test_cliff_membership_over_orbits_matches_full_lp(p, eps):
     assert abs(out.distance - full.epsilon_star) < 1e-9
 
 
+def test_membership_evidence_is_read_only():
+    """The weights inside and the certificate outside, as ``lp_threshold``
+    returns them."""
+    spec = stab_polytope(2)
+    psi = gate_state(2, ROBUST_GATE_PARAMS[2])
+    inside = lp_membership(spec, np.eye(2) / 2)
+    outside = lp_membership(spec, np.outer(psi, psi.conj()))
+    assert inside.feasible and not outside.feasible
+    for a in (inside.weights, outside.certificate):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
 @pytest.mark.parametrize("p", (2, 3))
 def test_cliff_membership_of_a_random_mixture_uses_every_vertex(p):
     """No Clifford conjugation fixes a generic interior point."""
@@ -343,25 +357,34 @@ def test_cliff_membership_of_a_random_mixture_uses_every_vertex(p):
     assert out.feasible and out.orbits == spec.n_vertices
 
 
+def _membership_maps(spec, target):
+    """What ``lp_membership`` hands ``lp_threshold`` after the spec: the
+    target, the vertex barycentre and the spec's maps that fix the target."""
+    n = spec.n_vertices
+    maps = [g for g in spec.maps if hull._fixes(g, target)]
+    return target, spec.mixture(np.full(n, 1.0 / n)), maps
+
+
 def test_membership_rejects_a_map_that_does_not_permute_the_vertices():
     """A diagonal phase gate off the Clifford group fixes the Choi state
-    of the T gate but maps Clifford Choi kets off the polytope; the LP
-    must raise rather than drop it."""
+    of the T gate but maps Clifford Choi kets off the polytope; added to
+    the maps a membership of ``cliff_polytope(2)`` runs over, the LP must
+    raise rather than drop it."""
     spec = cliff_polytope(2)
     s = np.diag([1.0, np.exp(0.3j)])
-    bad = hull.PolytopeSpec("CLIFF", spec.kets, spec.maps + ((s.conj().T, s),))
-    target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
+    target, barycentre, maps = _membership_maps(
+        spec, depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5))
     assert lp_membership(spec, target).orbits < spec.n_vertices
-    with pytest.raises(SymmetryViolation, match="permute"):
-        lp_membership(bad, target)
+    with pytest.raises(SymmetryViolation, match="does not permute"):
+        lp_threshold(spec, target, barycentre, maps + [(s.conj().T, s)])
 
 
 def _rolled_kets(spec):
-    return hull.PolytopeSpec("CLIFF", np.roll(spec.kets, 1, axis=0), spec.maps)
+    return np.roll(spec.kets, 1, axis=0), spec.maps
 
 
 def _subset_of_kets(spec):
-    return hull.PolytopeSpec("CLIFF", spec.kets[:12], spec.maps)
+    return spec.kets[:12], spec.maps
 
 
 def _repeated_ket(spec):
@@ -371,35 +394,55 @@ def _repeated_ket(spec):
     x = 4 * sl2_matrices(2).index(((1, 0), (0, 1))) + 2  # chi = (1, 0), then (1, 1)
     kets = spec.kets.copy()
     kets[x + 1] = kets[x]
-    return hull.PolytopeSpec("CLIFF", kets, spec.maps[1:2])
+    return kets, spec.maps[1:2]
 
 
 def _non_clifford_left_factor(spec):
     """Conjugation by S = diag(1, e^0.3i), (L, R) = (S^dag, S): it fixes
     every diagonal gate's Choi state, and L is not a Clifford."""
     s = np.diag([1.0, np.exp(0.3j)])
-    return hull.PolytopeSpec("CLIFF", spec.kets, spec.maps + ((s.conj().T, s),))
+    return spec.kets, spec.maps + ((s.conj().T, s),)
 
 
 @pytest.mark.parametrize("corrupt", (_rolled_kets, _subset_of_kets, _repeated_ket,
                                      _non_clifford_left_factor))
 def test_membership_fails_closed_on_a_broken_symmetry(corrupt):
     """Maps on hand-built kets raise: kets out of order, a ket list that is
-    not the whole polytope, a ket given twice, and a non-Clifford L."""
+    not the whole polytope, a ket given twice, and a non-Clifford L, each
+    handed to ``lp_threshold`` with a plain spec of those kets."""
     spec = cliff_polytope(2)
     target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
     assert lp_membership(spec, target).orbits < spec.n_vertices
+    kets, maps = corrupt(spec)
     with pytest.raises(SymmetryViolation):
-        lp_membership(corrupt(spec), target)
+        lp_threshold(hull.PolytopeSpec(kets), target, np.eye(4) / 4, maps)
 
 
 def test_maps_on_exact_kets_of_the_wrong_type_are_refused():
     """Only the spec ``cliff_polytope`` returns takes maps, even against
-    a plain spec with the very same kets and maps."""
+    a plain spec with the very same kets and the maps a membership of
+    ``cliff_polytope(2)`` runs over."""
     spec = cliff_polytope(2)
-    target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
+    target, barycentre, maps = _membership_maps(
+        spec, depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5))
+    assert maps
     with pytest.raises(SymmetryViolation, match="permute the kets of cliff_polytope alone"):
-        lp_membership(hull.PolytopeSpec("CLIFF", spec.kets, spec.maps), target)
+        lp_threshold(hull.PolytopeSpec(spec.kets), target, barycentre, maps)
+
+
+def test_only_cliff_polytope_carries_maps():
+    """A spec is its kets: a plain one, STAB's and EQ's carry no maps, and
+    ``cliff_polytope``'s carries the conjugations (S^dag, S) by X, Z, the
+    shear and the Fourier gate, in that order."""
+    p = 3
+    gens = (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
+            symplectic_unitary(p, ((0, p - 1), (1, 0))))
+    for spec in (stab_polytope(p), equatorial_polytope(p), hull.PolytopeSpec(np.eye(p))):
+        assert spec.maps == () and not hasattr(spec, "name")
+    spec = cliff_polytope(p)
+    assert isinstance(spec.maps, tuple) and len(spec.maps) == len(gens)
+    for (l, r), s in zip(spec.maps, gens):
+        assert np.array_equal(l, s.conj().T) and np.array_equal(r, s)
 
 
 def test_per_map_check_rejects_a_non_clifford_left_factor():
@@ -602,10 +645,7 @@ def _per_orbit_lp_matrix(spec, start, end, maps):
 
 
 def _membership_case(spec, target):
-    n = spec.n_vertices
-    maps = [g for g in spec.maps if hull._fixes(g, target)]
-    args = (spec, target, spec.mixture(np.full(n, 1.0 / n)), maps)
-    return (lambda: lp_membership(spec, target)), args
+    return (lambda: lp_membership(spec, target)), (spec, *_membership_maps(spec, target))
 
 
 def _lp_matrix_cases():
@@ -677,12 +717,32 @@ def test_nan_ket_is_rejected():
     kets = stab_polytope(3).kets.copy()
     kets[4, 1] = np.nan
     with pytest.raises(ValueError, match="unit kets"):
-        hull.PolytopeSpec("STAB", kets)
+        hull.PolytopeSpec(kets)
 
 
 def test_nan_witness_does_not_pass_as_a_certificate():
     with pytest.raises(NumericalInstability):
         verify_certificate(stab_polytope(3), np.eye(3) / 3, np.full((3, 3), np.nan))
+
+
+def test_witness_that_does_not_separate_is_refused():
+    """The identity is >= 0 on every vertex, and on the target too."""
+    with pytest.raises(NumericalInstability, match="does not separate the target"):
+        verify_certificate(stab_polytope(3), np.eye(3) / 3, np.eye(3))
+
+
+def test_threshold_weights_that_miss_the_target_are_refused(monkeypatch):
+    """Halved simplex weights, eps* among them, are off the path at eps*."""
+    real = hull._simplex
+
+    def halved(*args):
+        w, *rest = real(*args)
+        return (w / 2, *rest)
+
+    monkeypatch.setattr(hull, "_simplex", halved)
+    u = gate_matrix(2, ROBUST_GATE_PARAMS[2])
+    with pytest.raises(NumericalInstability, match="fail to reproduce the target"):
+        lp_threshold(cliff_polytope(2), choi_of_unitary(u), np.eye(4) / 4)
 
 
 def test_witness_of_the_wrong_shape_is_rejected():
@@ -975,7 +1035,9 @@ def test_orbit_lp_rejects_a_map_that_moves_the_path():
 # The simplex before it priced against the structural matrix in place,
 # kept as an oracle: it builds the dense signed system [A diag(sign) | I],
 # prices every column, artificials included, and allocates a new basis
-# inverse at every pivot.
+# inverse at every pivot.  The structural columns are priced by y @ A, the
+# BLAS call ``_simplex`` makes, so that the two agree bit for bit under any
+# kernel; the artificials' prices y @ I are y itself.
 
 def _oracle_pivot_loop(cols, rhs, cost, basis, binv, xb, banned, n, forced):
     m = len(basis)
@@ -987,7 +1049,7 @@ def _oracle_pivot_loop(cols, rhs, cost, basis, binv, xb, banned, n, forced):
             binv = np.linalg.inv(cols[:, basis])
             xb = np.maximum(binv @ rhs, 0.0)
         y = cost[basis] @ binv
-        rc = cost - y @ cols
+        rc = cost - np.concatenate([y @ cols[:, :n], y])
         rc[banned] = np.inf
         rc[basis] = np.inf
         if bland:
@@ -1061,6 +1123,19 @@ def _oracle_simplex(a, b, cost):
     return np.maximum(w[:n], 0.0), y, iters + more
 
 
+@pytest.mark.parametrize("args, message", [
+    (([[1.0, 1.0]], [-1.0], [0.0, 0.0]), "no feasible point to start phase 2 from"),
+    (([[1.0, -1.0]], [1.0], [0.0, -1.0]), "unbounded pivot column"),
+], ids=["infeasible", "unbounded"])
+def test_simplex_fails_closed_as_the_oracle_does(args, message):
+    """w_1 + w_2 = -1 has no w >= 0; w_1 - w_2 = 1 lets w_2 grow without
+    bound, and the cost -w_2 with it."""
+    args = tuple(np.array(x) for x in args)
+    for simplex in (hull._simplex, _oracle_simplex):
+        with pytest.raises(NumericalInstability, match=message):
+            simplex(*args)
+
+
 def _assert_matches_oracle(args, got):
     w, y, iters = _oracle_simplex(*args)
     assert np.array_equal(got[0], w) and np.array_equal(got[1], y)
@@ -1107,7 +1182,7 @@ def test_membership_pivots_match_dense_oracle(monkeypatch, make, p):
     pivots, bit for bit, on targets inside and outside."""
     spec = make(p)
     inside = spec.mixture(np.random.default_rng(p).dirichlet(np.ones(spec.n_vertices)))
-    if spec.name == "CLIFF":
+    if make is cliff_polytope:
         outside = choi_of_unitary(gate_matrix(p, ROBUST_GATE_PARAMS[p]))
     else:
         psi = gate_state(p, ROBUST_GATE_PARAMS[p])
