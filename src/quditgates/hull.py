@@ -29,16 +29,19 @@ The depolarising-gate threshold is the LP over Clifford orbits, 66
 columns instead of 16464 vertices at p = 7; ``threshold_depol_gate``
 solves it once per family gate and process.  Vertices are stored as kets;
 weights and witnesses are checked against every one.  The orbit search
-matches one image per block of p^2 Clifford kets, the rest by label
-arithmetic; only ``cliff_polytope``'s spec, of its own type, takes maps.
+reads each map's SL(2) parts from its Clifford labels and matches one
+image per block of p^2 Clifford kets, the rest by label arithmetic; only
+``cliff_polytope``'s spec, of its own type, takes maps, and it keeps the
+orbit columns of its last map set for the next LP under the same maps.
 """
 
 from __future__ import annotations
 
+import cmath
 import operator
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -48,6 +51,8 @@ from .geometry import (_check_density, _row_blocks, choi_ket, depolarized_choi, 
 from .hierarchy import GateParams, _exponents, gate_matrix, root_order
 from .weylheis import (
     SUPPORTED_PRIMES,
+    CliffordLabel,
+    Mat2,
     _sl2_index,
     check_dim,
     displacement,
@@ -130,26 +135,42 @@ def vec_to_herm(v: np.ndarray) -> np.ndarray:
 class PolytopeSpec:
     """Hull of the pure states |v_i><v_i| given by unit kets v_i, shape (n, d).
 
-    Only the kets are stored; dense vertices and the LP system are derived
-    from them when read, one ``_row_blocks`` block of kets at a time into a
-    result allocated once (see ``vertices`` and ``system``).  ``maps`` are
-    the symmetries ``lp_membership`` runs over: none on a plain spec; the
-    spec ``cliff_polytope`` returns, of a type of its own, carries the
-    Clifford conjugations (see ``lp_threshold``).
+    Only the kets are stored, in the spec's own read-only copy, so nothing
+    derived from them can go stale: the vertex barycentre, formed once per
+    spec, and the LP columns that ``lp_threshold`` keeps for the last map
+    set it ran on (see there).  Dense vertices and the LP system are
+    derived from the kets when read, one ``_row_blocks`` block of kets at a
+    time into a result allocated once (see ``vertices`` and ``system``).
+    ``maps`` are the symmetries ``lp_membership`` runs over: none on a
+    plain spec; the spec ``cliff_polytope`` returns, of a type of its own,
+    carries the Clifford conjugations (see ``lp_threshold``).
     """
 
     maps = ()
 
     def __init__(self, kets: np.ndarray):
-        kets = np.asarray(kets, dtype=complex)
+        self._own(np.array(kets, dtype=complex))
+
+    def _own(self, kets: np.ndarray) -> None:
+        """Take ``kets``, which nothing else may write, as the spec's own."""
         if kets.ndim != 2 or kets.size == 0:
             raise ValueError("polytope kets must be a non-empty (n, d) array, "
                              f"got shape {kets.shape}")
         if not np.max([np.max(np.abs(np.linalg.norm(kets[r], axis=1) - 1.0))
                        for r in _row_blocks(len(kets))]) <= 1e-10:
             raise ValueError("polytope vertices must be unit kets")
+        kets.flags.writeable = False
         self.kets = kets
         self.dim = kets.shape[1]
+        self._lp_columns = {}
+
+    @cached_property
+    def _barycentre(self) -> np.ndarray:
+        """``mixture`` of uniform weights, read-only."""
+        n = self.n_vertices
+        out = self.mixture(np.full(n, 1.0 / n))
+        out.flags.writeable = False
+        return out
 
     @property
     def n_vertices(self) -> int:
@@ -248,20 +269,31 @@ def cliff_polytope(p: int) -> PolytopeSpec:
     conjugations that fix it.
     """
     check_dim(p)
-    ds = np.array([displacement(p, x, z) for x in range(p) for z in range(p)])
-    vs = symplectic_unitaries(p)
-    kets = np.empty((len(vs), len(ds), p * p), dtype=complex)
-    for rows in _row_blocks(len(vs), len(ds)):
-        kets[rows] = choi_ket(np.matmul(ds[None], vs[rows, None]))
-    gens = (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
-            symplectic_unitary(p, ((0, p - 1), (1, 0))))
-    spec = _CliffordPolytope(kets.reshape(-1, p * p))
-    spec.maps = tuple((s.conj().T, s) for s in gens)
-    return spec
+    return _CliffordPolytope(p)
 
 
 class _CliffordPolytope(PolytopeSpec):
-    """The type of ``cliff_polytope``'s spec, the one whose kets take maps."""
+    """The type of ``cliff_polytope``'s spec, the one whose kets take maps;
+    it builds its kets in place and owns them without a copy."""
+
+    def __init__(self, p: int):
+        ds = _displacements(p)
+        vs = symplectic_unitaries(p)
+        kets = np.empty((len(vs), len(ds), p * p), dtype=complex)
+        for rows in _row_blocks(len(vs), len(ds)):
+            kets[rows] = choi_ket(np.matmul(ds[None], vs[rows, None]))
+        self._own(kets.reshape(-1, p * p))
+        gens = (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
+                symplectic_unitary(p, ((0, p - 1), (1, 0))))
+        self.maps = tuple((s.conj().T, s) for s in gens)
+
+
+@lru_cache(maxsize=None)
+def _displacements(p: int) -> np.ndarray:
+    """The p^2 displacements D_(x|z), in (x, z) order, as one read-only stack."""
+    ds = np.array([displacement(p, x, z) for x in range(p) for z in range(p)])
+    ds.flags.writeable = False
+    return ds
 
 
 @dataclass(frozen=True)
@@ -295,8 +327,11 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
     at ratio 0 whenever the entering column touches its row, whatever the
     sign.  Both phases run the same pivots: Dantzig pricing, falling back
     to Bland's rule after a long degenerate run (anti-cycling), and the
-    basis inverse updated by one outer product, so each entry loses the
-    same product as in the dense loop.  One routine refactorises the
+    basis inverse updated by the outer product d x pivot row, 64 rows at a
+    time (``_row_blocks(m, 64)``) with no m x m temporary, so each entry
+    loses the same product as in the dense loop.  (At m = 578, 7-row
+    blocks were slower than one outer product, and 256-row blocks no
+    faster.)  One routine refactorises the
     inverse: every 100 pivots of a phase, to keep roundoff in check, and
     at the end of each phase.  The stall count, the rule and that schedule
     restart with each phase.
@@ -360,7 +395,8 @@ def _simplex(a: np.ndarray, b: np.ndarray, cost: np.ndarray):
             xb = np.maximum(xb - step * d, 0.0)
             xb[r] = step
             pivot_row = binv[r] / d[r]
-            binv -= np.outer(d, pivot_row)
+            for rows in _row_blocks(m, 64):  # 64 rows of binv at a time
+                binv[rows] -= d[rows, None] * pivot_row
             binv[r] = pivot_row
             basis[r] = j
             if step < 1e-13:
@@ -388,18 +424,19 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
 
     Runs ``lp_threshold`` from the target toward the vertex barycentre,
     ``spec.mixture`` of uniform weights, which lies inside the hull, so the target
-    is inside iff eps* = 0; eps* is returned as ``distance``.  The LP takes one
-    column per orbit of those ``spec.maps`` that fix the target (all columns when
-    none does, or when the spec, unlike ``cliff_polytope``'s, carries none).
+    is inside iff eps* = 0; eps* is returned as ``distance``.  The barycentre is
+    formed once per spec.  The LP takes one column per orbit of those ``spec.maps``
+    that fix the target (all columns when none does, or when the spec, unlike
+    ``cliff_polytope``'s, carries none); a second target fixed by the same maps
+    reuses the orbits and their averages (see ``lp_threshold``).
     Inside, the weights are those of the LP, spread over every vertex.  Outside,
     the LP's witness separates the point just short of eps*, and it is checked
     against the target itself, which lies farther out (NumericalInstability if
     the weights or the witness fail).  Both are read-only.
     """
     target = _check_density(target, spec.dim, "target")
-    n = spec.n_vertices
     maps = [g for g in spec.maps if _fixes(g, target)]
-    r = lp_threshold(spec, target, spec.mixture(np.full(n, 1.0 / n)), maps)
+    r = lp_threshold(spec, target, spec._barycentre, maps)
     counts = dict(iterations=r.pivots, refactorisations=r.refactorisations,
                   bland=r.bland, orbits=r.orbits)
     if r.epsilon_star == 0.0:
@@ -466,15 +503,55 @@ class ThresholdResult:
     bland: bool = False                 # LP: whether the pivots switched to Bland's rule
 
 
-def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
+def _conjugation(c: np.ndarray) -> tuple[Mat2, tuple[int, int]]:
+    """(F, k) with C X C^dag = omega^k_0 D_(F(1,0)) and C Z C^dag =
+    omega^k_1 D_(F(0,1)): each image A is matched to the displacement D_a
+    it overlaps most, |Tr[D_a^dag A]| / p.  That squared overlap must reach
+    1 - 1e-9, and F must lie in SL(2, Z_p) (SymmetryViolation)."""
+    p = len(c)
+    d = _displacements(p)
+    img = (c @ d[[p, 1]] @ c.conj().T).reshape(2, -1)  # X = D_(1|0), Z = D_(0|1)
+    t = d.reshape(p * p, -1).conj() @ img.T / p
+    a = np.abs(t).argmax(axis=0)
+    (x0, z0), (x1, z1) = divmod(int(a[0]), p), divmod(int(a[1]), p)
+    f = ((x0, x1), (z0, z1))
+    top = complex(t[a[0], 0]), complex(t[a[1], 1])
+    if not min(map(abs, top)) ** 2 >= 1.0 - 1e-9 or f not in _sl2_index(p):
+        raise SymmetryViolation("a generator does not permute the vertices")
+    return f, tuple(round(cmath.phase(v) * p / (2 * np.pi)) for v in top)
+
+
+@lru_cache(maxsize=None)
+def _symplectic_phases(p: int, f: Mat2) -> tuple[int, int]:
+    """The k of ``_conjugation`` for V_F: the p = 2 metaplectic signs, and
+    none at odd p, where V_F conjugates exactly (see ``weylheis``)."""
+    return _conjugation(symplectic_unitary(p, f))[1] if p == 2 else (0, 0)
+
+
+def _clifford_label(c: np.ndarray) -> CliffordLabel:
+    """The label (F | chi) of a Clifford C, equal to D_chi V_F up to a
+    phase, read from how C conjugates X and Z (``_conjugation``): F from
+    the displacements, chi from the phases.  D_chi multiplies D_a by
+    omega^(chi_z a_x - chi_x a_z), so with r = k - ``_symplectic_phases``,
+    chi = F (-r_1, r_0) mod p."""
+    p = len(c)
+    f, k = _conjugation(c)
+    r0, r1 = (a - b for a, b in zip(k, _symplectic_phases(p, f)))
+    (a, b), (g, d) = f
+    return CliffordLabel(p, f, (b * r0 - a * r1, d * r0 - g * r1))
+
+
+def _ket_orbits(kets: np.ndarray, maps, labels) -> np.ndarray:
     """Orbit index of each ket under the group the maps (L, R) generate
     (with none, each ket is its own orbit); (L, R) takes the Choi ket v_i
-    of C_i to that of L C_i R, (R^T x L) v_i.
+    of C_i to that of L C_i R, (R^T x L) v_i, and ``labels`` holds the
+    ``_clifford_label`` pair of each map.
 
     With maps, the kets are those of ``cliff_polytope``: p(p^2 - 1) blocks,
     one per F, of the p^2 kets D_chi V_F, chi = (x, z) at x p + z.  F_L and
-    F_R are the SL(2) parts of the kets L and R overlap most.  Up to a
-    phase L D_chi V_F R = D_(F_L chi) L V_F R, so block F goes to block
+    F_R are the SL(2) parts of the labels of L and R, read with no ket
+    from how each conjugates X and Z.  Up to a phase
+    L D_chi V_F R = D_(F_L chi) L V_F R, so block F goes to block
     F_L F F_R and ket chi to chi_0(F) + F_L chi (mod p): chi_0(F), which
     absorbs all displacements and phases, names the ket there that the
     image of V_F overlaps most.  That squared overlap must reach 1 - 1e-9
@@ -488,8 +565,8 @@ def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
     blocks = kets.reshape(len(f), d, d)
     xz = np.array(np.divmod(np.arange(d), p))
     perms = []
-    for lr in maps:
-        fl, fr = (f[np.argmax(np.abs(kets @ choi_ket(c).conj())) // d] for c in lr)
+    for lr, lab in zip(maps, labels):
+        fl, fr = (np.array(c.f) for c in lab)
         to = np.array([_sl2_index(p)[tuple(map(tuple, m))] for m in (fl @ f @ fr % p).tolist()])
         img = np.empty((len(f), d), dtype=complex)
         img[to] = blocks[:, 0] @ _ket_map(*lr).T  # the image of V_F, filed under its block
@@ -510,6 +587,37 @@ def _ket_orbits(kets: np.ndarray, maps) -> np.ndarray:
         orbit = new
 
 
+def _orbit_columns(spec: PolytopeSpec, maps, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The target-free part of ``lp_threshold``'s LP matrix: the orbit index
+    of each ket (read-only), the orbit sizes (read-only), and a (d^2, n + 2)
+    array whose first n columns are the orbit averages, the last two left
+    for start and end.
+
+    It is filled in place: with a column per vertex it is the largest
+    array the LP builds.  The averages are stacked and vectorised one
+    ``_row_blocks(n, d^2)`` block at a time (6 orbits, 60 KB at p = 5):
+    stacks of a few MB raised the p = 5 peak RSS by 20 MB (freed blocks
+    that size lift malloc's mmap threshold), and 163-orbit stacks the
+    traced peak of one membership from 3.0 to 5-6 MB.
+    """
+    orbit = _ket_orbits(spec.kets, maps, labels)
+    sizes = np.bincount(orbit)
+    n = len(sizes)
+    # Stable, so each orbit keeps its members in index order.
+    members = np.split(np.argsort(orbit, kind="stable"), np.cumsum(sizes)[:-1])
+    d = spec.dim
+    m = np.empty((d * d, n + 2))
+    for cols in _row_blocks(n, d * d):
+        block = members[cols]
+        avg = np.empty((len(block), d, d), dtype=complex)
+        for a, idx in zip(avg, block):
+            k = spec.kets[idx]
+            np.divide(k.T @ k.conj(), len(k), out=a)
+        m[:, :n][:, cols] = herm_to_vec(avg).T  # the last cols may run past n
+    orbit.flags.writeable = sizes.flags.writeable = False
+    return orbit, sizes, m
+
+
 def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
                  maps=()) -> ThresholdResult:
     """Least eps putting (1 - eps) start + eps end in the hull, by one LP.
@@ -527,6 +635,15 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     then maps the hull onto the hull of the orbit averages and fixes the
     path, so the least eps is the same with one column per orbit.  The LP
     runs in an orthonormal basis of the span of the averages, start and end.
+
+    The orbits and their averages (``_orbit_columns``) depend on the spec
+    and the maps alone, so the spec keeps those of the last map set it ran
+    on, keyed by the maps' Clifford labels (``_clifford_label``), and a
+    second path under the same maps fills in only its start and end
+    columns; its kets are read-only, so the entry cannot go stale.  The
+    entry is taken out of the spec while in use and put back after, and
+    kept only when its array is no larger than the kets (the orbit LPs,
+    not one with a column per vertex).
 
     Each orbit's weight is spread evenly over its members, and
     ``spec.mixture`` of these weights over all vertices must reproduce the
@@ -547,44 +664,33 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     end = _check_density(end, spec.dim, "end")
     if not all(_fixes(g, h) for g in maps for h in (start, end)):
         raise SymmetryViolation("a generator moves the threshold path")
-    orbit = _ket_orbits(spec.kets, maps)
-    sizes = np.bincount(orbit)
+    # Taken out of the spec while in use, so no two calls fill one matrix.
+    key = tuple(tuple(map(_clifford_label, lr)) for lr in maps)
+    orbit, sizes, m = spec._lp_columns.pop(key, None) or _orbit_columns(spec, maps, key)
     n = len(sizes)
-    # Stable, so each orbit keeps its members in index order.
-    members = np.split(np.argsort(orbit, kind="stable"), np.cumsum(sizes)[:-1])
-    # Orbit averages, start and end in one array, filled in place: with a
-    # column per vertex it is the largest array the LP builds.  The averages
-    # are stacked and vectorised one ``_row_blocks(n, d^2)`` block at a time
-    # (6 orbits, 60 KB at p = 5): stacks of a few MB raised the p = 5 peak
-    # RSS by 20 MB (freed blocks that size lift malloc's mmap threshold),
-    # and 163-orbit stacks the traced peak of one membership from 3.0 to
-    # 5-6 MB.
-    d = spec.dim
-    m = np.empty((d * d, n + 2))
-    for cols in _row_blocks(n, d * d):
-        block = members[cols]
-        avg = np.empty((len(block), d, d), dtype=complex)
-        for a, idx in zip(avg, block):
-            k = spec.kets[idx]
-            np.divide(k.T @ k.conj(), len(k), out=a)
-        m[:, :n][:, cols] = herm_to_vec(avg).T  # the last cols may run past n
     m[:, n], m[:, n + 1] = herm_to_vec(start), herm_to_vec(end)
     # A wide array has the column space and singular values of its square
     # R factor, whose SVD needs no right factor as wide as the array.
     wide = n + 2 > len(m)
-    u, sv, _ = np.linalg.svd(np.linalg.qr(m.T, mode="r").T if wide else m,
-                             full_matrices=False)
+    u, sv = np.linalg.svd(np.linalg.qr(m.T, mode="r").T if wide else m,
+                          full_matrices=False)[:2]
     basis = u[:, sv > 1e-10 * sv[0]]
     a = np.empty((basis.shape[1] + 1, n + 1))
     np.matmul(basis.T, m[:, :n], out=a[:-1, :n])
     a[-1, :n] = 1.0
     a[:-1, n] = basis.T @ herm_to_vec(start - end)
     a[-1, n] = 0.0
-    del m, members, u
+    if m.nbytes <= spec.kets.nbytes:
+        spec._lp_columns = {key: (orbit, sizes, m)}
+    del m, u
     b = np.append(basis.T @ herm_to_vec(start), 1.0)
     cost = np.zeros(n + 1)
     cost[-1] = 1.0
     x, y, pivots, refactorisations, bland = _simplex(a, b, cost)
+    # Only the multipliers, (vec G, y0) in full coordinates, outlive the LP:
+    # the checks below run beside the cached columns.
+    g, y0 = basis @ y[:-1], y[-1]
+    del a, basis
     eps_star = float(x[-1])
     if not eps_star <= 1.0 + LP_TOL:
         raise NumericalInstability(f"threshold {eps_star:.9g} lies beyond the path end")
@@ -601,9 +707,8 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     if eps_star == 0.0:
         return ThresholdResult(0.0, 0.0, "lp", weights=w, pivots=pivots, orbits=n,
                                refactorisations=refactorisations, bland=bland)
-    # Multipliers (vec G, y0) in full coordinates give W = -(G + y0 I),
-    # scaled to unit spectral radius.
-    wit = -(vec_to_herm(basis @ y[:-1]) + y[-1] * np.eye(spec.dim))
+    # The multipliers give W = -(G + y0 I), scaled to unit spectral radius.
+    wit = -(vec_to_herm(g) + y0 * np.eye(spec.dim))
     scale = float(np.max(np.abs(np.linalg.eigvalsh(wit))))
     wit /= scale
     wit.flags.writeable = False

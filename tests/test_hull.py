@@ -1,3 +1,6 @@
+import dataclasses
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -17,6 +20,7 @@ from quditgates.hierarchy import GateParams, gate_exponents, gate_matrix, root_o
 from quditgates import cli, geometry, hull
 from quditgates.hull import (
     LP_TOL,
+    LPOutcome,
     RECORDED_PD_GATE,
     ROBUST_GATE_PARAMS,
     cliff_polytope,
@@ -245,8 +249,9 @@ def test_system_and_vertices_working_set_stays_small():
 
 def test_membership_working_set_stays_small():
     """One p = 5 membership over 180 Clifford orbits, the polytope built
-    beforehand, peaks at 3.1 MB traced: its orbit averages are stacked 6 at
-    a time.  163-orbit stacks took it to 5-6 MB."""
+    beforehand, peaks at 3.4 MB traced, the 0.9 MB of orbit columns it
+    leaves on the spec included: its orbit averages are stacked 6 at a
+    time.  163-orbit stacks took it to 5-6 MB."""
     spec = cliff_polytope(5)
     target = depolarized_choi(5, gate_matrix(5, ROBUST_GATE_PARAMS[5]), 0.94)
     tracemalloc.start()
@@ -365,6 +370,149 @@ def _membership_maps(spec, target):
     return target, spec.mixture(np.full(n, 1.0 / n)), maps
 
 
+def _assert_same_outcome(got, want):
+    """Every ``LPOutcome`` field equal: floats by ``float.hex``, arrays by
+    ``np.array_equal``."""
+    for field in dataclasses.fields(LPOutcome):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray) or isinstance(a, np.ndarray):
+            assert a is not None and b is not None and np.array_equal(a, b), field.name
+        elif isinstance(b, float):
+            assert float(a).hex() == b.hex(), field.name
+        else:
+            assert a == b, field.name
+
+
+# Either side of the gate threshold, as in the benchmark at p = 5.
+_MEMBERSHIP_SIDES = {2: (0.40, 0.50), 3: (0.73, 0.84), 5: (0.94, 0.9675)}
+
+
+def _robust_targets(p):
+    u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
+    return [depolarized_choi(p, u, eps) for eps in _MEMBERSHIP_SIDES[p]]
+
+
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_memberships_on_one_spec_match_fresh_specs(p):
+    """Outside then inside, and inside then outside, on one spec, whose
+    second membership reuses the orbit columns and barycentre of the
+    first: bit for bit the outcomes of a fresh spec each."""
+    targets = _robust_targets(p)
+    fresh = [lp_membership(cliff_polytope(p), t) for t in targets]
+    assert [out.feasible for out in fresh] == [False, True]
+    for order in ((0, 1), (1, 0)):
+        spec = cliff_polytope(p)
+        for i in order:
+            _assert_same_outcome(lp_membership(spec, targets[i]), fresh[i])
+        assert len(spec._lp_columns) == 1
+
+
+def test_two_memberships_on_one_spec_search_the_orbits_once(monkeypatch):
+    """The two p = 5 memberships of the benchmark share their maps (Z and
+    the shear) and their 180 orbits: one orbit search, and one barycentre,
+    beside the weight check of each LP."""
+    searches, mixtures = [], []
+    ket_orbits, mixture = hull._ket_orbits, hull.PolytopeSpec.mixture
+    monkeypatch.setattr(hull, "_ket_orbits", lambda kets, maps, labels: searches.append(len(maps))
+                        or ket_orbits(kets, maps, labels))
+    monkeypatch.setattr(hull.PolytopeSpec, "mixture",
+                        lambda spec, w: mixtures.append(np.ptp(w) == 0) or mixture(spec, w))
+    spec = cliff_polytope(5)
+    outs = [lp_membership(spec, t) for t in _robust_targets(5)]
+    assert [out.orbits for out in outs] == [180, 180]
+    assert searches == [2] and mixtures == [True, False, False]
+
+
+def test_the_spec_keeps_the_columns_of_its_last_map_set_alone():
+    """Memberships fixed by other map sets (Z and the shear, then all four
+    generators, for I/9) replace the one entry, keyed by the labels of the
+    last set.  A membership no map fixes, a column per vertex, is larger
+    than the kets and is not kept."""
+    spec = cliff_polytope(3)
+    u = gate_matrix(3, ROBUST_GATE_PARAMS[3])
+    sets = []
+    for target in (depolarized_choi(3, u, 0.5), np.eye(9) / 9, depolarized_choi(3, u, 0.8)):
+        maps = _membership_maps(spec, target)[2]
+        lp_membership(spec, target)
+        sets.append(tuple(tuple(map(hull._clifford_label, lr)) for lr in maps))
+        assert list(spec._lp_columns) == [sets[-1]]
+    assert len(sets[0]) == 2 and len(sets[1]) == 4 and sets[2] == sets[0]
+    mixed = spec.mixture(np.random.default_rng(5).dirichlet(np.ones(spec.n_vertices)))
+    assert lp_membership(spec, mixed).orbits == spec.n_vertices
+    assert list(spec._lp_columns) == [sets[-1]]
+
+
+def test_a_membership_inside_another_on_one_spec_keeps_its_own_columns(monkeypatch):
+    """The cached columns are taken out of the spec while in use: a second
+    membership that starts on the same spec before the first factorises its
+    matrix, as a second thread could, builds its own columns, and neither
+    overwrites the other's target.  Both match fresh specs bit for bit."""
+    outside, inside = _robust_targets(5)
+    want = [lp_membership(cliff_polytope(5), t) for t in (outside, inside)]
+    spec = cliff_polytope(5)
+    lp_membership(spec, outside)
+    nested, svd = [], np.linalg.svd
+
+    def svd_after_a_nested_membership(a, *args, **kwargs):
+        if not nested:
+            nested.append(None)
+            nested.append(lp_membership(spec, inside))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd_after_a_nested_membership)
+    got = lp_membership(spec, outside)
+    _assert_same_outcome(got, want[0])
+    _assert_same_outcome(nested[1], want[1])
+
+
+def test_threads_sharing_a_spec_decide_as_alone():
+    """Four threads, more than the cores, run p = 3 memberships either side
+    of the threshold on one spec, switching every microsecond: each
+    outcome is bit for bit that of a fresh spec, as no two of them ever
+    fill one cached matrix."""
+    targets = _robust_targets(3)
+    want = [lp_membership(cliff_polytope(3), t) for t in targets]
+    spec = cliff_polytope(3)
+    got = [[] for _ in range(4)]
+
+    def run(k):
+        for i in range(12):
+            side = (i + k) % 2
+            got[k].append((side, lp_membership(spec, targets[side])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for outcomes in got:
+        assert len(outcomes) == 12
+        for side, out in outcomes:
+            _assert_same_outcome(out, want[side])
+
+
+@pytest.mark.parametrize("make", (stab_polytope, equatorial_polytope, cliff_polytope))
+def test_spec_kets_are_read_only(make):
+    """A spec owns its kets, so nothing derived from them goes stale: a
+    write through ``spec.kets`` raises, and a plain spec copies what it is
+    given."""
+    spec = make(3)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.kets[0, 0] = 0.0
+    kets = spec.kets.copy()
+    plain = hull.PolytopeSpec(kets)
+    kets[0] = kets[1]
+    assert np.array_equal(plain.kets, spec.kets) and not np.shares_memory(plain.kets, kets)
+    with pytest.raises(ValueError, match="read-only"):
+        plain.kets[0, 0] = 0.0
+
+
 def test_membership_rejects_a_map_that_does_not_permute_the_vertices():
     """A diagonal phase gate off the Clifford group fixes the Choi state
     of the T gate but maps Clifford Choi kets off the polytope; added to
@@ -481,6 +629,13 @@ def _brute_force_orbits(kets, maps):
     return _orbit_labels(perms)
 
 
+def _scanned_sl2_part(kets, c):
+    """The SL(2) part of the Clifford Choi ket that c's Choi ket overlaps
+    most, by a search over every ket."""
+    d = kets.shape[1]
+    return np.array(sl2_matrices(round(d ** 0.5)))[np.argmax(np.abs(kets @ choi_ket(c).conj())) // d]
+
+
 def _per_ket_orbits(kets, maps):
     """Orbit labels from a search over every ket: F_L and F_R are the SL(2)
     parts of the kets L and R overlap most, and each image (R^T x L) v_i,
@@ -493,7 +648,7 @@ def _per_ket_orbits(kets, maps):
     blocks = kets.reshape(len(f), d, d)
     perms = []
     for l, r in maps:
-        fl, fr = (f[np.argmax(np.abs(kets @ choi_ket(c).conj())) // d] for c in (l, r))
+        fl, fr = (_scanned_sl2_part(kets, c) for c in (l, r))
         to = np.array([index[(fl @ m @ fr % p).tobytes()] for m in f])
         img = (kets @ np.kron(r.T, l).T).reshape(len(f), d, d)
         overlap = np.abs(np.einsum("fkx,fix->fik", blocks[to].conj(), img)) ** 2  # [F, ket, target]
@@ -501,6 +656,11 @@ def _per_ket_orbits(kets, maps):
         assert np.array_equal(np.sort(perm), np.arange(n)) and overlap.max(axis=2).min() > 1 - 1e-9
         perms.append(perm)
     return _orbit_labels(perms)
+
+
+def _ket_orbits(kets, maps):
+    """``hull._ket_orbits`` with the labels ``lp_threshold`` reads for the maps."""
+    return hull._ket_orbits(kets, maps, [tuple(map(hull._clifford_label, lr)) for lr in maps])
 
 
 def _orbit_labels(perms):
@@ -519,17 +679,23 @@ def _orbit_labels(perms):
     return label
 
 
+def _orbit_map_sets(p):
+    """The polytope's own maps and the threshold maps of every family gate
+    at p = 2 and 3, of the robust gate at p = 5 and 7."""
+    gates = ([GateParams(z, g, e) for z in range(p) for g in range(p) for e in range(p)]
+             if p <= 3 else [ROBUST_GATE_PARAMS[p]])
+    return [cliff_polytope(p).maps] + [_threshold_maps(p, gate_matrix(p, g)) for g in gates]
+
+
 @pytest.mark.parametrize("p", (2, 3))
 def test_ket_orbits_match_brute_force_overlaps(p):
     """The block matcher gives the orbits of a search over all kets, for
     the polytope's own maps and the threshold maps of every family gate;
     the ket map of each pair is ``np.kron`` bit for bit."""
     spec = cliff_polytope(p)
-    map_sets = [spec.maps] + [_threshold_maps(p, gate_matrix(p, GateParams(z, g, e)))
-                              for z in range(p) for g in range(p) for e in range(p)]
-    for maps in map_sets:
+    for maps in _orbit_map_sets(p):
         assert all(np.array_equal(hull._ket_map(l, r), np.kron(r.T, l)) for l, r in maps)
-        assert np.array_equal(hull._ket_orbits(spec.kets, maps), _brute_force_orbits(spec.kets, maps))
+        assert np.array_equal(_ket_orbits(spec.kets, maps), _brute_force_orbits(spec.kets, maps))
 
 
 @pytest.mark.parametrize("p", (5, 7))
@@ -539,7 +705,7 @@ def test_ket_orbits_match_a_per_ket_search(p):
     own maps and the robust gate's threshold maps."""
     spec = cliff_polytope(p)
     for maps in (spec.maps, _threshold_maps(p, gate_matrix(p, ROBUST_GATE_PARAMS[p]))):
-        assert np.array_equal(hull._ket_orbits(spec.kets, maps), _per_ket_orbits(spec.kets, maps))
+        assert np.array_equal(_ket_orbits(spec.kets, maps), _per_ket_orbits(spec.kets, maps))
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))
@@ -549,10 +715,40 @@ def test_ket_orbits_depend_only_on_the_generated_group(p):
     polytope's own maps and the robust gate's threshold maps."""
     spec = cliff_polytope(p)
     for maps in (list(spec.maps), _threshold_maps(p, gate_matrix(p, ROBUST_GATE_PARAMS[p]))):
-        want = hull._ket_orbits(spec.kets, maps)
+        want = _ket_orbits(spec.kets, maps)
         assert want.max() > 0 and want.max() + 1 < spec.n_vertices
         for same_group in (maps[::-1], maps + maps[:1], maps[1:] + maps):
-            assert np.array_equal(hull._ket_orbits(spec.kets, same_group), want)
+            assert np.array_equal(_ket_orbits(spec.kets, same_group), want)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_label_sl2_parts_match_a_ket_scan(p):
+    """F_L and F_R, read from how L and R conjugate X and Z, are the SL(2)
+    parts of the kets their Choi kets overlap most, for every factor of
+    the map sets ``_orbit_map_sets`` gives."""
+    kets = cliff_polytope(p).kets
+    for maps in _orbit_map_sets(p):
+        for c in (c for lr in maps for c in lr):
+            assert np.array_equal(np.array(hull._clifford_label(c).f), _scanned_sl2_part(kets, c))
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7))
+def test_clifford_label_reads_back_every_label(p):
+    """Every Clifford label (every 37th at p = 7) is read back from its
+    unitary times a phase: F from the displacements that X and Z go to,
+    chi from the phases, the p = 2 metaplectic signs included."""
+    for lab in clifford_labels(p)[::37 if p == 7 else 1]:
+        assert hull._clifford_label(np.exp(0.7j) * clifford_unitary(lab)) == lab
+
+
+@pytest.mark.parametrize("c", [np.diag([1.0, np.exp(0.3j)]),
+                               np.array([[1.0, 1.0], [1.0, -1.0]]) @ np.diag([1.0, np.exp(0.3j)])
+                               / np.sqrt(2)], ids=["phase-gate", "hadamard-after-it"])
+def test_clifford_label_refuses_a_non_clifford(c):
+    """diag(1, e^0.3i) sends X to no displacement (its Z image is Z), and
+    neither does H after it."""
+    with pytest.raises(SymmetryViolation, match="does not permute"):
+        hull._clifford_label(c)
 
 
 def _threshold_gates(p):
@@ -590,10 +786,10 @@ def test_threshold_passes_each_symmetry_once(monkeypatch, p):
         mirror, four = _threshold_maps(p, u), _threshold_maps(p, u, (pauli_x, pauli_z))
         assert len(maps) == len(mirror) == len(four) - 1, g
         assert all(np.array_equal(a, b) for m, w in zip(maps, mirror) for a, b in zip(m, w)), g
-        assert np.array_equal(hull._ket_orbits(spec.kets, maps),
-                              hull._ket_orbits(spec.kets, four)), g
+        assert np.array_equal(_ket_orbits(spec.kets, maps),
+                              _ket_orbits(spec.kets, four)), g
         if g.gamma % p:  # maps with other orbits of their own permute the kets apart
-            alone = {hull._ket_orbits(spec.kets, [m]).tobytes() for m in maps}
+            alone = {_ket_orbits(spec.kets, [m]).tobytes() for m in maps}
             assert len(alone) == len(maps), g
     hull._depol_gate_threshold.cache_clear()
 
@@ -606,12 +802,12 @@ def test_results_do_not_depend_on_the_block(monkeypatch, p):
     u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
     spec = cliff_polytope(p)
     map_sets = (spec.maps, _threshold_maps(p, u))
-    orbits = [hull._ket_orbits(spec.kets, maps) for maps in map_sets]
+    orbits = [_ket_orbits(spec.kets, maps) for maps in map_sets]
     r = threshold_depol_gate(p, ROBUST_GATE_PARAMS[p])
     monkeypatch.setattr(geometry, "_BLOCK_ROWS", 7)
     assert np.array_equal(cliff_polytope(p).kets, spec.kets)
     for maps, want in zip(map_sets, orbits):
-        assert np.array_equal(hull._ket_orbits(spec.kets, maps), want)
+        assert np.array_equal(_ket_orbits(spec.kets, maps), want)
     hull._depol_gate_threshold.cache_clear()
     got = threshold_depol_gate(p, ROBUST_GATE_PARAMS[p])
     assert (got.epsilon_star, got.pivots, got.orbits, got.margin) == (
@@ -638,7 +834,7 @@ def _factorised_lp_matrix(monkeypatch, run):
 def _per_orbit_lp_matrix(spec, start, end, maps):
     """One ``herm_to_vec`` of k.T @ k.conj() / len(k) per orbit, its kets k
     in index order, then start and end."""
-    orbit = hull._ket_orbits(spec.kets, maps)
+    orbit = _ket_orbits(spec.kets, maps)
     kets = (spec.kets[orbit == o] for o in range(orbit.max() + 1))
     return np.column_stack([herm_to_vec(k.T @ k.conj() / len(k)) for k in kets]
                            + [herm_to_vec(start), herm_to_vec(end)])
@@ -941,7 +1137,7 @@ def test_lp_threshold_matches_highs(p):
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_orbit_lp_matches_full_lp(p):
-    """The full LP over every vertex is the oracle; at p=5 it takes 8.1-9.3 s
+    """The full LP over every vertex is the oracle; at p=5 it takes 6.7-7.4 s
     (one BLAS thread, shared 2-vCPU Xeon)."""
     u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
     orbit = threshold_depol_gate(p, ROBUST_GATE_PARAMS[p])
