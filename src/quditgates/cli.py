@@ -103,14 +103,16 @@ def _parse_tol(text: str) -> float:
 
 
 def read_matrix(path: str) -> np.ndarray:
-    """Plain-text matrix, one row per line, entries like '0.5-0.866i'."""
+    """Plain-text matrix, one row per line, entries like '0.5-0.866i' or
+    'inf': a trailing i is the imaginary unit."""
     rows = []
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([complex(tok.replace("i", "j")) for tok in line.split()])
+            rows.append([complex(tok[:-1] + "j" if tok.endswith("i") else tok)
+                         for tok in line.split()])
     if not rows:
         raise ValueError(f"no matrix data in {path}")
     if len({len(r) for r in rows}) != 1:

@@ -443,7 +443,10 @@ def inject_gate(p: int, g: GateParams, psi_in: np.ndarray) -> InjectionResult:
 
 
 def partial_trace(rho: np.ndarray, p: int, keep: int) -> np.ndarray:
-    """Trace out one factor of a two-qudit density operator."""
+    """Trace out one factor of a two-qudit density operator, keeping factor
+    ``keep``, 0 or 1 (ValueError otherwise)."""
+    if keep not in (0, 1):
+        raise ValueError(f"keep must be 0 or 1, got {keep!r}")
     r = np.asarray(rho, dtype=complex).reshape(p, p, p, p)
     if keep == 0:
         return np.einsum("ikjk->ij", r)

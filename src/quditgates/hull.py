@@ -29,10 +29,10 @@ The depolarising-gate threshold is the LP over Clifford orbits, 66
 columns instead of 16464 vertices at p = 7; ``threshold_depol_gate``
 solves it once per family gate and process.  Vertices are stored as kets;
 weights and witnesses are checked against every one.  The orbit search
-reads each map's SL(2) parts from its Clifford labels and matches one
-image per block of p^2 Clifford kets, the rest by label arithmetic; only
-``cliff_polytope``'s spec, of its own type, takes maps, and it keeps the
-orbit columns of its last map set for the next LP under the same maps.
+reads no ket: each map's Clifford labels place every vertex's image by
+label arithmetic.  Only ``cliff_polytope``'s spec, of its own type, takes
+maps, and it keeps the orbit columns of its last map set for the next LP
+under the same maps.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .weylheis import (
     SUPPORTED_PRIMES,
     CliffordLabel,
     Mat2,
+    _metaplectic_defects,
     _sl2_index,
     check_dim,
     displacement,
@@ -541,41 +542,36 @@ def _clifford_label(c: np.ndarray) -> CliffordLabel:
     return CliffordLabel(p, f, (b * r0 - a * r1, d * r0 - g * r1))
 
 
-def _ket_orbits(kets: np.ndarray, maps, labels) -> np.ndarray:
-    """Orbit index of each ket under the group the maps (L, R) generate
-    (with none, each ket is its own orbit); (L, R) takes the Choi ket v_i
-    of C_i to that of L C_i R, (R^T x L) v_i, and ``labels`` holds the
-    ``_clifford_label`` pair of each map.
+def _ket_orbits(labels, n: int) -> np.ndarray:
+    """Orbit index of each of the n kets under the group the maps (L, R)
+    generate, from each map's ``_clifford_label`` pair alone; with no
+    maps, each ket is its own orbit.
 
     With maps, the kets are those of ``cliff_polytope``: p(p^2 - 1) blocks,
-    one per F, of the p^2 kets D_chi V_F, chi = (x, z) at x p + z.  F_L and
-    F_R are the SL(2) parts of the labels of L and R, read with no ket
-    from how each conjugates X and Z.  Up to a phase
-    L D_chi V_F R = D_(F_L chi) L V_F R, so block F goes to block
-    F_L F F_R and ket chi to chi_0(F) + F_L chi (mod p): chi_0(F), which
-    absorbs all displacements and phases, names the ket there that the
-    image of V_F overlaps most.  That squared overlap must reach 1 - 1e-9
-    and each map must permute the kets one to one (SymmetryViolation).
+    one per F, of the p^2 kets D_chi V_F, chi = (x, z) at x p + z.  Up to
+    a phase, L (D_chi V_F) R is the product ``compose_cliffords`` labels:
+    for L = (F_L | chi_L) and R = (F_R | chi_R), ket (F | chi) goes to
+    (F_L F F_R | chi_L + F_L chi + F_L F chi_R + k(F_L, F) + k(F_L F, F_R))
+    mod p, k the ``_metaplectic_defects``, which are zero at odd p.
     """
-    n, d = kets.shape
-    if not maps:
+    if not labels:
         return np.arange(n)
-    p = round(d ** 0.5)
+    p = labels[0][0].p
     f = np.array(sl2_matrices(p))
-    blocks = kets.reshape(len(f), d, d)
-    xz = np.array(np.divmod(np.arange(d), p))
+    code = p ** np.arange(3, -1, -1)  # sl2_matrices ascends in this code
+    codes = f.reshape(-1, 4) @ code
+    xz = np.array(np.divmod(np.arange(p * p), p))
     perms = []
-    for lr, lab in zip(maps, labels):
-        fl, fr = (np.array(c.f) for c in lab)
-        to = np.array([_sl2_index(p)[tuple(map(tuple, m))] for m in (fl @ f @ fr % p).tolist()])
-        img = np.empty((len(f), d), dtype=complex)
-        img[to] = blocks[:, 0] @ _ket_map(*lr).T  # the image of V_F, filed under its block
-        overlap = np.abs(blocks @ img.conj()[:, :, None])[:, :, 0] ** 2  # [block, block ket]
-        x, z = (np.divmod(np.argmax(overlap, axis=1)[to, None], p) + (fl @ xz)[:, None]) % p
-        perm = (to[:, None] * d + x * p + z).ravel()
-        if not overlap.max(axis=1).min() >= 1.0 - 1e-9 or np.bincount(perm, minlength=n).max() > 1:
-            raise SymmetryViolation("a generator does not permute the vertices")
-        perms.append(perm)
+    for lab_l, lab_r in labels:
+        fl = np.array(lab_l.f)
+        flf = fl @ f % p
+        to = np.searchsorted(codes, (flf @ lab_r.f % p).reshape(-1, 4) @ code)
+        chi = lab_l.chi + flf @ lab_r.chi  # [block, (x, z)]
+        if p == 2:
+            k, i = _metaplectic_defects(p), _sl2_index(p)
+            chi += k[i[lab_l.f]] + k[np.searchsorted(codes, flf.reshape(-1, 4) @ code), i[lab_r.f]]
+        x, z = (chi.T[:, :, None] + (fl @ xz)[:, None]) % p
+        perms.append((to[:, None] * p * p + x * p + z).ravel())
     # Each vertex takes the least index it reaches; a finite permutation
     # group reaches its whole orbit by forward steps.
     orbit = np.arange(n)
@@ -587,11 +583,12 @@ def _ket_orbits(kets: np.ndarray, maps, labels) -> np.ndarray:
         orbit = new
 
 
-def _orbit_columns(spec: PolytopeSpec, maps, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The target-free part of ``lp_threshold``'s LP matrix: the orbit index
-    of each ket (read-only), the orbit sizes (read-only), and a (d^2, n + 2)
-    array whose first n columns are the orbit averages, the last two left
-    for start and end.
+def _orbit_columns(spec: PolytopeSpec, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The target-free part of ``lp_threshold``'s LP matrix under maps with
+    these ``_clifford_label`` pairs: the ``_ket_orbits`` index of each ket
+    and the orbit sizes (both read-only), and a (d^2, n + 2) array whose
+    first n columns are the orbit averages, the last two left for start
+    and end.
 
     It is filled in place: with a column per vertex it is the largest
     array the LP builds.  The averages are stacked and vectorised one
@@ -600,7 +597,7 @@ def _orbit_columns(spec: PolytopeSpec, maps, labels) -> tuple[np.ndarray, np.nda
     that size lift malloc's mmap threshold), and 163-orbit stacks the
     traced peak of one membership from 3.0 to 5-6 MB.
     """
-    orbit = _ket_orbits(spec.kets, maps, labels)
+    orbit = _ket_orbits(labels, spec.n_vertices)
     sizes = np.bincount(orbit)
     n = len(sizes)
     # Stable, so each orbit keeps its members in index order.
@@ -628,22 +625,23 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
 
     with one column per orbit of the group the ``maps`` generate (Heinrich
     & Gross, arXiv:1807.10296); with no maps each vertex is its own orbit.
-    Each map is a pair (L, R) of unitaries, C -> L C R, and must permute
-    the Clifford Choi kets of ``cliff_polytope`` up to a phase and fix
-    ``start`` and ``end`` (SymmetryViolation otherwise, and for maps on any
-    spec ``cliff_polytope`` did not return).  Averaging over the group
-    then maps the hull onto the hull of the orbit averages and fixes the
-    path, so the least eps is the same with one column per orbit.  The LP
-    runs in an orthonormal basis of the span of the averages, start and end.
+    Each map is a pair (L, R) of Clifford unitaries, C -> L C R, which
+    permutes the Clifford Choi kets of ``cliff_polytope`` up to a phase; a
+    map that moves ``start`` or ``end``, a factor with no ``_clifford_label``,
+    and maps on any spec ``cliff_polytope`` did not return raise
+    SymmetryViolation.  Averaging over the group then maps the hull onto
+    the hull of the orbit averages and fixes the path, so the least eps is
+    the same with one column per orbit.  The LP runs in an orthonormal
+    basis of the span of the averages, start and end.
 
     The orbits and their averages (``_orbit_columns``) depend on the spec
-    and the maps alone, so the spec keeps those of the last map set it ran
-    on, keyed by the maps' Clifford labels (``_clifford_label``), and a
-    second path under the same maps fills in only its start and end
-    columns; its kets are read-only, so the entry cannot go stale.  The
-    entry is taken out of the spec while in use and put back after, and
-    kept only when its array is no larger than the kets (the orbit LPs,
-    not one with a column per vertex).
+    and the maps' Clifford labels alone, so the spec keeps those of the
+    last map set it ran on, keyed by these labels, and a second path under
+    the same maps fills in only its start and end columns; its kets are
+    read-only, so the entry cannot go stale.  The entry is taken out of
+    the spec while in use and put back after, and kept only when its array
+    is no larger than the kets (the orbit LPs, not one with a column per
+    vertex).
 
     Each orbit's weight is spread evenly over its members, and
     ``spec.mixture`` of these weights over all vertices must reproduce the
@@ -666,7 +664,7 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
         raise SymmetryViolation("a generator moves the threshold path")
     # Taken out of the spec while in use, so no two calls fill one matrix.
     key = tuple(tuple(map(_clifford_label, lr)) for lr in maps)
-    orbit, sizes, m = spec._lp_columns.pop(key, None) or _orbit_columns(spec, maps, key)
+    orbit, sizes, m = spec._lp_columns.pop(key, None) or _orbit_columns(spec, key)
     n = len(sizes)
     m[:, n], m[:, n + 1] = herm_to_vec(start), herm_to_vec(end)
     # A wide array has the column space and singular values of its square

@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ShapeMismatch, UnsupportedDim, ZeroLabel
-from .kernel import equal_up_to_global_phase, mod_inv
+from .kernel import mod_inv
 
 SUPPORTED_PRIMES = (2, 3, 5, 7)
 
@@ -165,27 +165,28 @@ def clifford_unitary(label: CliffordLabel) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _metaplectic_defect(p: int, f1: Mat2, f2: Mat2) -> tuple[int, int]:
-    """Displacement left over in V_F1 V_F2 relative to V_(F1 F2).
+def _metaplectic_defects(p: int) -> np.ndarray:
+    """The displacement kappa left over in V_F1 V_F2 relative to V_(F1 F2),
+    V_F1 V_F2 proportional to D_kappa V_(F1 F2), for every pair of
+    ``sl2_matrices``, as a read-only [F1, F2, (x, z)] array.  For odd p the
+    recipe composes cleanly (kappa = 0), so only p = 2, where the tau
+    phases do not cancel, reads it.
 
-    For odd p the recipe composes cleanly (defect (0, 0)).  For p = 2 the
-    tau phases do not cancel and V_F1 V_F2 is proportional to D_kappa
-    V_(F1 F2) for a possibly nonzero kappa, found here by direct search.
+    Both products implement F1 F2, so they differ by one displacement up
+    to a phase, and |Tr[(D_k V_(F1 F2))^dag V_F1 V_F2]| is p at k = kappa
+    and 0 elsewhere (ShapeMismatch unless the largest is p to 1e-10).
     """
-    if p != 2:
-        return (0, 0)
-    (a1, b1), (c1, d1) = f1
-    (a2, b2), (c2, d2) = f2
-    f12 = (((a1 * a2 + b1 * c2) % p, (a1 * b2 + b1 * d2) % p),
-           ((c1 * a2 + d1 * c2) % p, (c1 * b2 + d1 * d2) % p))
-    w = symplectic_unitary(p, f1) @ symplectic_unitary(p, f2)
-    v12 = symplectic_unitary(p, f12)
-    for kx in range(p):
-        for kz in range(p):
-            eq, _ = equal_up_to_global_phase(w, displacement(p, kx, kz) @ v12, 1e-10)
-            if eq:
-                return (kx, kz)
-    raise ShapeMismatch("metaplectic composition defect not found")
+    f, v = np.array(sl2_matrices(p)), symplectic_unitaries(p)
+    n, i = len(f), _sl2_index(p)
+    f12 = [i[tuple(map(tuple, m))] for m in (f[:, None] @ f % p).reshape(-1, 2, 2).tolist()]
+    d = np.array([displacement(p, x, z) for x in range(p) for z in range(p)])
+    w = (v[:, None] @ v).reshape(-1, p, p)  # [pair of indices i n + j]
+    t = np.abs(np.sum((d[:, None] @ v[f12]).conj() * w, axis=(2, 3)))  # [k, pair]
+    if not np.max(np.abs(t.max(axis=0) - p)) <= 1e-10:
+        raise ShapeMismatch("metaplectic composition defect not found")
+    out = np.stack(np.divmod(t.argmax(axis=0), p), axis=-1).reshape(n, n, 2)
+    out.flags.writeable = False
+    return out
 
 
 def compose_cliffords(l1: CliffordLabel, l2: CliffordLabel) -> CliffordLabel:
@@ -197,7 +198,8 @@ def compose_cliffords(l1: CliffordLabel, l2: CliffordLabel) -> CliffordLabel:
     (a2, b2), (c2, d2) = l2.f
     f = ((a1 * a2 + b1 * c2, a1 * b2 + b1 * d2),
          (c1 * a2 + d1 * c2, c1 * b2 + d1 * d2))
-    kx, kz = _metaplectic_defect(p, l1.f, l2.f)
+    i = _sl2_index(p)
+    kx, kz = _metaplectic_defects(p)[i[l1.f], i[l2.f]].tolist() if p == 2 else (0, 0)
     x2, z2 = l2.chi
     chi = (l1.chi[0] + a1 * x2 + b1 * z2 + kx,
            l1.chi[1] + c1 * x2 + d1 * z2 + kz)

@@ -222,6 +222,19 @@ def test_read_matrix_skips_comments_and_blank_lines(tmp_path):
     assert np.array_equal(read_matrix(str(path)), np.array([[1, 0.5j], [0, -1]]))
 
 
+def test_read_matrix_reads_inf_as_a_number(capsys, tmp_path):
+    """Only a trailing i is the imaginary unit, so 'inf' reads as infinity,
+    and ``verify`` refuses the matrix as not diagonal (exit 2)."""
+    path = tmp_path / "u.txt"
+    path.write_text("1 inf\n0 1\n")
+    m = read_matrix(str(path))
+    assert m[0, 1] == np.inf and np.array_equal(m[1], [0, 1])
+    rc = main(["verify", "--p", "2", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "must be diagonal" in captured.err
+
+
 @pytest.mark.parametrize("text,message", [("# only a comment\n\n", "no matrix data"),
                                           ("1 0\n0\n", "ragged rows")],
                          ids=["empty", "ragged"])

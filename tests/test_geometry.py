@@ -455,6 +455,12 @@ def test_partial_trace():
     assert np.max(np.abs(partial_trace(joint, 3, 1) - rb)) < 1e-12
 
 
+@pytest.mark.parametrize("keep", (2, -1))
+def test_partial_trace_refuses_a_factor_out_of_range(keep):
+    with pytest.raises(ValueError, match="keep must be 0 or 1"):
+        partial_trace(np.eye(9) / 9, 3, keep)
+
+
 def test_choi_of_depolarizing_channel_matches_formula():
     p = 3
     u = gate_exponents(p, GateParams(1, 2, 0)).matrix()

@@ -413,8 +413,8 @@ def test_two_memberships_on_one_spec_search_the_orbits_once(monkeypatch):
     beside the weight check of each LP."""
     searches, mixtures = [], []
     ket_orbits, mixture = hull._ket_orbits, hull.PolytopeSpec.mixture
-    monkeypatch.setattr(hull, "_ket_orbits", lambda kets, maps, labels: searches.append(len(maps))
-                        or ket_orbits(kets, maps, labels))
+    monkeypatch.setattr(hull, "_ket_orbits", lambda labels, n: searches.append(len(labels))
+                        or ket_orbits(labels, n))
     monkeypatch.setattr(hull.PolytopeSpec, "mixture",
                         lambda spec, w: mixtures.append(np.ptp(w) == 0) or mixture(spec, w))
     spec = cliff_polytope(5)
@@ -513,18 +513,23 @@ def test_spec_kets_are_read_only(make):
         plain.kets[0, 0] = 0.0
 
 
-def test_membership_rejects_a_map_that_does_not_permute_the_vertices():
-    """A diagonal phase gate off the Clifford group fixes the Choi state
-    of the T gate but maps Clifford Choi kets off the polytope; added to
-    the maps a membership of ``cliff_polytope(2)`` runs over, the LP must
-    raise rather than drop it."""
+@pytest.mark.parametrize("path", ("membership", "threshold"))
+def test_lp_rejects_a_map_that_does_not_permute_the_vertices(path):
+    """Conjugation by S = diag(1, e^0.3i), a diagonal phase gate off the
+    Clifford group, fixes the Choi state of every diagonal gate but maps
+    Clifford Choi kets off the polytope.  Added to the maps a membership
+    of ``cliff_polytope(2)`` runs over, or alone on the path from J_T to
+    I/4, the LP must raise rather than drop it."""
     spec = cliff_polytope(2)
     s = np.diag([1.0, np.exp(0.3j)])
-    target, barycentre, maps = _membership_maps(
-        spec, depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5))
-    assert lp_membership(spec, target).orbits < spec.n_vertices
+    u = gate_matrix(2, ROBUST_GATE_PARAMS[2])
+    if path == "membership":
+        start, end, maps = _membership_maps(spec, depolarized_choi(2, u, 0.5))
+        assert maps and lp_membership(spec, start).orbits < spec.n_vertices
+    else:
+        start, end, maps = choi_of_unitary(u), np.eye(4) / 4, []
     with pytest.raises(SymmetryViolation, match="does not permute"):
-        lp_threshold(spec, target, barycentre, maps + [(s.conj().T, s)])
+        lp_threshold(spec, start, end, maps + [(s.conj().T, s)])
 
 
 def _rolled_kets(spec):
@@ -593,16 +598,6 @@ def test_only_cliff_polytope_carries_maps():
         assert np.array_equal(l, s.conj().T) and np.array_equal(r, s)
 
 
-def test_per_map_check_rejects_a_non_clifford_left_factor():
-    """On the polytope's own spec, conjugation by S = diag(1, e^0.3i)
-    fixes the path from J_U to I/4 but sends V_F off the Clifford kets."""
-    s = np.diag([1.0, np.exp(0.3j)])
-    u = gate_matrix(2, ROBUST_GATE_PARAMS[2])
-    with pytest.raises(SymmetryViolation, match="does not permute"):
-        lp_threshold(cliff_polytope(2), choi_of_unitary(u), np.eye(4) / 4,
-                     maps=[(s.conj().T, s)])
-
-
 def _threshold_maps(p, u, gate_pairs=(pauli_x,)):
     """The maps ``threshold_depol_gate`` runs over for the diagonal gate u:
     the pairs (U D^dag U^dag, D) for D in ``gate_pairs``, then the maps of
@@ -659,8 +654,9 @@ def _per_ket_orbits(kets, maps):
 
 
 def _ket_orbits(kets, maps):
-    """``hull._ket_orbits`` with the labels ``lp_threshold`` reads for the maps."""
-    return hull._ket_orbits(kets, maps, [tuple(map(hull._clifford_label, lr)) for lr in maps])
+    """``hull._ket_orbits`` of the kets' count, with the labels ``lp_threshold``
+    reads for the maps."""
+    return hull._ket_orbits([tuple(map(hull._clifford_label, lr)) for lr in maps], len(kets))
 
 
 def _orbit_labels(perms):

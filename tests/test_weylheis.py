@@ -6,6 +6,7 @@ from quditgates.kernel import equal_up_to_global_phase
 from quditgates.weylheis import (
     SUPPORTED_PRIMES,
     CliffordLabel,
+    _metaplectic_defects,
     check_dim,
     clifford_labels,
     clifford_unitary,
@@ -163,6 +164,22 @@ def test_clifford_composition_metaplectic_case():
     u = clifford_unitary(l1) @ clifford_unitary(l2)
     ok, _ = equal_up_to_global_phase(u, clifford_unitary(l12), tol=1e-12)
     assert ok
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_metaplectic_defects_match_the_products(p):
+    """For every pair (F1, F2), V_F1 V_F2 is D_kappa V_(F1 F2) up to a
+    global phase, kappa the table entry, which is zero at odd p."""
+    fs = sl2_matrices(p)
+    kappa = _metaplectic_defects(p)
+    assert kappa.shape == (len(fs), len(fs), 2) and kappa.any() == (p == 2)
+    for i, f1 in enumerate(fs):
+        for j, f2 in enumerate(fs):
+            f12 = tuple(tuple(int(x) for x in row) for row in np.array(f1) @ f2 % p)
+            want = displacement(p, *kappa[i, j]) @ symplectic_unitary(p, f12)
+            ok, _ = equal_up_to_global_phase(symplectic_unitary(p, f1) @ symplectic_unitary(p, f2),
+                                             want, tol=1e-12)
+            assert ok, (f1, f2)
 
 
 @pytest.mark.parametrize("p", SUPPORTED_PRIMES)
