@@ -228,23 +228,22 @@ def identify_third_level(p: int, u: np.ndarray, tol: float = 1e-9) -> ThirdLevel
 def pauli_conjugation(p: int, g: GateParams, x: int, z: int):
     """Clifford label (with phase) of U D_(x|z) U^dag for a family gate U.
 
-    Needs 2^-1 mod p, hence odd p only.  Returns ``(label, phase)`` where
-    the numeric identity U D U^dag = phase * C_label holds within 1e-9.
+    With x and z reduced mod p, the label is ([1, 0; x gamma, 1] |
+    (x, x z_U + gamma C(x, 2) + z)), C(x, 2) = x (x - 1) / 2 taken as an
+    integer, so the rule needs no 2^-1 and holds at every p.  Returns
+    ``(label, phase)`` where the numeric identity U D U^dag = phase *
+    C_label holds within 1e-9 (ConvergenceFailure otherwise).
     """
     check_dim(p)
-    if p == 2:
-        raise UnsupportedDim("conjugation labels need 2^-1 mod p; use odd p")
     g = g.reduced(p)
     x %= p
     z %= p
-    inv2 = mod_inv(2, p)
-    f = ((1, 0), ((x * g.gamma) % p, 1))
-    zc = (x * (g.z + inv2 * g.gamma * (x - 1)) + z) % p
-    label = CliffordLabel(p, f, (x % p, zc))
+    f = ((1, 0), (x * g.gamma, 1))
+    label = CliffordLabel(p, f, (x, x * g.z + g.gamma * (x * (x - 1) // 2) + z))
     u = gate_matrix(p, g)
     lhs = u @ displacement(p, x, z) @ u.conj().T
     eq, phase = equal_up_to_global_phase(lhs, clifford_unitary(label), 1e-9)
-    if not eq:  # pragma: no cover - the identity is exact
+    if not eq:
         raise ConvergenceFailure("conjugation image failed the phase check")
     return label, phase
 

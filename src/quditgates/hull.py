@@ -12,9 +12,9 @@ column per orbit of optional maps that fix the path and permute the
 vertices (with none, each vertex is its own orbit).  Its weights show the
 target inside at eps*, and its phase-2 dual gives a Hermitian witness
 separating it just below, which plays the role of the (unknown) facet
-description of the Clifford polytope.  A map is a pair (L, R) of p x p
-unitaries, C -> L C R on the Clifford gates; only the Clifford polytope
-carries maps.
+description of the Clifford polytope.  A map is a pair (L, R) of
+``CliffordLabel``s, C -> L C R on the Clifford gates; only the Clifford
+polytope carries maps.
 
 Membership is that LP from the target toward the vertex barycentre: the
 target is inside iff eps* = 0, and otherwise the witness separates the
@@ -30,14 +30,14 @@ columns instead of 16464 vertices at p = 7; ``threshold_depol_gate``
 solves it once per family gate and process.  Vertices are stored as kets;
 weights and witnesses are checked against every one.  The orbit search
 reads no ket: each map's Clifford labels place every vertex's image by
-label arithmetic.  Only ``cliff_polytope``'s spec, of its own type, takes
-maps, and it keeps the orbit columns of its last map set for the next LP
-under the same maps.
+label arithmetic.  Every label is known exactly where its map is made;
+none is read back from a dense unitary.  Only ``cliff_polytope``'s spec,
+of its own type, takes maps, and it keeps the orbit columns of its last
+map set for the next LP under the same maps.
 """
 
 from __future__ import annotations
 
-import cmath
 import operator
 import os
 from dataclasses import dataclass
@@ -48,21 +48,19 @@ import numpy as np
 from .errors import MissingConfig, NumericalInstability, SymmetryViolation
 from .geometry import (_check_density, _row_blocks, choi_ket, depolarized_choi, gate_state,
                        negativity)
-from .hierarchy import GateParams, _exponents, gate_matrix, root_order
+from .hierarchy import GateParams, _exponents, gate_matrix, pauli_conjugation, root_order
 from .weylheis import (
     SUPPORTED_PRIMES,
     CliffordLabel,
-    Mat2,
     _metaplectic_defects,
     _sl2_index,
     check_dim,
+    clifford_unitary,
+    compose_cliffords,
     displacement,
     mub_vectors,
-    pauli_x,
-    pauli_z,
     sl2_matrices,
     symplectic_unitaries,
-    symplectic_unitary,
 )
 
 LP_TOL = 1e-8
@@ -144,7 +142,8 @@ class PolytopeSpec:
     time into a result allocated once (see ``vertices`` and ``system``).
     ``maps`` are the symmetries ``lp_membership`` runs over: none on a
     plain spec; the spec ``cliff_polytope`` returns, of a type of its own,
-    carries the Clifford conjugations (see ``lp_threshold``).
+    carries the Clifford conjugations as ``CliffordLabel`` pairs (see
+    ``lp_threshold``).
     """
 
     maps = ()
@@ -263,11 +262,13 @@ def cliff_polytope(p: int) -> PolytopeSpec:
     kets of length 49, 13 MB; the dense vertices would take 632 MB and the
     LP system 316 MB, so the depolarising-gate threshold reads neither
     (see ``threshold_depol_gate``).  The spec's ``maps`` are the
-    conjugations C -> S^dag C S, the pairs (S^dag, S), for S = X, Z, and
-    V_F for the shear F = [[1, 0], [1, 1]] and the Fourier matrix
-    F = [[0, -1], [1, 0]]; they generate the Clifford group, so
-    ``lp_membership`` decides any target over the orbits of the
-    conjugations that fix it.
+    conjugations C -> S^dag C S, the label pairs (S^-1, S), for S = X =
+    (I | (1, 0)), Z = (I | (0, 1)), and (F | 0) for the shear
+    F = [[1, 0], [1, 1]] and the Fourier matrix F = [[0, -1], [1, 0]];
+    they generate the Clifford group, so ``lp_membership`` decides any
+    target over the orbits of the conjugations that fix it.  S^-1 is
+    taken by ``compose_cliffords``' rule: at p = 2 the shear's inverse is
+    (shear | (0, 1)).
     """
     check_dim(p)
     return _CliffordPolytope(p)
@@ -284,9 +285,22 @@ class _CliffordPolytope(PolytopeSpec):
         for rows in _row_blocks(len(vs), len(ds)):
             kets[rows] = choi_ket(np.matmul(ds[None], vs[rows, None]))
         self._own(kets.reshape(-1, p * p))
-        gens = (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
-                symplectic_unitary(p, ((0, p - 1), (1, 0))))
-        self.maps = tuple((s.conj().T, s) for s in gens)
+        self.p = p
+        one = ((1, 0), (0, 1))
+        gens = (CliffordLabel(p, one, (1, 0)), CliffordLabel(p, one, (0, 1)),
+                CliffordLabel(p, ((1, 0), (1, 1)), (0, 0)),
+                CliffordLabel(p, ((0, -1), (1, 0)), (0, 0)))
+        self.maps = tuple((_inverse(s), s) for s in gens)
+
+
+def _inverse(s: CliffordLabel) -> CliffordLabel:
+    """Label of C^-1 for the Clifford C labelled ``s`` = (F | chi):
+    (F^-1 | -k), k the chi of ``compose_cliffords((F^-1 | 0), s)``, so
+    that the product with ``s`` is the identity."""
+    (a, b), (c, d) = s.f
+    f = ((d, -b), (-c, a))
+    k = compose_cliffords(CliffordLabel(s.p, f, (0, 0)), s).chi
+    return CliffordLabel(s.p, f, (-k[0], -k[1]))
 
 
 @lru_cache(maxsize=None)
@@ -431,9 +445,11 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
     ``cliff_polytope``'s, carries none); a second target fixed by the same maps
     reuses the orbits and their averages (see ``lp_threshold``).
     Inside, the weights are those of the LP, spread over every vertex.  Outside,
-    the LP's witness separates the point just short of eps*, and it is checked
-    against the target itself, which lies farther out (NumericalInstability if
-    the weights or the witness fail).  Both are read-only.
+    the LP's witness separates the point just short of eps*, where
+    ``lp_threshold`` has checked it against every vertex; the target lies
+    farther out, so only Tr[W target] <= -min(LP_TOL, margin / 2) is left to
+    check here (NumericalInstability if the weights or the witness fail).
+    Both are read-only.
     """
     target = _check_density(target, spec.dim, "target")
     maps = [g for g in spec.maps if _fixes(g, target)]
@@ -442,7 +458,8 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
                   bland=r.bland, orbits=r.orbits)
     if r.epsilon_star == 0.0:
         return LPOutcome(True, r.weights, None, 0.0, **counts)
-    verify_certificate(spec, target, r.witness, floor=min(LP_TOL, 0.5 * r.margin))
+    if not np.trace(r.witness @ target).real <= -min(LP_TOL, 0.5 * r.margin):
+        raise NumericalInstability("certificate does not separate the target")
     return LPOutcome(False, None, r.witness, r.epsilon_star, **counts)
 
 
@@ -451,11 +468,12 @@ def _ket_map(l: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (r.T[:, None, :, None] * l[None, :, None, :]).reshape(l.size, l.size)
 
 
-def _fixes(lr, h: np.ndarray) -> bool:
-    """Whether the map (L, R) fixes the operator h: g h g^dag = h to 1e-10,
-    g = R^T x L."""
-    g = _ket_map(*lr)
-    return bool(np.max(np.abs(g @ h @ g.conj().T - h)) <= 1e-10)
+def _fixes(lr, *hs: np.ndarray) -> bool:
+    """Whether the map with the label pair (L, R) fixes every operator h:
+    g h g^dag = h to 1e-10, g = R^T x L, built once from the labels'
+    ``clifford_unitary``s."""
+    g = _ket_map(*map(clifford_unitary, lr))
+    return all(np.max(np.abs(g @ h @ g.conj().T - h)) <= 1e-10 for h in hs)
 
 
 def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
@@ -504,48 +522,10 @@ class ThresholdResult:
     bland: bool = False                 # LP: whether the pivots switched to Bland's rule
 
 
-def _conjugation(c: np.ndarray) -> tuple[Mat2, tuple[int, int]]:
-    """(F, k) with C X C^dag = omega^k_0 D_(F(1,0)) and C Z C^dag =
-    omega^k_1 D_(F(0,1)): each image A is matched to the displacement D_a
-    it overlaps most, |Tr[D_a^dag A]| / p.  That squared overlap must reach
-    1 - 1e-9, and F must lie in SL(2, Z_p) (SymmetryViolation)."""
-    p = len(c)
-    d = _displacements(p)
-    img = (c @ d[[p, 1]] @ c.conj().T).reshape(2, -1)  # X = D_(1|0), Z = D_(0|1)
-    t = d.reshape(p * p, -1).conj() @ img.T / p
-    a = np.abs(t).argmax(axis=0)
-    (x0, z0), (x1, z1) = divmod(int(a[0]), p), divmod(int(a[1]), p)
-    f = ((x0, x1), (z0, z1))
-    top = complex(t[a[0], 0]), complex(t[a[1], 1])
-    if not min(map(abs, top)) ** 2 >= 1.0 - 1e-9 or f not in _sl2_index(p):
-        raise SymmetryViolation("a generator does not permute the vertices")
-    return f, tuple(round(cmath.phase(v) * p / (2 * np.pi)) for v in top)
-
-
-@lru_cache(maxsize=None)
-def _symplectic_phases(p: int, f: Mat2) -> tuple[int, int]:
-    """The k of ``_conjugation`` for V_F: the p = 2 metaplectic signs, and
-    none at odd p, where V_F conjugates exactly (see ``weylheis``)."""
-    return _conjugation(symplectic_unitary(p, f))[1] if p == 2 else (0, 0)
-
-
-def _clifford_label(c: np.ndarray) -> CliffordLabel:
-    """The label (F | chi) of a Clifford C, equal to D_chi V_F up to a
-    phase, read from how C conjugates X and Z (``_conjugation``): F from
-    the displacements, chi from the phases.  D_chi multiplies D_a by
-    omega^(chi_z a_x - chi_x a_z), so with r = k - ``_symplectic_phases``,
-    chi = F (-r_1, r_0) mod p."""
-    p = len(c)
-    f, k = _conjugation(c)
-    r0, r1 = (a - b for a, b in zip(k, _symplectic_phases(p, f)))
-    (a, b), (g, d) = f
-    return CliffordLabel(p, f, (b * r0 - a * r1, d * r0 - g * r1))
-
-
 def _ket_orbits(labels, n: int) -> np.ndarray:
     """Orbit index of each of the n kets under the group the maps (L, R)
-    generate, from each map's ``_clifford_label`` pair alone; with no
-    maps, each ket is its own orbit.
+    generate, from each map's ``CliffordLabel`` pair alone; with no maps,
+    each ket is its own orbit.
 
     With maps, the kets are those of ``cliff_polytope``: p(p^2 - 1) blocks,
     one per F, of the p^2 kets D_chi V_F, chi = (x, z) at x p + z.  Up to
@@ -584,8 +564,8 @@ def _ket_orbits(labels, n: int) -> np.ndarray:
 
 
 def _orbit_columns(spec: PolytopeSpec, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The target-free part of ``lp_threshold``'s LP matrix under maps with
-    these ``_clifford_label`` pairs: the ``_ket_orbits`` index of each ket
+    """The target-free part of ``lp_threshold``'s LP matrix under the maps
+    with these ``CliffordLabel`` pairs: the ``_ket_orbits`` index of each ket
     and the orbit sizes (both read-only), and a (d^2, n + 2) array whose
     first n columns are the orbit averages, the last two left for start
     and end.
@@ -625,18 +605,19 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
 
     with one column per orbit of the group the ``maps`` generate (Heinrich
     & Gross, arXiv:1807.10296); with no maps each vertex is its own orbit.
-    Each map is a pair (L, R) of Clifford unitaries, C -> L C R, which
-    permutes the Clifford Choi kets of ``cliff_polytope`` up to a phase; a
-    map that moves ``start`` or ``end``, a factor with no ``_clifford_label``,
-    and maps on any spec ``cliff_polytope`` did not return raise
-    SymmetryViolation.  Averaging over the group then maps the hull onto
-    the hull of the orbit averages and fixes the path, so the least eps is
-    the same with one column per orbit.  The LP runs in an orthonormal
-    basis of the span of the averages, start and end.
+    Each map is a pair (L, R) of ``CliffordLabel``s of the spec's p, the
+    Cliffords C -> L C R, which permutes the Clifford Choi kets of
+    ``cliff_polytope`` up to a phase; maps on any spec ``cliff_polytope``
+    did not return, a map that is not such a pair, and a map that moves
+    ``start`` or ``end`` raise SymmetryViolation.  Averaging over the
+    group then maps the hull onto the hull of the orbit averages and fixes
+    the path, so the least eps is the same with one column per orbit.  The
+    LP runs in an orthonormal basis of the span of the averages, start and
+    end.
 
     The orbits and their averages (``_orbit_columns``) depend on the spec
-    and the maps' Clifford labels alone, so the spec keeps those of the
-    last map set it ran on, keyed by these labels, and a second path under
+    and the maps' labels alone, so the spec keeps those of the last map
+    set it ran on, keyed by the label pairs, and a second path under
     the same maps fills in only its start and end columns; its kets are
     read-only, so the entry cannot go stale.  The entry is taken out of
     the spec while in use and put back after, and kept only when its array
@@ -658,12 +639,15 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     """
     if maps and not isinstance(spec, _CliffordPolytope):
         raise SymmetryViolation("maps permute the kets of cliff_polytope alone")
+    key = tuple(tuple(lr) for lr in maps)
+    if not all(len(lr) == 2 and all(isinstance(c, CliffordLabel) and c.p == spec.p for c in lr)
+               for lr in key):
+        raise SymmetryViolation(f"a map must be a pair of CliffordLabels of p = {spec.p}")
     start = _check_density(start, spec.dim, "start")
     end = _check_density(end, spec.dim, "end")
-    if not all(_fixes(g, h) for g in maps for h in (start, end)):
+    if not all(_fixes(g, start, end) for g in key):
         raise SymmetryViolation("a generator moves the threshold path")
     # Taken out of the spec while in use, so no two calls fill one matrix.
-    key = tuple(tuple(map(_clifford_label, lr)) for lr in maps)
     orbit, sizes, m = spec._lp_columns.pop(key, None) or _orbit_columns(spec, key)
     n = len(sizes)
     m[:, n], m[:, n + 1] = herm_to_vec(start), herm_to_vec(end)
@@ -749,10 +733,13 @@ def threshold_depol_gate(p: int, g: GateParams) -> ThresholdResult:
     ``lp_threshold`` from J_U to I/p^2 over the orbits of maps that fix
     both and permute the Clifford Choi kets: (U X^dag U^dag, X), i.e.
     C -> (U X^dag U^dag) C X, which permutes them as U is a third-level
-    gate, and those of ``cliff_polytope(p).maps`` that fix J_U.  For the
-    diagonal U of the family these include the conjugations by Z, which
-    is (U Z^dag U^dag, Z), and by the shear V_F, F = [[1, 0], [1, 1]].
-    A gate given as a matrix is named by ``identify_third_level``.
+    gate, its left label ``pauli_conjugation(p, g, -1, 0)``, and those of
+    ``cliff_polytope(p).maps`` that fix J_U and are not already in the
+    list, by exact label equality.  For the diagonal U of the family these
+    include the conjugations by Z, which is (U Z^dag U^dag, Z), and by the
+    shear V_F, F = [[1, 0], [1, 1]]; for U = Z^e the gate's own pair is
+    the conjugation by X and is passed once.  A gate given as a matrix is
+    named by ``identify_third_level``.
     """
     check_dim(p)
     return _depol_gate_threshold(p, g.reduced(p))
@@ -763,8 +750,9 @@ def _depol_gate_threshold(p: int, g: GateParams) -> ThresholdResult:
     u = gate_matrix(p, g)
     spec = cliff_polytope(p)
     start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
-    maps = [(u @ pauli_x(p).conj().T @ u.conj().T, pauli_x(p))]
-    maps += [m for m in spec.maps if _fixes(m, start)]
+    x = spec.maps[0][1]  # the label of X, the polytope's first generator
+    maps = [(pauli_conjugation(p, g, -1, 0)[0], x)]
+    maps += [m for m in spec.maps if m not in maps and _fixes(m, start)]
     return lp_threshold(spec, start, end, maps)
 
 

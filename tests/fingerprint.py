@@ -12,8 +12,9 @@ commits on one host can be compared line for line:
 The bits depend on the BLAS kernel, so the first line names numpy, the
 machine, ``OPENBLAS_CORETYPE`` and the core that numpy's OpenBLAS runs
 (``default`` names none, whatever OpenBLAS picked); compare only
-fingerprints taken under the same first line.  The objects are the depolarising-gate thresholds
-at p = 2, 3, 5, 7 for three gates each, the p = 5 and 7 CLIFF and one
+fingerprints taken under the same first line.  The objects are the
+depolarising-gate thresholds of every family gate at p = 2 and 3 (8 and
+27) and of three gates each at p = 5 and 7, the p = 5 and 7 CLIFF and one
 STAB(5) membership, the full-vertex CLIFF LP at p = 3, the equatorial
 optimum at p = 5 and 7 with its work counts, the p = 7 edge scan, and
 the JSON output of ``table1/2/3`` and ``threshold`` without
@@ -82,7 +83,9 @@ def lines():
            f"OPENBLAS_CORETYPE {os.environ.get('OPENBLAS_CORETYPE', 'default')} "
            f"core {openblas_core()}")
     for p in (2, 3, 5, 7):
-        for g in (ROBUST_GATE_PARAMS[p], GateParams(1, 1, 0), GateParams(0, 1, 1)):
+        gates = ([GateParams(*g) for g in np.ndindex(p, p, p)] if p <= 3 else
+                 [ROBUST_GATE_PARAMS[p], GateParams(1, 1, 0), GateParams(0, 1, 1)])
+        for g in gates:
             yield f"threshold_depol_gate p={p} {g.astuple()}: " + threshold_line(
                 threshold_depol_gate(p, g))
     for p, epss in ((5, (0.5, 0.94, 0.9675)), (7, (0.97, 0.98))):

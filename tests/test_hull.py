@@ -1,12 +1,15 @@
+import cmath
 import dataclasses
 import sys
 import threading
 import tracemalloc
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from quditgates.errors import MissingConfig, NumericalInstability, SymmetryViolation
+from quditgates.errors import (ConvergenceFailure, MissingConfig, NumericalInstability,
+                               SymmetryViolation)
 from quditgates.geometry import (
     choi_ket,
     choi_of_unitary,
@@ -16,8 +19,9 @@ from quditgates.geometry import (
     negativity,
     phase_damped_state,
 )
-from quditgates.hierarchy import GateParams, gate_exponents, gate_matrix, root_order
-from quditgates import cli, geometry, hull
+from quditgates.hierarchy import (GateParams, gate_exponents, gate_matrix, pauli_conjugation,
+                                  root_order)
+from quditgates import cli, geometry, hierarchy, hull
 from quditgates.hull import (
     LP_TOL,
     LPOutcome,
@@ -42,6 +46,7 @@ from quditgates.hull import (
 )
 from quditgates.weylheis import (
     CliffordLabel,
+    _sl2_index,
     clifford_labels,
     clifford_unitary,
     pauli_x,
@@ -434,7 +439,7 @@ def test_the_spec_keeps_the_columns_of_its_last_map_set_alone():
     for target in (depolarized_choi(3, u, 0.5), np.eye(9) / 9, depolarized_choi(3, u, 0.8)):
         maps = _membership_maps(spec, target)[2]
         lp_membership(spec, target)
-        sets.append(tuple(tuple(map(hull._clifford_label, lr)) for lr in maps))
+        sets.append(tuple(tuple(lr) for lr in maps))
         assert list(spec._lp_columns) == [sets[-1]]
     assert len(sets[0]) == 2 and len(sets[1]) == 4 and sets[2] == sets[0]
     mixed = spec.mixture(np.random.default_rng(5).dirichlet(np.ones(spec.n_vertices)))
@@ -517,9 +522,10 @@ def test_spec_kets_are_read_only(make):
 def test_lp_rejects_a_map_that_does_not_permute_the_vertices(path):
     """Conjugation by S = diag(1, e^0.3i), a diagonal phase gate off the
     Clifford group, fixes the Choi state of every diagonal gate but maps
-    Clifford Choi kets off the polytope.  Added to the maps a membership
-    of ``cliff_polytope(2)`` runs over, or alone on the path from J_T to
-    I/4, the LP must raise rather than drop it."""
+    Clifford Choi kets off the polytope; it has no Clifford label, so it
+    can reach the LP only as a pair of dense unitaries.  Added to the maps
+    a membership of ``cliff_polytope(2)`` runs over, or alone on the path
+    from J_T to I/4, the LP must raise rather than drop it."""
     spec = cliff_polytope(2)
     s = np.diag([1.0, np.exp(0.3j)])
     u = gate_matrix(2, ROBUST_GATE_PARAMS[2])
@@ -528,47 +534,71 @@ def test_lp_rejects_a_map_that_does_not_permute_the_vertices(path):
         assert maps and lp_membership(spec, start).orbits < spec.n_vertices
     else:
         start, end, maps = choi_of_unitary(u), np.eye(4) / 4, []
-    with pytest.raises(SymmetryViolation, match="does not permute"):
+    with pytest.raises(SymmetryViolation, match="pair of CliffordLabels of p = 2"):
         lp_threshold(spec, start, end, maps + [(s.conj().T, s)])
 
 
-def _rolled_kets(spec):
-    return np.roll(spec.kets, 1, axis=0), spec.maps
+def _as_cliff_spec(spec, kets):
+    """A spec of ``cliff_polytope``'s own type, which the type guard lets
+    through, on the given kets, carrying the maps of ``spec``."""
+    out = object.__new__(type(spec))
+    out._own(kets)
+    out.p, out.maps = spec.p, spec.maps
+    return out
 
 
-def _subset_of_kets(spec):
-    return spec.kets[:12], spec.maps
+def _rolled_kets(spec, target):
+    """Kets out of order: the labels place each orbit by index, so the LP
+    averages the wrong kets, and its witness fails on a true vertex."""
+    lp_membership(_as_cliff_spec(spec, np.roll(spec.kets, 1, axis=0)), target)
 
 
-def _repeated_ket(spec):
-    """The ket of D_(1|1) replaced by that of X, under the conjugation by Z
-    alone, which fixes both up to a phase: no overlap of an image could
-    tell, only the spec's type."""
-    x = 4 * sl2_matrices(2).index(((1, 0), (0, 1))) + 2  # chi = (1, 0), then (1, 1)
+def _subset_of_kets(spec, target):
+    """A ket list that is not the whole polytope, on a plain spec."""
+    lp_threshold(hull.PolytopeSpec(spec.kets[:12]), *_membership_maps(spec, target))
+
+
+def _repeated_ket(spec, target):
+    """The ket of D_(1|1) replaced by that of X: the maps that fix the
+    target, Z and the shear, permute neither the kets nor their
+    barycentre, the other end of the membership path."""
+    p = spec.p
+    x = p * p * sl2_matrices(p).index(((1, 0), (0, 1))) + p  # chi = (1, 0), then (1, 1)
     kets = spec.kets.copy()
     kets[x + 1] = kets[x]
-    return kets, spec.maps[1:2]
+    lp_membership(_as_cliff_spec(spec, kets), target)
 
 
-def _non_clifford_left_factor(spec):
-    """Conjugation by S = diag(1, e^0.3i), (L, R) = (S^dag, S): it fixes
-    every diagonal gate's Choi state, and L is not a Clifford."""
-    s = np.diag([1.0, np.exp(0.3j)])
-    return spec.kets, spec.maps + ((s.conj().T, s),)
+def _non_clifford_left_factor(spec, target):
+    """A map whose L is a Clifford of p = 5, not of the spec's p."""
+    start, end, maps = _membership_maps(spec, target)
+    lp_threshold(spec, start, end, maps + [(cliff_polytope(5).maps[1][0], spec.maps[1][1])])
 
 
-@pytest.mark.parametrize("corrupt", (_rolled_kets, _subset_of_kets, _repeated_ket,
-                                     _non_clifford_left_factor))
-def test_membership_fails_closed_on_a_broken_symmetry(corrupt):
-    """Maps on hand-built kets raise: kets out of order, a ket list that is
-    not the whole polytope, a ket given twice, and a non-Clifford L, each
-    handed to ``lp_threshold`` with a plain spec of those kets."""
-    spec = cliff_polytope(2)
-    target = depolarized_choi(2, gate_matrix(2, ROBUST_GATE_PARAMS[2]), 0.5)
-    assert lp_membership(spec, target).orbits < spec.n_vertices
-    kets, maps = corrupt(spec)
-    with pytest.raises(SymmetryViolation):
-        lp_threshold(hull.PolytopeSpec(kets), target, np.eye(4) / 4, maps)
+@pytest.mark.parametrize("corrupt,error,match", [
+    pytest.param(_rolled_kets, NumericalInstability, "certificate fails on a vertex",
+                 id="_rolled_kets"),
+    pytest.param(_subset_of_kets, SymmetryViolation, "permute the kets of cliff_polytope alone",
+                 id="_subset_of_kets"),
+    pytest.param(_repeated_ket, SymmetryViolation, "a generator moves the threshold path",
+                 id="_repeated_ket"),
+    pytest.param(_non_clifford_left_factor, SymmetryViolation,
+                 r"a map must be a pair of CliffordLabels of p = [23]$",
+                 id="_non_clifford_left_factor"),
+])
+def test_membership_fails_closed_on_a_broken_symmetry(corrupt, error, match):
+    """Maps on corrupted kets raise, each at the check its case names, for
+    robust-gate targets either side of the threshold at p = 2 and 3:
+    rolled kets and a repeated ket, built into a spec of the polytope's
+    own type, fail the witness and the path check; a subset of the kets
+    on a plain spec, the type guard; and a map whose L is a label of
+    another p, the label check."""
+    for p, eps in ((2, 0.40), (2, 0.50), (3, 0.73), (3, 0.84)):
+        spec = cliff_polytope(p)
+        target = depolarized_choi(p, gate_matrix(p, ROBUST_GATE_PARAMS[p]), eps)
+        assert lp_membership(spec, target).orbits < spec.n_vertices
+        with pytest.raises(error, match=match):
+            corrupt(spec, target)
 
 
 def test_maps_on_exact_kets_of_the_wrong_type_are_refused():
@@ -583,40 +613,101 @@ def test_maps_on_exact_kets_of_the_wrong_type_are_refused():
         lp_threshold(hull.PolytopeSpec(spec.kets), target, barycentre, maps)
 
 
+# The Clifford label of a dense unitary, read from how it conjugates X and
+# Z.  The package makes every label where its map is made; this read is the
+# oracle the tests hold those labels to.
+
+def _conjugation(c):
+    """(F, k) with C X C^dag = omega^k_0 D_(F(1,0)) and C Z C^dag =
+    omega^k_1 D_(F(0,1)): each image A is matched to the displacement D_a
+    it overlaps most, |Tr[D_a^dag A]| / p.  That squared overlap must reach
+    1 - 1e-9, and F must lie in SL(2, Z_p) (SymmetryViolation)."""
+    p = len(c)
+    d = hull._displacements(p)
+    img = (c @ d[[p, 1]] @ c.conj().T).reshape(2, -1)  # X = D_(1|0), Z = D_(0|1)
+    t = d.reshape(p * p, -1).conj() @ img.T / p
+    a = np.abs(t).argmax(axis=0)
+    (x0, z0), (x1, z1) = divmod(int(a[0]), p), divmod(int(a[1]), p)
+    f = ((x0, x1), (z0, z1))
+    top = complex(t[a[0], 0]), complex(t[a[1], 1])
+    if not min(map(abs, top)) ** 2 >= 1.0 - 1e-9 or f not in _sl2_index(p):
+        raise SymmetryViolation("a generator does not permute the vertices")
+    return f, tuple(round(cmath.phase(v) * p / (2 * np.pi)) for v in top)
+
+
+@lru_cache(maxsize=None)
+def _symplectic_phases(p, f):
+    """The k of ``_conjugation`` for V_F: the p = 2 metaplectic signs, and
+    none at odd p, where V_F conjugates exactly (see ``weylheis``)."""
+    return _conjugation(symplectic_unitary(p, f))[1] if p == 2 else (0, 0)
+
+
+def _clifford_label(c):
+    """The label (F | chi) of a Clifford C, equal to D_chi V_F up to a
+    phase, read from how C conjugates X and Z (``_conjugation``): F from
+    the displacements, chi from the phases.  D_chi multiplies D_a by
+    omega^(chi_z a_x - chi_x a_z), so with r = k - ``_symplectic_phases``,
+    chi = F (-r_1, r_0) mod p."""
+    p = len(c)
+    f, k = _conjugation(c)
+    r0, r1 = (a - b for a, b in zip(k, _symplectic_phases(p, f)))
+    (a, b), (g, d) = f
+    return CliffordLabel(p, f, (b * r0 - a * r1, d * r0 - g * r1))
+
+
+def _generators(p):
+    """X, Z, the shear V_F, F = [[1, 0], [1, 1]], and the Fourier gate, as
+    dense unitaries."""
+    return (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
+            symplectic_unitary(p, ((0, p - 1), (1, 0))))
+
+
 def test_only_cliff_polytope_carries_maps():
     """A spec is its kets: a plain one, STAB's and EQ's carry no maps, and
     ``cliff_polytope``'s carries the conjugations (S^dag, S) by X, Z, the
-    shear and the Fourier gate, in that order."""
-    p = 3
-    gens = (pauli_x(p), pauli_z(p), symplectic_unitary(p, ((1, 0), (1, 1))),
-            symplectic_unitary(p, ((0, p - 1), (1, 0))))
-    for spec in (stab_polytope(p), equatorial_polytope(p), hull.PolytopeSpec(np.eye(p))):
+    shear and the Fourier gate, in that order, as the label pairs the
+    dense read gives for S^dag and S at p = 2, 3, 5 and 7."""
+    for spec in (stab_polytope(3), equatorial_polytope(3), hull.PolytopeSpec(np.eye(3))):
         assert spec.maps == () and not hasattr(spec, "name")
-    spec = cliff_polytope(p)
-    assert isinstance(spec.maps, tuple) and len(spec.maps) == len(gens)
-    for (l, r), s in zip(spec.maps, gens):
-        assert np.array_equal(l, s.conj().T) and np.array_equal(r, s)
+    for p in (2, 3, 5, 7):
+        spec = cliff_polytope(p)
+        want = tuple((_clifford_label(s.conj().T), _clifford_label(s)) for s in _generators(p))
+        assert isinstance(spec.maps, tuple) and spec.maps == want, p
 
 
-def _threshold_maps(p, u, gate_pairs=(pauli_x,)):
-    """The maps ``threshold_depol_gate`` runs over for the diagonal gate u:
-    the pairs (U D^dag U^dag, D) for D in ``gate_pairs``, then the maps of
-    ``cliff_polytope(p)`` that fix both ends of the path.  With D = X, Z it
-    gives the four-map rule the tests hold the threshold's orbits to; its
-    Z pair is, for a diagonal U, the polytope's own conjugation by Z."""
-    spec = cliff_polytope(p)
+def _gate_pairs(u, ds):
+    """The dense-read label pairs of (U D^dag U^dag, D), for D in ``ds``."""
+    return [(_clifford_label(u @ d.conj().T @ u.conj().T), _clifford_label(d)) for d in ds]
+
+
+def _fixing_maps(p, u):
+    """The maps of ``cliff_polytope(p)`` that fix both ends of the
+    depolarising path of the gate u."""
     start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
-    maps = [(u @ d(p).conj().T @ u.conj().T, d(p)) for d in gate_pairs]
-    return maps + [g for g in spec.maps if hull._fixes(g, start) and hull._fixes(g, end)]
+    return [g for g in cliff_polytope(p).maps if hull._fixes(g, start, end)]
+
+
+def _threshold_maps(p, u):
+    """The maps ``threshold_depol_gate`` runs over for the diagonal gate u,
+    read densely: the pair (U X^dag U^dag, X), then the maps of
+    ``_fixing_maps`` not already in the list."""
+    maps = _gate_pairs(u, [pauli_x(p)])
+    return maps + [m for m in _fixing_maps(p, u) if m not in maps]
+
+
+def _dense(maps):
+    """Each label pair as its pair of ``clifford_unitary``s."""
+    return [tuple(map(clifford_unitary, lr)) for lr in maps]
 
 
 def _brute_force_orbits(kets, maps):
     """Orbit labels from the full n x n overlap matrix: each image
-    (R^T x L) v_i, by ``np.kron``, is matched to the ket it overlaps most
-    among all n, and orbits are numbered by their least member."""
+    (R^T x L) v_i, by ``np.kron`` of the maps' unitaries, is matched to
+    the ket it overlaps most among all n, and orbits are numbered by their
+    least member."""
     n = len(kets)
     perms = []
-    for l, r in maps:
+    for l, r in _dense(maps):
         overlap = np.abs(kets.conj() @ (kets @ np.kron(r.T, l).T).T) ** 2
         perm = np.argmax(overlap, axis=0)
         assert np.array_equal(np.sort(perm), np.arange(n)) and overlap.max(axis=0).min() > 1 - 1e-9
@@ -633,16 +724,16 @@ def _scanned_sl2_part(kets, c):
 
 def _per_ket_orbits(kets, maps):
     """Orbit labels from a search over every ket: F_L and F_R are the SL(2)
-    parts of the kets L and R overlap most, and each image (R^T x L) v_i,
-    by ``np.kron``, is matched to the ket it overlaps most among the p^2
-    of block F_L F F_R."""
+    parts of the kets the maps' unitaries L and R overlap most, and each
+    image (R^T x L) v_i, by ``np.kron``, is matched to the ket it overlaps
+    most among the p^2 of block F_L F F_R."""
     n, d = kets.shape
     p = round(d ** 0.5)
     f = np.array(sl2_matrices(p))
     index = {m.tobytes(): i for i, m in enumerate(f)}
     blocks = kets.reshape(len(f), d, d)
     perms = []
-    for l, r in maps:
+    for l, r in _dense(maps):
         fl, fr = (_scanned_sl2_part(kets, c) for c in (l, r))
         to = np.array([index[(fl @ m @ fr % p).tobytes()] for m in f])
         img = (kets @ np.kron(r.T, l).T).reshape(len(f), d, d)
@@ -654,9 +745,8 @@ def _per_ket_orbits(kets, maps):
 
 
 def _ket_orbits(kets, maps):
-    """``hull._ket_orbits`` of the kets' count, with the labels ``lp_threshold``
-    reads for the maps."""
-    return hull._ket_orbits([tuple(map(hull._clifford_label, lr)) for lr in maps], len(kets))
+    """``hull._ket_orbits`` of the kets' count under the label pairs."""
+    return hull._ket_orbits(list(maps), len(kets))
 
 
 def _orbit_labels(perms):
@@ -675,22 +765,27 @@ def _orbit_labels(perms):
     return label
 
 
+def _orbit_gates(p):
+    """Every family gate at p = 2 and 3, the robust gate at p = 5 and 7."""
+    return ([GateParams(z, g, e) for z in range(p) for g in range(p) for e in range(p)]
+            if p <= 3 else [ROBUST_GATE_PARAMS[p]])
+
+
 def _orbit_map_sets(p):
-    """The polytope's own maps and the threshold maps of every family gate
-    at p = 2 and 3, of the robust gate at p = 5 and 7."""
-    gates = ([GateParams(z, g, e) for z in range(p) for g in range(p) for e in range(p)]
-             if p <= 3 else [ROBUST_GATE_PARAMS[p]])
-    return [cliff_polytope(p).maps] + [_threshold_maps(p, gate_matrix(p, g)) for g in gates]
+    """The polytope's own maps and the threshold maps of the
+    ``_orbit_gates``."""
+    return [cliff_polytope(p).maps] + [_threshold_maps(p, gate_matrix(p, g))
+                                       for g in _orbit_gates(p)]
 
 
 @pytest.mark.parametrize("p", (2, 3))
 def test_ket_orbits_match_brute_force_overlaps(p):
-    """The block matcher gives the orbits of a search over all kets, for
+    """The label arithmetic gives the orbits of a search over all kets, for
     the polytope's own maps and the threshold maps of every family gate;
     the ket map of each pair is ``np.kron`` bit for bit."""
     spec = cliff_polytope(p)
     for maps in _orbit_map_sets(p):
-        assert all(np.array_equal(hull._ket_map(l, r), np.kron(r.T, l)) for l, r in maps)
+        assert all(np.array_equal(hull._ket_map(l, r), np.kron(r.T, l)) for l, r in _dense(maps))
         assert np.array_equal(_ket_orbits(spec.kets, maps), _brute_force_orbits(spec.kets, maps))
 
 
@@ -719,22 +814,26 @@ def test_ket_orbits_depend_only_on_the_generated_group(p):
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_label_sl2_parts_match_a_ket_scan(p):
-    """F_L and F_R, read from how L and R conjugate X and Z, are the SL(2)
-    parts of the kets their Choi kets overlap most, for every factor of
-    the map sets ``_orbit_map_sets`` gives."""
+    """The dense read's F, from how a factor conjugates X and Z, is the
+    SL(2) part of the ket its Choi ket overlaps most, for S^dag and S of
+    each generator and the gate factor U X^dag U^dag of each
+    ``_orbit_gates`` gate."""
     kets = cliff_polytope(p).kets
-    for maps in _orbit_map_sets(p):
-        for c in (c for lr in maps for c in lr):
-            assert np.array_equal(np.array(hull._clifford_label(c).f), _scanned_sl2_part(kets, c))
+    factors = [c for s in _generators(p) for c in (s.conj().T, s)]
+    factors += [u @ pauli_x(p).conj().T @ u.conj().T
+                for u in (gate_matrix(p, g) for g in _orbit_gates(p))]
+    for c in factors:
+        assert np.array_equal(np.array(_clifford_label(c).f), _scanned_sl2_part(kets, c))
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_clifford_label_reads_back_every_label(p):
-    """Every Clifford label (every 37th at p = 7) is read back from its
-    unitary times a phase: F from the displacements that X and Z go to,
-    chi from the phases, the p = 2 metaplectic signs included."""
+    """The dense read gives back every Clifford label (every 37th at
+    p = 7) from its unitary times a phase: F from the displacements that X
+    and Z go to, chi from the phases, the p = 2 metaplectic signs
+    included."""
     for lab in clifford_labels(p)[::37 if p == 7 else 1]:
-        assert hull._clifford_label(np.exp(0.7j) * clifford_unitary(lab)) == lab
+        assert _clifford_label(np.exp(0.7j) * clifford_unitary(lab)) == lab
 
 
 @pytest.mark.parametrize("c", [np.diag([1.0, np.exp(0.3j)]),
@@ -744,7 +843,7 @@ def test_clifford_label_refuses_a_non_clifford(c):
     """diag(1, e^0.3i) sends X to no displacement (its Z image is Z), and
     neither does H after it."""
     with pytest.raises(SymmetryViolation, match="does not permute"):
-        hull._clifford_label(c)
+        _clifford_label(c)
 
 
 def _threshold_gates(p):
@@ -761,11 +860,13 @@ class _Captured(Exception):
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_threshold_passes_each_symmetry_once(monkeypatch, p):
-    """``threshold_depol_gate`` hands ``lp_threshold`` the maps of
-    ``_threshold_maps``: one map fewer than the rule with the pairs for
-    both X and Z, and the same orbits.  For a gamma != 0 gate no two of
-    its maps permute the kets alike; a gate Z^e, such as (0, 0, 1), keeps
-    an X pair equal to the polytope's X conjugation."""
+    """``threshold_depol_gate`` hands ``lp_threshold`` the label pairs of
+    ``_threshold_maps``, read densely from (U X^dag U^dag, X) and equal to
+    them label for label, with no pair twice: fewer maps than the rule
+    with the pairs for both X and Z and every polytope map that fixes the
+    path, and the same orbits.  For a gamma != 0 gate no two of its maps
+    permute the kets alike; for a gate Z^e, such as (0, 0, 1), the gate's
+    pair is the polytope's X conjugation, passed once."""
     seen = []
 
     def capture(spec, start, end, maps=()):
@@ -779,14 +880,16 @@ def test_threshold_passes_each_symmetry_once(monkeypatch, p):
         with pytest.raises(_Captured):
             threshold_depol_gate(p, g)
         maps, u = seen.pop(), gate_matrix(p, g)
-        mirror, four = _threshold_maps(p, u), _threshold_maps(p, u, (pauli_x, pauli_z))
-        assert len(maps) == len(mirror) == len(four) - 1, g
-        assert all(np.array_equal(a, b) for m, w in zip(maps, mirror) for a, b in zip(m, w)), g
+        four = _gate_pairs(u, [pauli_x(p), pauli_z(p)]) + _fixing_maps(p, u)
+        assert maps == _threshold_maps(p, u), g
+        assert len(set(maps)) == len(maps) < len(four), g
         assert np.array_equal(_ket_orbits(spec.kets, maps),
                               _ket_orbits(spec.kets, four)), g
         if g.gamma % p:  # maps with other orbits of their own permute the kets apart
             alone = {_ket_orbits(spec.kets, [m]).tobytes() for m in maps}
             assert len(alone) == len(maps), g
+        elif g.z % p == 0:
+            assert maps[0] == spec.maps[0], g
     hull._depol_gate_threshold.cache_clear()
 
 
@@ -915,6 +1018,32 @@ def test_nan_ket_is_rejected():
 def test_nan_witness_does_not_pass_as_a_certificate():
     with pytest.raises(NumericalInstability):
         verify_certificate(stab_polytope(3), np.eye(3) / 3, np.full((3, 3), np.nan))
+
+
+def test_outside_membership_checks_the_witness_on_the_vertices_once(monkeypatch):
+    """``lp_threshold`` has checked the witness on every vertex, so an
+    outside p = 5 membership makes that pass once; the target is then
+    checked on its own."""
+    calls, real = [], hull.verify_certificate
+    monkeypatch.setattr(hull, "verify_certificate",
+                        lambda *args, **kwargs: calls.append(None) or real(*args, **kwargs))
+    out = lp_membership(cliff_polytope(5), _robust_targets(5)[0])
+    assert not out.feasible and len(calls) == 1
+
+
+def test_membership_refuses_a_witness_that_does_not_separate_the_target(monkeypatch):
+    """The LP's witness negated: it passed the vertex check inside
+    ``lp_threshold``, and fails on the target."""
+    real = hull.lp_threshold
+
+    def negated(*args):
+        r = real(*args)
+        return dataclasses.replace(r, witness=-r.witness)
+
+    monkeypatch.setattr(hull, "lp_threshold", negated)
+    psi = gate_state(3, ROBUST_GATE_PARAMS[3])
+    with pytest.raises(NumericalInstability, match="does not separate the target"):
+        lp_membership(stab_polytope(3), np.outer(psi, psi.conj()))
 
 
 def test_witness_that_does_not_separate_is_refused():
@@ -1206,22 +1335,23 @@ def test_orbit_lp_evidence_over_every_p7_vertex():
 
 
 @pytest.mark.parametrize("p,u", [(2, np.diag([1.0, np.exp(0.3j)]))])  # not third level
-def test_orbit_lp_rejects_gates_without_the_symmetry(p, u):
+def test_orbit_lp_rejects_gates_without_the_symmetry(monkeypatch, p, u):
     """C -> (U X^dag U^dag) C X fixes J_U and I/p^2 but permutes the
-    Clifford Choi kets only when U is third level."""
-    x = pauli_x(p)
-    with pytest.raises(SymmetryViolation, match="does not permute"):
-        lp_threshold(cliff_polytope(p), depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0),
-                     maps=[(u @ x.conj().T @ u.conj().T, x)])
+    Clifford Choi kets only when U is third level.  The threshold takes
+    the left label from ``pauli_conjugation``, whose dense check of
+    U X^dag U^dag against that label refuses U in place of the family
+    gate's matrix, with the label that gate would have."""
+    monkeypatch.setattr(hierarchy, "gate_matrix", lambda p, g: u)
+    with pytest.raises(ConvergenceFailure, match="phase check"):
+        pauli_conjugation(p, ROBUST_GATE_PARAMS[p], -1, 0)
 
 
 def test_orbit_lp_rejects_a_map_that_moves_the_path():
     """C -> X^dag C X permutes the Clifford Choi kets but does not fix J_T."""
     t = gate_matrix(2, ROBUST_GATE_PARAMS[2])
-    x = pauli_x(2)
+    spec = cliff_polytope(2)
     with pytest.raises(SymmetryViolation, match="moves the threshold path"):
-        lp_threshold(cliff_polytope(2), choi_of_unitary(t), np.eye(4) / 4,
-                     maps=[(x.conj().T, x)])
+        lp_threshold(spec, choi_of_unitary(t), np.eye(4) / 4, maps=spec.maps[:1])
 
 
 # The simplex before it priced against the structural matrix in place,
