@@ -14,7 +14,7 @@ target inside at eps*, and its phase-2 dual gives a Hermitian witness
 separating it just below, which plays the role of the (unknown) facet
 description of the Clifford polytope.  A map is a pair (L, R) of
 ``CliffordLabel``s, C -> L C R on the Clifford gates; only the Clifford
-polytope carries maps.
+polytope carries maps, and ``lp_threshold`` adds those that fix the path.
 
 Membership is that LP from the target toward the vertex barycentre: the
 target is inside iff eps* = 0, and otherwise the witness separates the
@@ -140,10 +140,10 @@ class PolytopeSpec:
     set it ran on (see there).  Dense vertices and the LP system are
     derived from the kets when read, one ``_row_blocks`` block of kets at a
     time into a result allocated once (see ``vertices`` and ``system``).
-    ``maps`` are the symmetries ``lp_membership`` runs over: none on a
-    plain spec; the spec ``cliff_polytope`` returns, of a type of its own,
-    carries the Clifford conjugations as ``CliffordLabel`` pairs (see
-    ``lp_threshold``).
+    ``maps`` are the symmetries ``lp_threshold`` adds to any LP on the
+    spec whose start they fix: none on a plain spec, so an LP on it has a
+    column per vertex; the spec ``cliff_polytope`` returns, of a type of
+    its own, carries the Clifford conjugations as ``CliffordLabel`` pairs.
     """
 
     maps = ()
@@ -265,8 +265,8 @@ def cliff_polytope(p: int) -> PolytopeSpec:
     conjugations C -> S^dag C S, the label pairs (S^-1, S), for S = X =
     (I | (1, 0)), Z = (I | (0, 1)), and (F | 0) for the shear
     F = [[1, 0], [1, 1]] and the Fourier matrix F = [[0, -1], [1, 0]];
-    they generate the Clifford group, so ``lp_membership`` decides any
-    target over the orbits of the conjugations that fix it.  S^-1 is
+    they generate the Clifford group, and every LP on the spec runs over
+    the orbits of those that fix its path (see ``lp_threshold``).  S^-1 is
     taken by ``compose_cliffords``' rule: at p = 2 the shear's inverse is
     (shear | (0, 1)).
     """
@@ -440,10 +440,10 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
     Runs ``lp_threshold`` from the target toward the vertex barycentre,
     ``spec.mixture`` of uniform weights, which lies inside the hull, so the target
     is inside iff eps* = 0; eps* is returned as ``distance``.  The barycentre is
-    formed once per spec.  The LP takes one column per orbit of those ``spec.maps``
-    that fix the target (all columns when none does, or when the spec, unlike
-    ``cliff_polytope``'s, carries none); a second target fixed by the same maps
-    reuses the orbits and their averages (see ``lp_threshold``).
+    formed once per spec.  Given no maps, the LP takes one column per orbit of those
+    ``spec.maps`` that fix the target (all columns when none does, or when the spec,
+    unlike ``cliff_polytope``'s, carries none); a second target fixed by the same
+    maps reuses the orbits and their averages (see ``lp_threshold``).
     Inside, the weights are those of the LP, spread over every vertex.  Outside,
     the LP's witness separates the point just short of eps*, where
     ``lp_threshold`` has checked it against every vertex; the target lies
@@ -452,8 +452,7 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
     Both are read-only.
     """
     target = _check_density(target, spec.dim, "target")
-    maps = [g for g in spec.maps if _fixes(g, target)]
-    r = lp_threshold(spec, target, spec._barycentre, maps)
+    r = lp_threshold(spec, target, spec._barycentre)
     counts = dict(iterations=r.pivots, refactorisations=r.refactorisations,
                   bland=r.bland, orbits=r.orbits)
     if r.epsilon_star == 0.0:
@@ -466,14 +465,6 @@ def lp_membership(spec: PolytopeSpec, target: np.ndarray) -> LPOutcome:
 def _ket_map(l: np.ndarray, r: np.ndarray) -> np.ndarray:
     """R^T x L, which takes the Choi ket of C to that of L C R."""
     return (r.T[:, None, :, None] * l[None, :, None, :]).reshape(l.size, l.size)
-
-
-def _fixes(lr, *hs: np.ndarray) -> bool:
-    """Whether the map with the label pair (L, R) fixes every operator h:
-    g h g^dag = h to 1e-10, g = R^T x L, built once from the labels'
-    ``clifford_unitary``s."""
-    g = _ket_map(*map(clifford_unitary, lr))
-    return all(np.max(np.abs(g @ h @ g.conj().T - h)) <= 1e-10 for h in hs)
 
 
 def verify_certificate(spec: PolytopeSpec, target: np.ndarray,
@@ -603,13 +594,16 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
 
         sum_i w_i vec(V_i) + eps vec(start - end) = vec(start),  sum_i w_i = 1,
 
-    with one column per orbit of the group the ``maps`` generate (Heinrich
-    & Gross, arXiv:1807.10296); with no maps each vertex is its own orbit.
-    Each map is a pair (L, R) of ``CliffordLabel``s of the spec's p, the
+    with one column per orbit of the group its maps generate (Heinrich &
+    Gross, arXiv:1807.10296); with no maps each vertex is its own orbit.
+    A map is a pair (L, R) of ``CliffordLabel``s of the spec's p, the
     Cliffords C -> L C R, which permutes the Clifford Choi kets of
-    ``cliff_polytope`` up to a phase; maps on any spec ``cliff_polytope``
-    did not return, a map that is not such a pair, and a map that moves
-    ``start`` or ``end`` raise SymmetryViolation.  Averaging over the
+    ``cliff_polytope`` up to a phase.  The maps are ``maps``, then those of
+    ``spec.maps`` that fix ``start`` and are not given, by label equality;
+    each map's R^T x L, built once from its labels' ``clifford_unitary``s,
+    must fix ``start`` and ``end`` to 1e-10.  ``maps`` on a spec
+    ``cliff_polytope`` did not return, a map that is not such a pair, and
+    a map that moves the path raise SymmetryViolation.  Averaging over the
     group then maps the hull onto the hull of the orbit averages and fixes
     the path, so the least eps is the same with one column per orbit.  The
     LP runs in an orthonormal basis of the span of the averages, start and
@@ -639,14 +633,21 @@ def lp_threshold(spec: PolytopeSpec, start: np.ndarray, end: np.ndarray,
     """
     if maps and not isinstance(spec, _CliffordPolytope):
         raise SymmetryViolation("maps permute the kets of cliff_polytope alone")
-    key = tuple(tuple(lr) for lr in maps)
+    given = [tuple(lr) if isinstance(lr, (tuple, list)) else () for lr in maps]
     if not all(len(lr) == 2 and all(isinstance(c, CliffordLabel) and c.p == spec.p for c in lr)
-               for lr in key):
+               for lr in given):
         raise SymmetryViolation(f"a map must be a pair of CliffordLabels of p = {spec.p}")
     start = _check_density(start, spec.dim, "start")
     end = _check_density(end, spec.dim, "end")
-    if not all(_fixes(g, start, end) for g in key):
-        raise SymmetryViolation("a generator moves the threshold path")
+    key = ()
+    for i, lr in enumerate(given + [lr for lr in spec.maps if lr not in given]):
+        g = _ket_map(*map(clifford_unitary, lr))
+        on_start = np.max(np.abs(g @ start @ g.conj().T - start)) <= 1e-10
+        if not on_start and i >= len(given):
+            continue  # a symmetry of the polytope, not of the path
+        if not (on_start and np.max(np.abs(g @ end @ g.conj().T - end)) <= 1e-10):
+            raise SymmetryViolation("a generator moves the threshold path")
+        key += (lr,)
     # Taken out of the spec while in use, so no two calls fill one matrix.
     orbit, sizes, m = spec._lp_columns.pop(key, None) or _orbit_columns(spec, key)
     n = len(sizes)
@@ -731,15 +732,15 @@ def threshold_depol_gate(p: int, g: GateParams) -> ThresholdResult:
     cached result, whose ``weights`` and ``witness`` arrays are read-only.
 
     ``lp_threshold`` from J_U to I/p^2 over the orbits of maps that fix
-    both and permute the Clifford Choi kets: (U X^dag U^dag, X), i.e.
-    C -> (U X^dag U^dag) C X, which permutes them as U is a third-level
-    gate, its left label ``pauli_conjugation(p, g, -1, 0)``, and those of
-    ``cliff_polytope(p).maps`` that fix J_U and are not already in the
-    list, by exact label equality.  For the diagonal U of the family these
-    include the conjugations by Z, which is (U Z^dag U^dag, Z), and by the
-    shear V_F, F = [[1, 0], [1, 1]]; for U = Z^e the gate's own pair is
-    the conjugation by X and is passed once.  A gate given as a matrix is
-    named by ``identify_third_level``.
+    both and permute the Clifford Choi kets: the one it is given,
+    (U X^dag U^dag, X), i.e. C -> (U X^dag U^dag) C X, which permutes them
+    as U is a third-level gate, its left label
+    ``pauli_conjugation(p, g, -1, 0)``, and those of
+    ``cliff_polytope(p).maps`` that fix J_U, which it adds.  For the
+    diagonal U of the family these include the conjugations by Z, which is
+    (U Z^dag U^dag, Z), and by the shear V_F, F = [[1, 0], [1, 1]]; for
+    U = Z^e the gate's own pair is the conjugation by X and is passed
+    once.  A gate given as a matrix is named by ``identify_third_level``.
     """
     check_dim(p)
     return _depol_gate_threshold(p, g.reduced(p))
@@ -751,9 +752,7 @@ def _depol_gate_threshold(p: int, g: GateParams) -> ThresholdResult:
     spec = cliff_polytope(p)
     start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
     x = spec.maps[0][1]  # the label of X, the polytope's first generator
-    maps = [(pauli_conjugation(p, g, -1, 0)[0], x)]
-    maps += [m for m in spec.maps if m not in maps and _fixes(m, start)]
-    return lp_threshold(spec, start, end, maps)
+    return lp_threshold(spec, start, end, [(pauli_conjugation(p, g, -1, 0)[0], x)])
 
 
 def dilution(p: int, eps: float) -> float:

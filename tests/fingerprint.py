@@ -15,7 +15,8 @@ machine, ``OPENBLAS_CORETYPE`` and the core that numpy's OpenBLAS runs
 fingerprints taken under the same first line.  The objects are the
 depolarising-gate thresholds of every family gate at p = 2 and 3 (8 and
 27) and of three gates each at p = 5 and 7, the p = 5 and 7 CLIFF and one
-STAB(5) membership, the full-vertex CLIFF LP at p = 3, the equatorial
+STAB(5) membership, the full-vertex CLIFF LP at p = 3 (on a plain
+``PolytopeSpec`` of the CLIFF kets, which carries no maps), the equatorial
 optimum at p = 5 and 7 with its work counts, the p = 7 edge scan, and
 the JSON output of ``table1/2/3`` and ``threshold`` without
 ``wall_time_s``.  pytest does not collect this file.
@@ -98,7 +99,8 @@ def lines():
         lp_membership(stab_polytope(5), np.outer(psi, psi.conj())))
     u = gate_matrix(3, ROBUST_GATE_PARAMS[3])
     yield "lp_threshold CLIFF(3) every vertex: " + threshold_line(
-        lp_threshold(cliff_polytope(3), depolarized_choi(3, u, 0.0), depolarized_choi(3, u, 1.0)))
+        lp_threshold(hull.PolytopeSpec(cliff_polytope(3).kets), depolarized_choi(3, u, 0.0),
+                     depolarized_choi(3, u, 1.0)))
     neg_batch, work = hull._neg_batch, []
     hull._neg_batch = lambda p, thetas: work.append(len(thetas)) or neg_batch(p, thetas)
     try:

@@ -24,7 +24,6 @@ from quditgates.hierarchy import (GateParams, gate_exponents, gate_matrix, pauli
 from quditgates import cli, geometry, hierarchy, hull
 from quditgates.hull import (
     LP_TOL,
-    LPOutcome,
     RECORDED_PD_GATE,
     ROBUST_GATE_PARAMS,
     cliff_polytope,
@@ -335,11 +334,13 @@ def test_p5_cliff_membership_of_the_benchmark_targets(eps, inside):
 @pytest.mark.parametrize("p,eps", [(2, 0.40), (2, 0.50), (3, 0.73), (3, 0.84)])
 def test_cliff_membership_over_orbits_matches_full_lp(p, eps):
     """Either side of the gate threshold (45.31% at p=2, 78.63% at p=3),
-    the orbit LP decides as the LP over every vertex does."""
+    the orbit LP decides as the LP over every vertex does, run on a plain
+    spec of the same kets, which carries no maps (24 and 216 columns)."""
     spec = cliff_polytope(p)
     target = depolarized_choi(p, gate_matrix(p, ROBUST_GATE_PARAMS[p]), eps)
     out = lp_membership(spec, target)
-    full = lp_threshold(spec, target, spec.mixture(np.full(spec.n_vertices, 1 / spec.n_vertices)))
+    full = lp_threshold(hull.PolytopeSpec(spec.kets), target,
+                        spec.mixture(np.full(spec.n_vertices, 1 / spec.n_vertices)))
     assert full.orbits == spec.n_vertices and out.orbits < spec.n_vertices
     assert out.feasible == (full.epsilon_star == 0.0) == (eps > {2: 0.4531, 3: 0.7863}[p])
     assert abs(out.distance - full.epsilon_star) < 1e-9
@@ -367,18 +368,27 @@ def test_cliff_membership_of_a_random_mixture_uses_every_vertex(p):
     assert out.feasible and out.orbits == spec.n_vertices
 
 
+def _fixes(lr, *hs):
+    """Whether the map with the label pair (L, R) fixes every operator h,
+    read densely: g h g^dag = h to 1e-10, g = ``hull._ket_map`` of the
+    labels' ``clifford_unitary``s."""
+    g = hull._ket_map(*map(clifford_unitary, lr))
+    return all(np.max(np.abs(g @ h @ g.conj().T - h)) <= 1e-10 for h in hs)
+
+
 def _membership_maps(spec, target):
-    """What ``lp_membership`` hands ``lp_threshold`` after the spec: the
-    target, the vertex barycentre and the spec's maps that fix the target."""
+    """The path and maps of ``lp_membership``'s LP: the target, the vertex
+    barycentre and the spec's maps that fix the target, the maps
+    ``lp_threshold`` picks itself when given none."""
     n = spec.n_vertices
-    maps = [g for g in spec.maps if hull._fixes(g, target)]
+    maps = [g for g in spec.maps if _fixes(g, target)]
     return target, spec.mixture(np.full(n, 1.0 / n)), maps
 
 
 def _assert_same_outcome(got, want):
-    """Every ``LPOutcome`` field equal: floats by ``float.hex``, arrays by
-    ``np.array_equal``."""
-    for field in dataclasses.fields(LPOutcome):
+    """Every field of an ``LPOutcome`` or a ``ThresholdResult`` equal:
+    floats by ``float.hex``, arrays by ``np.array_equal``."""
+    for field in dataclasses.fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(b, np.ndarray) or isinstance(a, np.ndarray):
             assert a is not None and b is not None and np.array_equal(a, b), field.name
@@ -518,24 +528,30 @@ def test_spec_kets_are_read_only(make):
         plain.kets[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("path", ("membership", "threshold"))
-def test_lp_rejects_a_map_that_does_not_permute_the_vertices(path):
+@pytest.mark.parametrize("case", ("membership", "threshold",
+                                  "lone-label", "int", "none", "str"))
+def test_lp_rejects_a_map_that_does_not_permute_the_vertices(case):
     """Conjugation by S = diag(1, e^0.3i), a diagonal phase gate off the
     Clifford group, fixes the Choi state of every diagonal gate but maps
     Clifford Choi kets off the polytope; it has no Clifford label, so it
     can reach the LP only as a pair of dense unitaries.  Added to the maps
     a membership of ``cliff_polytope(2)`` runs over, or alone on the path
-    from J_T to I/4, the LP must raise rather than drop it."""
+    from J_T to I/4, the LP must raise rather than drop it.  So must a map
+    that is no pair at all, alone on that path: a lone ``CliffordLabel``,
+    5, None or the string 'ab' (the first three once raised a bare
+    TypeError from unpacking)."""
     spec = cliff_polytope(2)
     s = np.diag([1.0, np.exp(0.3j)])
     u = gate_matrix(2, ROBUST_GATE_PARAMS[2])
-    if path == "membership":
+    if case == "membership":
         start, end, maps = _membership_maps(spec, depolarized_choi(2, u, 0.5))
         assert maps and lp_membership(spec, start).orbits < spec.n_vertices
     else:
         start, end, maps = choi_of_unitary(u), np.eye(4) / 4, []
+    bad = {"lone-label": spec.maps[0][1], "int": 5, "none": None, "str": "ab"}.get(
+        case, (s.conj().T, s))
     with pytest.raises(SymmetryViolation, match="pair of CliffordLabels of p = 2"):
-        lp_threshold(spec, start, end, maps + [(s.conj().T, s)])
+        lp_threshold(spec, start, end, maps + [bad])
 
 
 def _as_cliff_spec(spec, kets):
@@ -684,7 +700,7 @@ def _fixing_maps(p, u):
     """The maps of ``cliff_polytope(p)`` that fix both ends of the
     depolarising path of the gate u."""
     start, end = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
-    return [g for g in cliff_polytope(p).maps if hull._fixes(g, start, end)]
+    return [g for g in cliff_polytope(p).maps if _fixes(g, start, end)]
 
 
 def _threshold_maps(p, u):
@@ -860,24 +876,24 @@ class _Captured(Exception):
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 def test_threshold_passes_each_symmetry_once(monkeypatch, p):
-    """``threshold_depol_gate`` hands ``lp_threshold`` the label pairs of
-    ``_threshold_maps``, read densely from (U X^dag U^dag, X) and equal to
-    them label for label, with no pair twice: fewer maps than the rule
-    with the pairs for both X and Z and every polytope map that fixes the
-    path, and the same orbits.  For a gamma != 0 gate no two of its maps
-    permute the kets alike; for a gate Z^e, such as (0, 0, 1), the gate's
-    pair is the polytope's X conjugation, passed once."""
+    """The depolarising-gate threshold searches the orbits of the label
+    pairs of ``_threshold_maps``, read densely from (U X^dag U^dag, X) and
+    equal to them label for label, with no pair twice: fewer maps than the
+    rule with the pairs for both X and Z and every polytope map that fixes
+    the path, and the same orbits.  For a gamma != 0 gate no two of its
+    maps permute the kets alike; for a gate Z^e, such as (0, 0, 1), the
+    gate's pair is the polytope's X conjugation, passed once."""
     seen = []
 
-    def capture(spec, start, end, maps=()):
-        seen.append(list(maps))
+    def capture(labels, n):
+        seen.append(list(labels))
         raise _Captured
 
-    monkeypatch.setattr(hull, "lp_threshold", capture)
     spec = cliff_polytope(p)
     for g in _threshold_gates(p):
         hull._depol_gate_threshold.cache_clear()
-        with pytest.raises(_Captured):
+        with monkeypatch.context() as m, pytest.raises(_Captured):
+            m.setattr(hull, "_ket_orbits", capture)
             threshold_depol_gate(p, g)
         maps, u = seen.pop(), gate_matrix(p, g)
         four = _gate_pairs(u, [pauli_x(p), pauli_z(p)]) + _fixing_maps(p, u)
@@ -891,6 +907,47 @@ def test_threshold_passes_each_symmetry_once(monkeypatch, p):
         elif g.z % p == 0:
             assert maps[0] == spec.maps[0], g
     hull._depol_gate_threshold.cache_clear()
+
+
+def _fixing_maps_case(case):
+    """A spec, a path and the maps of ``spec.maps`` that fix it, after the
+    maps given for it: ``threshold-p`` is the robust gate's depolarising
+    path, whose gate pair comes first; ``membership-5`` the path of the
+    benchmark's outside p = 5 membership, given no maps."""
+    kind, p = case.split("-")
+    p = int(p)
+    if kind == "threshold":
+        u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
+        path = depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)
+        return cliff_polytope(p), path, _threshold_maps(p, u)
+    target, barycentre, maps = _membership_maps(cliff_polytope(p), _robust_targets(p)[0])
+    return cliff_polytope(p), (target, barycentre), maps
+
+
+@pytest.mark.parametrize("case,builds", [("threshold-3", 10), ("threshold-5", 10),
+                                         ("threshold-7", 10), ("membership-5", 8)])
+def test_lp_threshold_adds_the_fixing_maps_once(monkeypatch, case, builds):
+    """``lp_threshold`` adds the spec's maps that fix the start after the
+    maps it is given, skipping a pair already given, and builds each map's
+    R^T x L once from its two labels' ``clifford_unitary``s: two builds per
+    map, for the robust gate's pair and the polytope's four generators in
+    a threshold (10), and for the four alone in a p = 5 membership (8).
+    Passing the fixing maps as well changes no bit; given no maps, the
+    membership path runs over the 180 orbits of ``lp_membership``."""
+    spec, path, fixing = _fixing_maps_case(case)
+    calls, real = [], hull.clifford_unitary
+    with monkeypatch.context() as m:
+        m.setattr(hull, "clifford_unitary", lambda lab: calls.append(lab) or real(lab))
+        if case.startswith("threshold"):
+            hull._depol_gate_threshold.cache_clear()
+            want = threshold_depol_gate(spec.p, ROBUST_GATE_PARAMS[spec.p])
+        else:
+            out = lp_membership(spec, path[0])
+    assert len(calls) == builds
+    if case.startswith("membership"):
+        want = lp_threshold(spec, *path)
+        assert want.orbits == out.orbits == 180
+    _assert_same_outcome(lp_threshold(cliff_polytope(spec.p), *path, fixing), want)
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -1199,10 +1256,12 @@ def test_depol_gate_clifford_is_inside():
 @pytest.mark.parametrize("p", (2, 3))
 def test_lp_threshold_two_sided_evidence(p):
     """Weights put the target inside at eps*; the witness separates it,
-    against every vertex, at eps* - bracket."""
+    against every vertex, at eps* - bracket: the LP with a column per
+    vertex, on a plain spec of the CLIFF kets."""
     spec = cliff_polytope(p)
     u = gate_exponents(p, ROBUST_GATE_PARAMS[p]).matrix()
-    r = lp_threshold(spec, depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0))
+    r = lp_threshold(hull.PolytopeSpec(spec.kets), depolarized_choi(p, u, 0.0),
+                     depolarized_choi(p, u, 1.0))
     assert r.method == "lp" and r.pivots > 0 and r.orbits == spec.n_vertices
     assert 0.0 < r.bracket <= 1e-6
     w = r.weights
@@ -1240,7 +1299,8 @@ def test_lp_threshold_beyond_path_end_raises():
 
 @pytest.mark.parametrize("p", (2, 3))
 def test_lp_threshold_matches_highs(p):
-    """Independent oracle: the same LP solved by scipy's HiGHS."""
+    """Independent oracle: the same LP solved by scipy's HiGHS, against the
+    LP over every vertex (a plain spec of the CLIFF kets) and over orbits."""
     optimize = pytest.importorskip("scipy.optimize")
     spec = cliff_polytope(p)
     u = gate_exponents(p, ROBUST_GATE_PARAMS[p]).matrix()
@@ -1254,7 +1314,7 @@ def test_lp_threshold_matches_highs(p):
     c[-1] = 1.0
     res = optimize.linprog(c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
     assert res.status == 0
-    full = lp_threshold(spec, start, end).epsilon_star
+    full = lp_threshold(hull.PolytopeSpec(spec.kets), start, end).epsilon_star
     orbit = threshold_depol_gate(p, ROBUST_GATE_PARAMS[p]).epsilon_star
     assert abs(full - res.fun) < 1e-7
     assert abs(orbit - res.fun) < 1e-7
@@ -1262,11 +1322,12 @@ def test_lp_threshold_matches_highs(p):
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_orbit_lp_matches_full_lp(p):
-    """The full LP over every vertex is the oracle; at p=5 it takes 6.7-7.4 s
-    (one BLAS thread, shared 2-vCPU Xeon)."""
+    """The full LP over every vertex, on a plain spec of the CLIFF kets, is
+    the oracle; at p=5 it takes 6.7-7.4 s (one BLAS thread, shared 2-vCPU
+    Xeon)."""
     u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
     orbit = threshold_depol_gate(p, ROBUST_GATE_PARAMS[p])
-    full = lp_threshold(cliff_polytope(p), depolarized_choi(p, u, 0.0),
+    full = lp_threshold(hull.PolytopeSpec(cliff_polytope(p).kets), depolarized_choi(p, u, 0.0),
                         depolarized_choi(p, u, 1.0))
     assert abs(orbit.epsilon_star - full.epsilon_star) < 1e-9
     assert orbit.orbits < full.orbits == cliff_polytope(p).n_vertices
@@ -1521,10 +1582,12 @@ def test_membership_pivots_match_dense_oracle(monkeypatch, make, p):
 
 @pytest.mark.parametrize("p", (2, 3))
 def test_lp_threshold_pivots_match_dense_oracle(monkeypatch, p):
-    """Phase 2 too: the full threshold LP over every CLIFF vertex."""
+    """Phase 2 too: the full threshold LP over every CLIFF vertex, on a
+    plain spec of the CLIFF kets."""
     u = gate_matrix(p, ROBUST_GATE_PARAMS[p])
     calls, r = _simplex_calls(monkeypatch, lambda: lp_threshold(
-        cliff_polytope(p), depolarized_choi(p, u, 0.0), depolarized_choi(p, u, 1.0)))
+        hull.PolytopeSpec(cliff_polytope(p).kets), depolarized_choi(p, u, 0.0),
+        depolarized_choi(p, u, 1.0)))
     ((args, got),) = calls
     _assert_matches_oracle(args, got)
     assert (r.pivots, r.refactorisations, r.bland) == tuple(got[2:])
