@@ -93,13 +93,10 @@ class KrausChannel:
     def __post_init__(self):
         terms = tuple((float(w), np.asarray(k, dtype=complex)) for w, k in self.terms)
         object.__setattr__(self, "terms", terms)
-        dim = terms[0][1].shape[0]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for w, k in terms:
-            if w < -1e-12:
-                raise NotTracePreserving("negative Kraus weight")
-            acc += w * (k.conj().T @ k)
-        if np.max(np.abs(acc - np.eye(dim))) > 1e-9:
+        if any(w < -1e-12 for w, _ in terms):
+            raise NotTracePreserving("negative Kraus weight")
+        acc = sum(w * (k.conj().T @ k) for w, k in terms)  # no terms: 0, not the identity
+        if not terms or np.max(np.abs(acc - np.eye(len(acc)))) > 1e-9:
             raise NotTracePreserving("weighted Kraus terms do not resolve the identity")
 
     @property

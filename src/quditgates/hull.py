@@ -52,11 +52,10 @@ from .hierarchy import GateParams, _exponents, gate_matrix, pauli_conjugation, r
 from .weylheis import (
     SUPPORTED_PRIMES,
     CliffordLabel,
-    _metaplectic_defects,
-    _sl2_index,
+    _compose,
+    _sl2_position,
     check_dim,
     clifford_unitary,
-    compose_cliffords,
     displacement,
     mub_vectors,
     sl2_matrices,
@@ -267,7 +266,7 @@ def cliff_polytope(p: int) -> PolytopeSpec:
     F = [[1, 0], [1, 1]] and the Fourier matrix F = [[0, -1], [1, 0]];
     they generate the Clifford group, and every LP on the spec runs over
     the orbits of those that fix its path (see ``lp_threshold``).  S^-1 is
-    taken by ``compose_cliffords``' rule: at p = 2 the shear's inverse is
+    taken by the label rule ``_compose``: at p = 2 the shear's inverse is
     (shear | (0, 1)).
     """
     check_dim(p)
@@ -295,12 +294,11 @@ class _CliffordPolytope(PolytopeSpec):
 
 def _inverse(s: CliffordLabel) -> CliffordLabel:
     """Label of C^-1 for the Clifford C labelled ``s`` = (F | chi):
-    (F^-1 | -k), k the chi of ``compose_cliffords((F^-1 | 0), s)``, so
-    that the product with ``s`` is the identity."""
+    (F^-1 | -k), k the chi that ``_compose`` gives (F^-1 | 0) s, so that
+    the product with ``s`` is the identity."""
     (a, b), (c, d) = s.f
-    f = ((d, -b), (-c, a))
-    k = compose_cliffords(CliffordLabel(s.p, f, (0, 0)), s).chi
-    return CliffordLabel(s.p, f, (-k[0], -k[1]))
+    f = np.array(((d, -b), (-c, a))) % s.p
+    return CliffordLabel(s.p, f, -_compose(s.p, f, (0, 0), s.f, s.chi)[1])
 
 
 @lru_cache(maxsize=None)
@@ -520,29 +518,18 @@ def _ket_orbits(labels, n: int) -> np.ndarray:
 
     With maps, the kets are those of ``cliff_polytope``: p(p^2 - 1) blocks,
     one per F, of the p^2 kets D_chi V_F, chi = (x, z) at x p + z.  Up to
-    a phase, L (D_chi V_F) R is the product ``compose_cliffords`` labels:
-    for L = (F_L | chi_L) and R = (F_R | chi_R), ket (F | chi) goes to
-    (F_L F F_R | chi_L + F_L chi + F_L F chi_R + k(F_L, F) + k(F_L F, F_R))
-    mod p, k the ``_metaplectic_defects``, which are zero at odd p.
+    a phase, L (D_chi V_F) R is labelled by the rule ``weylheis._compose``,
+    taken for L and every ket at once, then for those products and R.
     """
     if not labels:
         return np.arange(n)
     p = labels[0][0].p
-    f = np.array(sl2_matrices(p))
-    code = p ** np.arange(3, -1, -1)  # sl2_matrices ascends in this code
-    codes = f.reshape(-1, 4) @ code
-    xz = np.array(np.divmod(np.arange(p * p), p))
+    f = np.array(sl2_matrices(p))[:, None]  # [block, 1, 2, 2]
+    xz = np.array(np.divmod(np.arange(p * p), p)).T  # [x p + z, (x, z)]
     perms = []
     for lab_l, lab_r in labels:
-        fl = np.array(lab_l.f)
-        flf = fl @ f % p
-        to = np.searchsorted(codes, (flf @ lab_r.f % p).reshape(-1, 4) @ code)
-        chi = lab_l.chi + flf @ lab_r.chi  # [block, (x, z)]
-        if p == 2:
-            k, i = _metaplectic_defects(p), _sl2_index(p)
-            chi += k[i[lab_l.f]] + k[np.searchsorted(codes, flf.reshape(-1, 4) @ code), i[lab_r.f]]
-        x, z = (chi.T[:, :, None] + (fl @ xz)[:, None]) % p
-        perms.append((to[:, None] * p * p + x * p + z).ravel())
+        fg, chi = _compose(p, *_compose(p, lab_l.f, lab_l.chi, f, xz), lab_r.f, lab_r.chi)
+        perms.append((_sl2_position(p, fg) * p * p + chi[..., 0] * p + chi[..., 1]).ravel())
     # Each vertex takes the least index it reaches; a finite permutation
     # group reaches its whole orbit by forward steps.
     orbit = np.arange(n)

@@ -16,9 +16,13 @@ fingerprints taken under the same first line.  The objects are the
 depolarising-gate thresholds of every family gate at p = 2 and 3 (8 and
 27) and of three gates each at p = 5 and 7, the p = 5 and 7 CLIFF and one
 STAB(5) membership, the full-vertex CLIFF LP at p = 3 (on a plain
-``PolytopeSpec`` of the CLIFF kets, which carries no maps), the equatorial
-optimum at p = 5 and 7 with its work counts, the p = 7 edge scan, and
-the JSON output of ``table1/2/3`` and ``threshold`` without
+``PolytopeSpec`` of the CLIFF kets, which carries no maps), the Clifford
+orbit index ``hull._ket_orbits`` at p = 2, 3, 5 and 7 under three map
+sets (the polytope's four generators; the conjugations by Z and the
+shear; and the robust gate's pair (U X^dag U^dag, X) with those two),
+the label of ``compose_cliffords`` for every pair of p = 2 labels, the
+equatorial optimum at p = 5 and 7 with its work counts, the p = 7 edge
+scan, and the JSON output of ``table1/2/3`` and ``threshold`` without
 ``wall_time_s``.  pytest does not collect this file.
 """
 
@@ -34,7 +38,7 @@ import numpy as np
 
 from quditgates import cli, hull
 from quditgates.geometry import depolarized_choi, edge_scan, gate_state
-from quditgates.hierarchy import GateParams, gate_matrix
+from quditgates.hierarchy import GateParams, gate_matrix, pauli_conjugation
 from quditgates.hull import (
     ROBUST_GATE_PARAMS,
     cliff_polytope,
@@ -44,6 +48,7 @@ from quditgates.hull import (
     stab_polytope,
     threshold_depol_gate,
 )
+from quditgates.weylheis import clifford_labels, compose_cliffords
 
 
 def openblas_core() -> str:
@@ -101,6 +106,17 @@ def lines():
     yield "lp_threshold CLIFF(3) every vertex: " + threshold_line(
         lp_threshold(hull.PolytopeSpec(cliff_polytope(3).kets), depolarized_choi(3, u, 0.0),
                      depolarized_choi(3, u, 1.0)))
+    for p in (2, 3, 5, 7):
+        spec = cliff_polytope(p)
+        maps = spec.maps
+        gate = (pauli_conjugation(p, ROBUST_GATE_PARAMS[p], -1, 0)[0], maps[0][1])
+        for name, labels in (("generators", maps), ("Z and shear", maps[1:3]),
+                             ("robust gate, Z and shear", (gate, *maps[1:3]))):
+            yield f"_ket_orbits CLIFF({p}) {name}: {md5(hull._ket_orbits(labels, spec.n_vertices))}"
+    labels = clifford_labels(2)
+    products = [compose_cliffords(a, b) for a in labels for b in labels]
+    yield "compose_cliffords p=2 every pair: " + md5(np.array([(*c.f[0], *c.f[1], *c.chi)
+                                                                for c in products]))
     neg_batch, work = hull._neg_batch, []
     hull._neg_batch = lambda p, thetas: work.append(len(thetas)) or neg_batch(p, thetas)
     try:

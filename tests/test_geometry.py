@@ -485,6 +485,9 @@ def test_kraus_channel_requires_trace_preservation():
     from quditgates.errors import NotTracePreserving
     with pytest.raises(NotTracePreserving):
         KrausChannel(((0.5, np.eye(2)),))
+    # No terms: the empty sum is 0, not the identity.
+    with pytest.raises(NotTracePreserving, match="resolve the identity"):
+        KrausChannel(())
 
 
 @pytest.mark.parametrize("p", (2, 3, 5))

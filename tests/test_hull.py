@@ -45,7 +45,6 @@ from quditgates.hull import (
 )
 from quditgates.weylheis import (
     CliffordLabel,
-    _sl2_index,
     clifford_labels,
     clifford_unitary,
     pauli_x,
@@ -646,7 +645,7 @@ def _conjugation(c):
     (x0, z0), (x1, z1) = divmod(int(a[0]), p), divmod(int(a[1]), p)
     f = ((x0, x1), (z0, z1))
     top = complex(t[a[0], 0]), complex(t[a[1], 1])
-    if not min(map(abs, top)) ** 2 >= 1.0 - 1e-9 or f not in _sl2_index(p):
+    if not min(map(abs, top)) ** 2 >= 1.0 - 1e-9 or f not in sl2_matrices(p):
         raise SymmetryViolation("a generator does not permute the vertices")
     return f, tuple(round(cmath.phase(v) * p / (2 * np.pi)) for v in top)
 

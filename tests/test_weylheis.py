@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from quditgates.weylheis import (
     SUPPORTED_PRIMES,
     CliffordLabel,
     _metaplectic_defects,
+    _sl2_position,
     check_dim,
     clifford_labels,
     clifford_unitary,
@@ -113,6 +116,48 @@ def test_symplectic_stack_matches_the_entrywise_formula(p):
         assert np.array_equal(symplectic_unitary(p, f), stack[i])
 
 
+_I = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("make, error", [
+    # symplectic_unitary truncated each entry with int()
+    (lambda: symplectic_unitary(3, ((1.5, 0), (0, 1))), ValueError),
+    (lambda: symplectic_unitary(3, ((2.9, 0), (0, 2))), ValueError),
+    (lambda: symplectic_unitary(3, ((np.float64(1), 0), (0, 1))), ValueError),
+    (lambda: symplectic_unitary(3, 5), ShapeMismatch),
+    (lambda: symplectic_unitary(3, (1, 0, 0, 1)), ShapeMismatch),
+    # CliffordLabel kept a float chi, or dropped a third chi entry
+    (lambda: CliffordLabel(3, _I, (0.5, 0)), ValueError),
+    (lambda: CliffordLabel(3, _I, (1.0, 0)), ValueError),
+    (lambda: CliffordLabel(3, ((1.5, 0), (0, 1)), (0, 0)), ValueError),
+    (lambda: CliffordLabel(3, _I, (1, 2, 5)), ShapeMismatch),
+    (lambda: CliffordLabel(3, _I, (1,)), ShapeMismatch),
+    (lambda: CliffordLabel(3, _I, 5), ShapeMismatch),
+    (lambda: CliffordLabel(3, (*_I, (0, 0)), (0, 0)), ShapeMismatch),
+    (lambda: CliffordLabel(3, ((1, 0, 0), (0, 1, 0)), (0, 0)), ShapeMismatch),
+], ids=["su-1.5", "su-2.9", "su-float64", "su-int", "su-flat", "chi-0.5", "chi-1.0",
+        "f-1.5", "chi-3", "chi-1", "chi-int", "f-3x2", "f-2x3"])
+def test_label_entries_must_be_integers_in_a_2x2_f_and_a_pair_chi(make, error):
+    with pytest.raises(error):
+        make()
+
+
+def test_clifford_label_stores_python_ints():
+    lab = CliffordLabel(5, np.array([[1, 0], [-4, 6]]), np.array([7, -1]))
+    assert lab == CliffordLabel(5, ((1, 0), (1, 1)), (2, 4))
+    assert all(type(v) is int for v in (*lab.f[0], *lab.f[1], *lab.chi))
+
+
+@pytest.mark.parametrize("p", SUPPORTED_PRIMES)
+def test_sl2_position_is_the_index_in_sl2_matrices(p):
+    """One F at a time, and a stack of them in a shuffled (n/2, 2) array."""
+    fs = sl2_matrices(p)
+    assert [int(_sl2_position(p, f)) for f in fs] == [fs.index(f) for f in fs]
+    order = np.random.default_rng(p).permutation(len(fs)).reshape(-1, 2)
+    want = [[fs.index(fs[i]) for i in row] for row in order.tolist()]
+    assert _sl2_position(p, np.array(fs)[order]).tolist() == want
+
+
 def test_symplectic_unitary_reduces_f_and_rejects_non_sl2():
     assert np.array_equal(symplectic_unitary(5, ((1, 0), (-4, 6))),
                           symplectic_unitary(5, ((1, 0), (1, 1))))
@@ -142,12 +187,15 @@ def test_symplectic_conjugation_law(p):
 
 @pytest.mark.parametrize("p", (2, 3, 5))
 def test_clifford_composition_law(p):
-    """Label composition tracks the unitary product up to global phase."""
-    rng = np.random.default_rng(17 + p)
+    """Label composition tracks the dense unitary product up to global
+    phase: for every pair at p = 2, and 2,000 random pairs at p = 3 and 5."""
     labels = clifford_labels(p)
-    for _ in range(200):
-        l1 = labels[rng.integers(len(labels))]
-        l2 = labels[rng.integers(len(labels))]
+    if p == 2:
+        pairs = itertools.product(labels, repeat=2)
+    else:
+        rng = np.random.default_rng(17 + p)
+        pairs = ((labels[i], labels[j]) for i, j in rng.integers(len(labels), size=(2000, 2)))
+    for l1, l2 in pairs:
         l12 = compose_cliffords(l1, l2)
         u = clifford_unitary(l1) @ clifford_unitary(l2)
         ok, _ = equal_up_to_global_phase(u, clifford_unitary(l12), tol=1e-9)
